@@ -19,7 +19,6 @@ from repro.net.packet import (
     FLAG_RST,
     FLAG_SYN,
     Packet,
-    PacketPool,
 )
 from repro.net.port import Port
 from repro.net.switch import Switch
@@ -27,7 +26,6 @@ from repro.net.topology import TopologySpec, build_leaf_spine, build_single_rack
 
 __all__ = [
     "Packet",
-    "PacketPool",
     "FlowKey",
     "Link",
     "Port",

@@ -33,7 +33,7 @@ counter whose only guarantee is uniqueness within the process.
 from __future__ import annotations
 
 from itertools import count
-from typing import List, Optional
+from typing import Optional
 
 from repro.net.addresses import FlowKey
 
@@ -56,7 +56,6 @@ __all__ = [
     "DEFAULT_MSS",
     "PURE_ACK_BYTES",
     "Packet",
-    "PacketPool",
 ]
 
 # -- IP ECN codepoints (2-bit field, RFC 3168 / paper Table II) -------------
@@ -250,87 +249,3 @@ class Packet:
             f"len={self.payload} [{flag_names(self.flags)}] {ECN_NAMES[self.ecn]}>"
         )
 
-
-class PacketPool:
-    """Optional free-list of :class:`Packet` instances.
-
-    Recycling reuses the ``__slots__`` storage of released packets instead
-    of allocating fresh objects. It is **not wired into the default
-    simulation path**: the stack hands packets to delivery hooks and trace
-    subscribers that may legitimately retain them, so only a caller that
-    owns the full packet lifecycle (synthetic workloads, micro-benchmarks)
-    can safely :meth:`release`. Reused packets are re-initialised through
-    ``Packet.__init__`` — every field including the classification
-    attributes is recomputed, so a recycled packet is indistinguishable
-    from a fresh one apart from object identity.
-
-    :meth:`release` additionally **hard-resets** every classification,
-    flag and ECN attribute so a free-listed packet can never leak its
-    previous life's state: re-init recomputes everything, but anything
-    still holding a stale reference (a trace subscriber, a forgotten
-    local) now observes an inert scrubbed packet instead of a misleading
-    SYN-ACK with ECE/CE bits set. Double releases are refused — pooling
-    the same instance twice would hand one object to two owners, which
-    corrupts both flows' state in undebuggable ways.
-
-    Parameters
-    ----------
-    max_size:
-        Free-list capacity; releases beyond it fall through to the garbage
-        collector.
-    """
-
-    __slots__ = ("_free", "max_size", "allocated", "reused")
-
-    def __init__(self, max_size: int = 1024):
-        self._free: List[Packet] = []
-        self.max_size = int(max_size)
-        #: Packets constructed fresh because the free list was empty.
-        self.allocated = 0
-        #: Packets served by re-initialising a released instance.
-        self.reused = 0
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def acquire(self, *args, **kwargs) -> Packet:
-        """Return a packet initialised with ``Packet(*args, **kwargs)``."""
-        free = self._free
-        if free:
-            pkt = free.pop()
-            pkt.__init__(*args, **kwargs)
-            self.reused += 1
-            return pkt
-        self.allocated += 1
-        return Packet(*args, **kwargs)
-
-    #: ``pkt_id`` sentinel marking a packet as sitting on a free list.
-    RELEASED = -1
-
-    def release(self, pkt: Packet) -> None:
-        """Return ``pkt`` to the free list (caller must hold the only ref).
-
-        Scrubs all header and classification state (see class docstring)
-        and raises :class:`ValueError` on a double release.
-        """
-        if pkt.pkt_id == PacketPool.RELEASED:
-            raise ValueError(
-                "double release: packet is already on the free list")
-        # Hard reset: no stale ECN/flag/ownership state may survive on the
-        # free list, whatever the packet's previous life looked like.
-        pkt.pkt_id = PacketPool.RELEASED
-        pkt.src = pkt.sport = pkt.dst = pkt.dport = -1
-        pkt.seq = pkt.ack = 0
-        pkt.payload = 0
-        pkt.flags = 0
-        pkt.ecn = ECN_NOT_ECT
-        pkt.size = 0
-        pkt.created_at = pkt.enqueued_at = 0.0
-        pkt.hops = 0
-        pkt.marked_bytes = 0
-        pkt.is_ect = pkt.is_ce = False
-        pkt.has_ece = pkt.has_cwr = False
-        pkt.is_syn = pkt.is_fin = False
-        pkt.is_pure_ack = pkt.is_data = False
-        if len(self._free) < self.max_size:
-            self._free.append(pkt)

@@ -168,7 +168,7 @@ def _micro_event_churn(n: int = 20_000) -> int:
         delay = 1e-7 * ((i * 2654435761) % 9973 + 1)
         handles.append(sim.schedule(delay, cb))
     for i in range(0, n, 2):  # cancel half, like timer churn
-        handles[i].cancel()
+        sim.cancel(handles[i])
     for i in range(n // 2):   # ...and re-arm replacements
         sim.schedule(1e-3 + 1e-7 * i, cb)
     sim.run()

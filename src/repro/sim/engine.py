@@ -1,31 +1,40 @@
 """The discrete-event engine.
 
-A :class:`Simulator` owns the virtual clock and an event heap. Heap
-entries are the :class:`EventHandle` objects themselves: a handle *is*
-its ``(time, seq)`` ordering key (a tuple subclass), so pushing an event
-allocates exactly one object (no wrapper tuple) and every heap
-comparison is a single C-level tuple comparison. The sequence
-number breaks ties so that events scheduled at the same instant fire in
-FIFO order, which makes runs fully deterministic (a property every test
-in this repo leans on).
+A :class:`Simulator` owns the virtual clock and an event heap. A heap
+entry is a plain list ``[time, seq, callback]``, and that list *is* the
+handle the ``schedule*`` methods return: scheduling an event is one
+``BUILD_LIST`` (no wrapper object, no instance ``__dict__``) and every
+heap comparison is a single C-level list comparison. ``seq`` is unique
+per simulator, so the comparison is decided by ``(time, seq)`` and never
+reaches the callback; it also breaks ties so that events scheduled at
+the same instant fire in FIFO order, which makes runs fully
+deterministic (a property every test in this repo leans on).
 
 Design notes
 ------------
-* ``heapq`` over a list of handles — O(log n) push/pop and one allocation
+* ``heapq`` over a list of entries — O(log n) push/pop and one allocation
   per event. A packet-level simulation of a Hadoop shuffle pushes a few
   events per packet, so this is *the* hot path of the repository; the
   implementation deliberately avoids any abstraction on top of the heap.
-* Cancellation is lazy: ``EventHandle.cancel()`` flips a flag and the main
-  loop discards cancelled entries when they surface. Retransmission timers
-  get rescheduled constantly, and lazy deletion is much cheaper than a
-  sift-based removal. The simulator counts still-pending cancelled
-  entries and **compacts** the heap in place when they exceed half of it
-  (and the heap is non-trivial), so timer churn cannot grow the heap
-  without bound. Compaction only removes dead entries — the (time, seq)
-  total order of live events is untouched, so event order is bit-identical
-  with or without it. ``pending_events`` may *shrink* across a compaction
-  (it counts heap entries, and purged cancelled entries leave the heap);
-  ``heap_high_water`` is a running maximum and is never lowered.
+* The callback slot doubles as the entry's state: ``None`` means
+  "cancelled or already fired". The dispatch loop clears the slot just
+  before it invokes the callback, so handles are opaque to callers —
+  hold one, pass it back to :meth:`Simulator.cancel` or
+  :meth:`Simulator.is_pending`, and never index it.
+* Cancellation is lazy: :meth:`Simulator.cancel` clears the slot and the
+  main loop discards dead entries when they surface. ~99 % of events
+  (port serialisation and wire delivery) are never cancelled, which is
+  why cancellation lives on the simulator and the entry carries nothing
+  for it. Retransmission timers *are* rescheduled constantly, and lazy
+  deletion is much cheaper than a sift-based removal. The simulator
+  counts still-pending cancelled entries and **compacts** the heap in
+  place when they exceed half of it (and the heap is non-trivial), so
+  timer churn cannot grow the heap without bound. Compaction only removes
+  dead entries — the (time, seq) total order of live events is untouched,
+  so event order is bit-identical with or without it. ``pending_events``
+  may *shrink* across a compaction (it counts heap entries, and purged
+  cancelled entries leave the heap); ``heap_high_water`` is a running
+  maximum and is never lowered.
 * Callbacks run with no arguments. Closures or bound methods capture
   whatever they need; this keeps the heap entries small and the dispatch
   loop branch-free.
@@ -51,90 +60,11 @@ __all__ = ["EventHandle", "Simulator"]
 _COMPACT_MIN_HEAP = 64
 
 
-class EventHandle(tuple):
-    """A cancellable reference to one scheduled event.
+#: What the ``schedule*`` methods return: the ``[time, seq, callback]``
+#: heap entry itself. For annotations only — treat handles as opaque.
+EventHandle = list
 
-    Handles are the heap entries themselves: a handle *is* its ``(time,
-    seq)`` ordering key — a 2-tuple — so every comparison ``heapq``
-    performs is a single C-level tuple comparison with no Python frame.
-    That comparison is the most-executed operation in the repository
-    (~log n per pop), which is why the handle subclasses :class:`tuple`
-    instead of defining ``__lt__``: a Python-level ``__lt__`` costs a
-    call per comparison and dominated the dispatch loop when measured.
-
-    ``seq`` values are unique per simulator, so the order is total and
-    the comparison never falls through to a third element.
-
-    The mutable state (``callback``, cancel/fire flags) lives in the
-    instance ``__dict__`` — tuple subclasses cannot carry nonempty
-    ``__slots__``.
-
-    Attributes
-    ----------
-    time:
-        Absolute simulation time at which the callback fires (``self[0]``).
-    seq:
-        FIFO tie-breaker among events at the same instant (``self[1]``).
-    callback:
-        Zero-argument callable invoked when the event fires.
-    """
-
-    def __new__(cls, time: float, seq: int, callback: Callable[[], None],
-                sim: "Optional[Simulator]" = None):
-        self = tuple.__new__(cls, (time, seq))
-        self.callback = callback
-        self._sim = sim
-        self._cancelled = False
-        self._fired = False
-        return self
-
-    @property
-    def time(self) -> float:
-        """Absolute simulation time at which the callback fires."""
-        return self[0]
-
-    @property
-    def seq(self) -> int:
-        """FIFO tie-breaker among events at the same instant."""
-        return self[1]
-
-    def cancel(self) -> None:
-        """Prevent the event from firing. Idempotent; safe after firing.
-
-        Retransmission timers cancel on nearly every ACK, so the
-        simulator-side bookkeeping (:meth:`Simulator._note_cancelled`) is
-        inlined here — keep the two in sync.
-        """
-        if self._cancelled:
-            return
-        self._cancelled = True
-        if not self._fired:
-            sim = self._sim
-            if sim is not None:
-                n = sim._cancelled_pending + 1
-                sim._cancelled_pending = n
-                size = len(sim._heap)
-                if size > _COMPACT_MIN_HEAP and 2 * n > size:
-                    sim._compact()
-
-    @property
-    def cancelled(self) -> bool:
-        """True if :meth:`cancel` was called before the event fired."""
-        return self._cancelled
-
-    @property
-    def fired(self) -> bool:
-        """True once the callback has been invoked."""
-        return self._fired
-
-    @property
-    def pending(self) -> bool:
-        """True while the event is still waiting in the heap."""
-        return not (self._cancelled or self._fired)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")
-        return f"<EventHandle t={self.time:.9f} {state}>"
+_INF = float("inf")
 
 
 class Simulator:
@@ -241,28 +171,26 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
-        ``delay`` must be non-negative; a zero delay fires after all events
-        already scheduled for the current instant (FIFO tie-break).
+        ``delay`` must be finite and non-negative; a zero delay fires
+        after all events already scheduled for the current instant (FIFO
+        tie-break). Returns the handle for :meth:`cancel`.
         """
+        if 0.0 < delay < _INF:
+            self._seq = seq = self._seq + 1
+            handle = [self.now + delay, seq, callback]
+            heap = self._heap
+            heapq.heappush(heap, handle)
+            n = len(heap)
+            if n > self._heap_high_water:
+                self._heap_high_water = n
+            return handle
         if delay == 0.0:
             return self.schedule_now(callback)
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule into the past (delay={delay})")
-        self._seq = seq = self._seq + 1
-        # Inlined EventHandle construction (keep in sync with __new__):
-        # this is called a few times per packet, and skipping the
-        # constructor frame is worth the duplication.
-        handle = tuple.__new__(EventHandle, (self.now + delay, seq))
-        handle.callback = callback
-        handle._sim = self
-        handle._cancelled = False
-        handle._fired = False
-        heap = self._heap
-        heapq.heappush(heap, handle)
-        n = len(heap)
-        if n > self._heap_high_water:
-            self._heap_high_water = n
-        return handle
+        # Negative, NaN or infinite. NaN compares False to everything, so
+        # the chained test above is what keeps it out of the heap, where
+        # it would fire between its neighbours and set ``now`` to NaN.
+        raise SchedulingError(
+            f"delay must be finite and non-negative (delay={delay})")
 
     def schedule_now(self, callback: Callable[[], None]) -> EventHandle:
         """Zero-delay fast path: fire ``callback`` at the current instant,
@@ -273,7 +201,7 @@ class Simulator:
         current time hit this path.
         """
         self._seq = seq = self._seq + 1
-        handle = EventHandle(self.now, seq, callback, self)
+        handle = [self.now, seq, callback]
         heap = self._heap
         heapq.heappush(heap, handle)
         n = len(heap)
@@ -282,13 +210,14 @@ class Simulator:
         return handle
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at absolute simulation ``time``."""
-        if time < self.now:
+        """Schedule ``callback`` at absolute, finite simulation ``time``."""
+        if not self.now <= time < _INF:
             raise SchedulingError(
-                f"cannot schedule at t={time} before now={self.now}"
+                f"cannot schedule at t={time}: not a finite time at or "
+                f"after now={self.now}"
             )
         self._seq = seq = self._seq + 1
-        handle = EventHandle(time, seq, callback, self)
+        handle = [time, seq, callback]
         heap = self._heap
         heapq.heappush(heap, handle)
         n = len(heap)
@@ -296,16 +225,29 @@ class Simulator:
             self._heap_high_water = n
         return handle
 
-    # -- lazy-cancel bookkeeping ---------------------------------------------
+    # -- cancellation ---------------------------------------------------------
 
-    def _note_cancelled(self) -> None:
-        """One pending handle was cancelled; compact if the dead fraction
-        crossed ~50% of a non-trivial heap."""
+    def cancel(self, handle: EventHandle) -> None:
+        """Prevent ``handle``'s event from firing.
+
+        Idempotent, and a no-op once the event has fired (including from
+        inside its own callback). The entry stays in the heap until it
+        surfaces or until dead entries exceed half of a non-trivial heap,
+        at which point the heap is compacted.
+        """
+        if handle[2] is None:
+            return
+        handle[2] = None
         n = self._cancelled_pending + 1
         self._cancelled_pending = n
         size = len(self._heap)
         if size > _COMPACT_MIN_HEAP and 2 * n > size:
             self._compact()
+
+    def is_pending(self, handle: EventHandle) -> bool:
+        """True while ``handle``'s event is still waiting to fire (neither
+        cancelled nor fired)."""
+        return handle[2] is not None
 
     def _compact(self) -> None:
         """Purge lazily-cancelled entries from the heap, in place.
@@ -316,8 +258,7 @@ class Simulator:
         events: the (time, seq) comparison is a total order.
         """
         heap = self._heap
-        live = [h for h in heap if not h._cancelled]
-        heap[:] = live
+        heap[:] = [h for h in heap if h[2] is not None]
         heapq.heapify(heap)
         self._cancelled_pending = 0
 
@@ -332,15 +273,16 @@ class Simulator:
         :meth:`step` and :meth:`run`, so stepped tests see the same
         profiler accounting and bookkeeping as full runs. (``run()``
         inlines this body — keep them in sync.)"""
-        handle._fired = True
+        callback = handle[2]
+        handle[2] = None
         self._events_processed += 1
         prof = self.profiler
         if prof is None:
-            handle.callback()
+            callback()
         else:
             t0 = perf_counter()
-            handle.callback()
-            prof.record(handle.callback, perf_counter() - t0)
+            callback()
+            prof.record(callback, perf_counter() - t0)
 
     def step(self) -> bool:
         """Fire the next non-cancelled event.
@@ -354,7 +296,7 @@ class Simulator:
         heap = self._heap
         while heap:
             handle = heapq.heappop(heap)
-            if handle._cancelled:
+            if handle[2] is None:
                 self._cancelled_pending -= 1
                 continue
             time = handle[0]
@@ -382,9 +324,9 @@ class Simulator:
         * the heap property itself holds over the entry list;
         * no pending entry is scheduled before ``now`` (events in the
           past can never fire);
-        * no fired entry is still sitting in the heap;
-        * ``cancelled_pending`` equals the true count of lazily-cancelled
-          entries (compaction and the pop paths both adjust it);
+        * ``cancelled_pending`` equals the true count of dead (``None``
+          callback) entries — compaction and the pop paths both adjust
+          it, and a fired entry left in the heap shows up here too;
         * ``heap_high_water`` is a running maximum, so it can never be
           below the current heap size.
         """
@@ -398,20 +340,18 @@ class Simulator:
                     f"{heap[i]!r} < parent {heap[(i - 1) >> 1]!r}"
                 )
                 break
-        cancelled = 0
+        dead = 0
         for h in heap:
-            if h._cancelled:
-                cancelled += 1
+            if h[2] is None:
+                dead += 1
             elif h[0] < self.now:
                 violations.append(
                     f"pending event at t={h[0]} is in the past (now={self.now})"
                 )
-            if h._fired:
-                violations.append(f"fired event still in heap: {h!r}")
-        if cancelled != self._cancelled_pending:
+        if dead != self._cancelled_pending:
             violations.append(
                 f"cancelled_pending={self._cancelled_pending} but the heap "
-                f"holds {cancelled} cancelled entries"
+                f"holds {dead} cancelled entries"
             )
         if self._heap_high_water < n:
             violations.append(
@@ -447,7 +387,8 @@ class Simulator:
         try:
             while heap and not self._stopped:
                 handle = heap[0]
-                if handle._cancelled:
+                callback = handle[2]
+                if callback is None:
                     heappop(heap)
                     self._cancelled_pending -= 1
                     continue
@@ -458,14 +399,14 @@ class Simulator:
                 self.now = time
                 # Inlined _dispatch body (see _dispatch): one callback, no
                 # extra frame on the hottest loop in the repository.
-                handle._fired = True
+                handle[2] = None
                 self._events_processed += 1
                 if prof is None:
-                    handle.callback()
+                    callback()
                 else:
                     t0 = timer()
-                    handle.callback()
-                    prof.record(handle.callback, timer() - t0)
+                    callback()
+                    prof.record(callback, timer() - t0)
                 fired += 1
                 if max_events is not None and fired >= max_events:
                     raise SimulationError(

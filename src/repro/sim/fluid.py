@@ -212,10 +212,10 @@ class FluidManager:
         if st is None:
             return
         if st.round_handle is not None:
-            st.round_handle.cancel()
+            self.sim.cancel(st.round_handle)
             st.round_handle = None
         if st.refill_handle is not None:
-            st.refill_handle.cancel()
+            self.sim.cancel(st.refill_handle)
             st.refill_handle = None
         self._clear_pressure(st)
         sender._fluid_wait = False
@@ -244,7 +244,7 @@ class FluidManager:
                 st.last_cuts = cuts
                 st.cooldown_until = now + self.params.cooldown_s
                 if st.refill_handle is not None:
-                    st.refill_handle.cancel()
+                    self.sim.cancel(st.refill_handle)
                     st.refill_handle = None
                 self._release(sender, st)
             return
@@ -272,13 +272,13 @@ class FluidManager:
         st.cooldown_until = self.sim.now + self.params.cooldown_s
         mode = st.mode
         if mode == "refill" and st.refill_handle is not None:
-            st.refill_handle.cancel()
+            self.sim.cancel(st.refill_handle)
             st.refill_handle = None
         if mode == "fluid":
             # Unreachable in normal operation (a fluid flow has no
             # packets, hence no timers), but stay safe.
             if st.round_handle is not None:
-                st.round_handle.cancel()
+                self.sim.cancel(st.round_handle)
                 st.round_handle = None
             self._clear_pressure(st)
         if mode != "idle":
@@ -414,7 +414,7 @@ class FluidManager:
             self._release(sender, st)
             return
         if rs.delack_handle is not None:
-            rs.delack_handle.cancel()
+            self.sim.cancel(rs.delack_handle)
             rs.delack_handle = None
         rs.segs_since_ack = 0
         sender._cancel_rto()
@@ -574,7 +574,7 @@ class FluidManager:
     def _demote(self, sender, st: _FlowState, reason: str) -> None:
         """Leave fluid fidelity and start the paced window refill."""
         if st.round_handle is not None:
-            st.round_handle.cancel()
+            self.sim.cancel(st.round_handle)
             st.round_handle = None
         st.round_plan = None
         self._clear_pressure(st)

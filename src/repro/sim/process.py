@@ -61,7 +61,7 @@ class PeriodicTimer:
         """Disarm the timer. Idempotent."""
         self._running = False
         if self._handle is not None:
-            self._handle.cancel()
+            self._sim.cancel(self._handle)
             self._handle = None
 
     def _fire(self) -> None:

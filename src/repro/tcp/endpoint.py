@@ -514,13 +514,22 @@ class TcpSender:
     def _on_ack_advance(self, ack: int, ece: bool, marked_bytes: int = 0) -> None:
         acked = ack - self.snd_una
 
-        # RTT sampling keyed by segment end; purge everything acked.
-        t = self._tx_time.pop(ack, None)
+        # RTT sampling keyed by segment end; purge everything acked. New
+        # data is sent in sequence order and an RTO clears the dict, so
+        # keys sit in ascending insertion order: the acked ones are at the
+        # front and the scan stops at the first one past ``ack``.
+        tx_time = self._tx_time
+        t = tx_time.pop(ack, None)
         if t is not None:
             self.rtt.sample(self.sim.now - t)
-        if self._tx_time:
-            for end in [e for e in self._tx_time if e <= ack]:
-                del self._tx_time[end]
+        if tx_time:
+            acked_ends = []
+            for end in tx_time:
+                if end > ack:
+                    break
+                acked_ends.append(end)
+            for end in acked_ends:
+                del tx_time[end]
 
         self.snd_una = ack
         # An RTO collapses snd_nxt back to snd_una + mss (go-back-N), but
@@ -605,14 +614,15 @@ class TcpSender:
 
     def _arm_rto(self) -> None:
         # Inlined _cancel_rto (keep in sync) — re-arming happens per ACK.
+        sim = self.sim
         h = self._rto_handle
         if h is not None:
-            h.cancel()
-        self._rto_handle = self.sim.schedule(self.rtt.rto, self._on_rto)
+            sim.cancel(h)
+        self._rto_handle = sim.schedule(self.rtt.rto, self._on_rto)
 
     def _cancel_rto(self) -> None:
         if self._rto_handle is not None:
-            self._rto_handle.cancel()
+            self.sim.cancel(self._rto_handle)
             self._rto_handle = None
 
     def _on_rto(self) -> None:
@@ -768,7 +778,7 @@ class TcpListener:
         self.host.unbind(self.port)
         for st in self.flows.values():
             if st.delack_handle is not None:
-                st.delack_handle.cancel()
+                self.sim.cancel(st.delack_handle)
         self.flows.clear()
 
     # -- packet handling -------------------------------------------------------
@@ -915,7 +925,7 @@ class TcpListener:
     def _send_ack(self, st: _ReceiverState, ece: Optional[bool] = None) -> None:
         h = st.delack_handle
         if h is not None:
-            h.cancel()
+            self.sim.cancel(h)
             st.delack_handle = None
         st.segs_since_ack = 0
         # Byte-precise CE echo: attribute pending marked bytes to the

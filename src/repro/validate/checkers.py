@@ -18,9 +18,8 @@ The four checkers:
 * :class:`ConservationChecker` — a packet ledger: every packet that enters
   the fabric is delivered, dropped, or physically in flight exactly once
   at sim end. Each sighting also re-derives the packet's classification
-  attributes from its raw header fields, which catches
-  :class:`~repro.net.packet.PacketPool` reuse leaking stale ECN/flag
-  state.
+  attributes from its raw header fields, which catches a cached
+  attribute that a header mutation (``mark_ce``) failed to refresh.
 * :class:`QueueAccountingChecker` — per-queue counter equations
   (occupancy = arrivals − drops − departures, protected ≤ arrivals,
   marks ≤ ECT arrivals, byte totals) checked on every queue event and
@@ -138,9 +137,9 @@ _TERMINAL = (_DELIVERED, _DROPPED, _LOST)
 def _classification_errors(pkt: Packet) -> List[str]:
     """Re-derive the cached classification attrs from the raw header.
 
-    The cached attributes are computed once at construction; a pooled
-    packet whose reset path missed a field will disagree with its own
-    header here.
+    The cached attributes are computed once at construction; a header
+    mutation (``Packet.mark_ce``) that missed refreshing one will
+    disagree with its own header here.
     """
     flags = pkt.flags
     ecn = pkt.ecn
@@ -176,8 +175,8 @@ class ConservationChecker(Checker):
     packet must be delivered, dropped, lost, or still physically present
     (in a queue, a serializer slot, or on a wire) **exactly once**.
     Catches double delivery, use-after-drop, vanished packets, and — via
-    the per-sighting classification recompute — stale state on recycled
-    :class:`~repro.net.packet.PacketPool` instances.
+    the per-sighting classification recompute — cached classification
+    attributes that have drifted from the header.
     """
 
     name = "conservation"

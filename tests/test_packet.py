@@ -16,7 +16,6 @@ from repro.net.packet import (
     IP_TCP_HEADER_BYTES,
     PURE_ACK_BYTES,
     Packet,
-    PacketPool,
     flag_names,
 )
 
@@ -119,60 +118,3 @@ class TestIdentity:
     def test_flow_key_reversed(self):
         p = mk()
         assert p.flow.reversed() == (1, 2000, 0, 1000)
-
-
-class TestPacketPool:
-    """Recycled packets must never leak their previous life's state."""
-
-    def test_reused_synack_becomes_clean_data_packet(self):
-        # Regression: a pooled ECN-setup SYN-ACK (ECE set, CE-marked)
-        # recycled as a plain ECT(0) data segment must not retain any of
-        # the handshake's classification bits.
-        pool = PacketPool()
-        synack = mk(flags=FLAG_SYN | FLAG_ACK | FLAG_ECE, ecn=ECN_ECT0)
-        synack.mark_ce()
-        pool.release(synack)
-        data = pool.acquire(src=0, sport=1000, dst=1, dport=2000,
-                            seq=1460, payload=DEFAULT_MSS,
-                            flags=FLAG_ACK, ecn=ECN_ECT0)
-        assert data is synack  # the same storage was recycled
-        assert data.is_data and not data.is_syn
-        assert not data.has_ece and not data.is_ce
-        assert data.is_ect and data.ecn == ECN_ECT0
-        assert not data.is_pure_ack
-        assert data.size == DEFAULT_MSS + IP_TCP_HEADER_BYTES
-
-    def test_release_scrubs_every_field(self):
-        pool = PacketPool()
-        p = mk(payload=100, flags=FLAG_SYN | FLAG_ACK | FLAG_ECE | FLAG_CWR,
-               ecn=ECN_ECT0)
-        p.mark_ce()
-        pool.release(p)
-        assert p.pkt_id == PacketPool.RELEASED
-        assert p.flags == 0 and p.ecn == ECN_NOT_ECT
-        assert p.payload == 0 and p.size == 0
-        assert not (p.is_ect or p.is_ce or p.has_ece or p.has_cwr
-                    or p.is_syn or p.is_fin or p.is_pure_ack or p.is_data)
-
-    def test_double_release_refused(self):
-        pool = PacketPool()
-        p = mk()
-        pool.release(p)
-        with pytest.raises(ValueError, match="double release"):
-            pool.release(p)
-
-    def test_allocation_counters(self):
-        pool = PacketPool()
-        a = pool.acquire(src=0, sport=1, dst=1, dport=2)
-        assert pool.allocated == 1 and pool.reused == 0
-        pool.release(a)
-        b = pool.acquire(src=0, sport=1, dst=1, dport=2)
-        assert b is a
-        assert pool.allocated == 1 and pool.reused == 1
-
-    def test_capacity_bound_respected(self):
-        pool = PacketPool(max_size=1)
-        a, b = mk(), mk()
-        pool.release(a)
-        pool.release(b)  # beyond capacity: falls through to the GC
-        assert len(pool) == 1

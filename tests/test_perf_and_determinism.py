@@ -1,6 +1,6 @@
 """Hot-path overhaul guarantees: heap equivalence, determinism, bench.
 
-The event-core optimizations (tuple-subclass handles, lazy-cancel
+The event-core optimizations (plain-list heap entries, lazy-cancel
 compaction, bound-method transmit path, fused RED enqueue/dequeue) are
 only admissible because they are *observationally invisible*: not a
 single event may fire in a different order, and back-to-back runs in one
@@ -9,7 +9,6 @@ guarantees down, alongside the ``repro.perf`` bench harness that
 measures the speedups.
 """
 
-import heapq
 import json
 import random
 from functools import partial
@@ -25,7 +24,6 @@ from repro.experiments.config import (
     QueueSetup,
 )
 from repro.experiments.runner import run_cell
-from repro.net.packet import FLAG_ACK, PacketPool
 from repro.net.port import Port
 from repro.perf.bench import (
     SCHEMA,
@@ -49,74 +47,204 @@ from repro.units import us
 # Reference kernel: the dumbest possible correct implementation.
 # ---------------------------------------------------------------------------
 
-class _RefHandle:
-    __slots__ = ("cancelled",)
+class _RefEntry:
+    __slots__ = ("time", "seq", "callback", "state")
 
-    def __init__(self):
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
+    def __init__(self, time, seq, callback):
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.state = "pending"  # -> "cancelled" | "fired"
 
 
 class _RefSim:
-    """heapq of (time, seq, callback) tuples, no compaction, no tricks."""
+    """Flat list of entries, ``min()`` to pick the next event, every
+    counter recomputed by scanning. Models the kernel's documented
+    contract — FIFO tie-break, lazy cancellation, compaction once dead
+    entries exceed half of a >64-entry heap — with nothing incremental."""
 
     def __init__(self):
         self.now = 0.0
-        self._heap = []
+        self._entries = []
         self._seq = 0
+        self.heap_high_water = 0
+        self.events_processed = 0
+
+    @property
+    def pending_events(self):
+        return len(self._entries)
+
+    @property
+    def cancelled_pending(self):
+        return sum(1 for e in self._entries if e.state == "cancelled")
 
     def schedule(self, delay, callback):
         self._seq += 1
-        handle = _RefHandle()
-        heapq.heappush(self._heap, (self.now + delay, self._seq, callback, handle))
-        return handle
+        entry = _RefEntry(self.now + delay, self._seq, callback)
+        self._entries.append(entry)
+        self.heap_high_water = max(self.heap_high_water, len(self._entries))
+        return entry
+
+    def cancel(self, entry):
+        if entry.state != "pending":
+            return
+        entry.state = "cancelled"
+        size = len(self._entries)
+        if size > 64 and 2 * self.cancelled_pending > size:
+            self._entries = [e for e in self._entries if e.state == "pending"]
+
+    def is_pending(self, entry):
+        return entry.state == "pending"
+
+    def step(self):
+        while self._entries:
+            entry = min(self._entries, key=lambda e: (e.time, e.seq))
+            self._entries.remove(entry)
+            if entry.state == "cancelled":
+                continue
+            self.now = entry.time
+            entry.state = "fired"
+            self.events_processed += 1
+            entry.callback()
+            return True
+        return False
 
     def run(self):
-        while self._heap:
-            time, _seq, callback, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            self.now = time
-            callback()
+        while self.step():
+            pass
+
+    def check_invariants(self):
+        return []  # nothing incremental to audit
 
 
-def _churn(sim, order, n_ops=600, seed=1234):
+def _churn(sim, order, n_ops=1000, seed=1234, stepped=False):
     """Drive a kernel through deterministic schedule/cancel/fire churn.
 
     Delays are drawn from a coarse grid so same-instant ties (the FIFO
     tie-break) occur constantly; callbacks themselves schedule follow-up
     events and cancel earlier ones, so cancellation interleaves with
-    dispatch exactly like retransmission-timer churn does.
+    dispatch exactly like retransmission-timer churn does. On top of the
+    random mix it plays the patterns the stack relies on: cancelling a
+    handle that already fired, a callback cancelling its own handle and
+    a same-instant sibling, a timer re-armed from inside its own
+    callback (the RTO pattern), and mass cancellations from inside a
+    callback that compact the heap mid-dispatch.
+
+    Returns ``(audit, mid_dispatch_compactions)``: the diagnostic
+    counters after every operation, and how many cancels issued from
+    inside a callback shrank the heap.
     """
     rng = random.Random(seed)
-    live = []
+    live, spent = [], []
+    audit = []
+    dispatching = False
+    compactions = 0
+    timer = None
 
-    def fire(label):
+    def note():
+        audit.append((sim.cancelled_pending, sim.heap_high_water,
+                      sim.events_processed, sim.pending_events))
+
+    def schedule(delay, callback):
+        handle = sim.schedule(delay, callback)
+        assert sim.is_pending(handle)
+        note()
+        return handle
+
+    def cancel(handle):
+        nonlocal compactions
+        before = sim.pending_events
+        sim.cancel(handle)
+        assert not sim.is_pending(handle)
+        if dispatching and sim.pending_events < before:
+            compactions += 1
+        note()
+
+    def rearm():  # TcpSender._arm_rto: cancel whatever is there, re-arm
+        nonlocal timer
+        if timer is not None:
+            cancel(timer)
+        timer = schedule(rng.randrange(1, 40) * 1e-4, on_timer)
+
+    def on_timer():
+        order.append((round(sim.now, 9), "timer"))
+        if rng.random() < 0.8:
+            rearm()  # cancels the handle that is firing right now: a no-op
+
+    def fire(label, box):
+        nonlocal dispatching
+        dispatching = True
         order.append((round(sim.now, 9), label))
+        spent.append(box[0])
         r = rng.random()
         if r < 0.35:
-            live.append(sim.schedule(rng.randrange(1, 40) * 1e-4, partial(fire, label + 100000)))
+            live.append(spawn(rng.randrange(1, 40) * 1e-4, label + 100000))
         if r < 0.25 and live:
-            live.pop(rng.randrange(len(live))).cancel()
+            cancel(live.pop(rng.randrange(len(live))))
+        if 0.4 < r < 0.5:
+            cancel(spent[rng.randrange(len(spent))])  # fired long ago
+        if 0.5 < r < 0.53:
+            rearm()  # the per-ACK re-arm of a still-pending timer
+        if 0.6 < r < 0.66:
+            # Own handle (no-op) and a sibling due at this very instant.
+            sibling = spawn(0.0, ("sibling", label))
+            cancel(box[0])
+            cancel(sibling)
+        if 0.66 < r < 0.68 and len(live) > 300:
+            # Mass cancel from inside a callback: compacts mid-dispatch.
+            for _ in range(len(live) // 3):
+                cancel(live.pop(rng.randrange(len(live))))
+        dispatching = False
 
+    def spawn(delay, label):
+        box = []
+        box.append(schedule(delay, partial(fire, label, box)))
+        return box[0]
+
+    rearm()
     for i in range(n_ops):
-        live.append(sim.schedule(rng.randrange(1, 40) * 1e-4, partial(fire, i)))
+        live.append(spawn(rng.randrange(1, 40) * 1e-4, i))
         if rng.random() < 0.45 and live:
-            live.pop(rng.randrange(len(live))).cancel()
-    sim.run()
+            cancel(live.pop(rng.randrange(len(live))))
+    if stepped:
+        while sim.step():
+            note()
+            assert sim.check_invariants() == []
+    else:
+        sim.run()
+    note()
+    return audit, compactions
 
 
 class TestHeapEquivalence:
     def test_churn_order_matches_reference(self):
         """Optimized kernel fires the exact same (time, label) sequence as
-        the reference heapq-of-tuples under cancel/reschedule churn."""
+        the reference kernel under cancel/reschedule churn."""
         ref_order, opt_order = [], []
         _churn(_RefSim(), ref_order)
         _churn(Simulator(), opt_order)
         assert opt_order == ref_order
         assert len(opt_order) > 300  # the scenario actually fired things
+
+    @pytest.mark.parametrize("stepped", [False, True], ids=["run", "step"])
+    def test_churn_counters_match_reference_after_every_op(self, stepped):
+        """``cancelled_pending`` / ``heap_high_water`` / ``events_processed``
+        / ``pending_events`` agree with the scan-everything reference after
+        every schedule, cancel and (when stepping) dispatch — including
+        across compactions triggered from inside a callback."""
+        ref_order, opt_order = [], []
+        ref_audit, ref_compactions = _churn(_RefSim(), ref_order, stepped=stepped)
+        sim = Simulator()
+        opt_audit, opt_compactions = _churn(sim, opt_order, stepped=stepped)
+        assert opt_order == ref_order
+        assert opt_audit == ref_audit
+        assert opt_compactions == ref_compactions >= 1
+        labels = [label for _time, label in opt_order]
+        assert labels.count("timer") >= 2  # fired, re-armed itself, fired
+        assert not any(isinstance(label, tuple) for label in labels), \
+            "a sibling cancelled at its own instant fired anyway"
+        assert sim.check_invariants() == []
+        assert sim.pending_events == sim.cancelled_pending == 0
 
     def test_churn_exercises_compaction(self):
         """The churn load is heavy enough to cross the compaction
@@ -132,7 +260,7 @@ class TestHeapEquivalence:
                    for i in range(200)]
         assert sim.pending_events == 200
         for h in handles[:150]:
-            h.cancel()
+            sim.cancel(h)
         # Compaction must have purged cancelled entries: the heap holds the
         # 50 live handles plus at most half-a-heap of dead ones, and the
         # cancelled counter agrees with what is actually in the heap.
@@ -243,31 +371,6 @@ class TestProfilerLabels:
         # lambda accounts to the (test) function that ultimately made it.
         expected = self.test_closure_buckets_under_enclosing_method.__qualname__
         assert callback_category(outer()) == expected
-
-
-# ---------------------------------------------------------------------------
-# PacketPool.
-# ---------------------------------------------------------------------------
-
-class TestPacketPool:
-    def test_acquire_release_reuses_storage(self):
-        pool = PacketPool(max_size=4)
-        a = pool.acquire(src=1, sport=1, dst=2, dport=2, payload=100, pkt_id=0)
-        pool.release(a)
-        b = pool.acquire(src=3, sport=4, dst=5, dport=6, payload=0,
-                         flags=FLAG_ACK, pkt_id=1)
-        assert b is a  # recycled the same slot storage
-        assert (b.src, b.dst, b.pkt_id) == (3, 5, 1)
-        assert b.is_pure_ack  # classification recomputed, not stale
-        assert pool.reused == 1
-
-    def test_pool_bounded(self):
-        pool = PacketPool(max_size=1)
-        pkts = [pool.acquire(src=1, sport=1, dst=2, dport=2, pkt_id=i)
-                for i in range(3)]
-        for p in pkts:
-            pool.release(p)
-        assert len(pool) == 1  # excess releases are dropped, not hoarded
 
 
 # ---------------------------------------------------------------------------

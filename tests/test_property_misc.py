@@ -23,14 +23,12 @@ class TestEngineProperties:
             handles.append(sim.schedule(d, lambda: fired.append(sim.now)))
         for h, cancel in zip(handles, cancel_mask):
             if cancel:
-                h.cancel()
+                sim.cancel(h)
+        survivors = sum(1 for h in handles if sim.is_pending(h))
         sim.run()
         assert fired == sorted(fired)
-        expected = sum(
-            1 for h, c in zip(handles, cancel_mask + [False] * len(handles))
-            if not h.cancelled
-        )
-        assert len(fired) == sum(1 for h in handles if not h.cancelled)
+        assert len(fired) == survivors
+        assert not any(sim.is_pending(h) for h in handles)
 
     @given(delays=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=100))
     @settings(max_examples=50, deadline=None)

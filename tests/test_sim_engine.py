@@ -65,6 +65,44 @@ class TestScheduling:
         with pytest.raises(SchedulingError):
             sim.schedule_at(5.0, lambda: None)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_delay_rejected(self, bad):
+        """NaN compares False to everything, so a ``delay < 0`` check
+        passes it; once in the heap it fires between its neighbours and
+        sets ``now`` to NaN mid-run."""
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            sim.schedule(bad, lambda: None)
+        assert sim.pending_events == 1
+        sim.run()
+        assert sim.now == 1.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_schedule_at_rejected(self, bad):
+        sim = Simulator(start_time=10.0)
+        with pytest.raises(SchedulingError):
+            sim.schedule_at(bad, lambda: None)
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0, 0])
+    def test_zero_delay_takes_the_schedule_now_path(self, zero):
+        sim = Simulator(start_time=3.0)
+        order = []
+        sim.schedule_now(lambda: order.append("first"))
+        h = sim.schedule(zero, lambda: order.append("second"))
+        assert h[0] == 3.0
+        sim.run()
+        assert order == ["first", "second"]
+        assert sim.now == 3.0
+
+    def test_schedule_at_now_is_allowed(self):
+        sim = Simulator(start_time=10.0)
+        fired = []
+        sim.schedule_at(10.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [10.0]
+
     def test_events_scheduled_during_run_fire(self):
         sim = Simulator()
         fired = []
@@ -78,30 +116,65 @@ class TestCancellation:
         sim = Simulator()
         fired = []
         h = sim.schedule(1.0, lambda: fired.append(1))
-        h.cancel()
+        sim.cancel(h)
         sim.run()
         assert fired == []
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
         h = sim.schedule(1.0, lambda: None)
-        h.cancel()
-        h.cancel()
-        assert h.cancelled
+        sim.cancel(h)
+        sim.cancel(h)
+        assert not sim.is_pending(h)
+        assert sim.cancelled_pending == 1  # counted once, not twice
 
     def test_handle_state_transitions(self):
         sim = Simulator()
         h = sim.schedule(1.0, lambda: None)
-        assert h.pending and not h.fired
+        assert sim.is_pending(h)
         sim.run()
-        assert h.fired and not h.pending
+        assert not sim.is_pending(h)
 
     def test_cancel_after_fire_is_safe(self):
         sim = Simulator()
         h = sim.schedule(1.0, lambda: None)
         sim.run()
-        h.cancel()  # no error
-        assert h.fired
+        sim.cancel(h)  # no error
+        assert not sim.is_pending(h)
+        assert sim.cancelled_pending == 0
+        assert sim.check_invariants() == []
+
+    def test_handle_is_the_plain_list_heap_entry(self):
+        sim = Simulator()
+        for h in (sim.schedule(1.0, lambda: None),
+                  sim.schedule(0.0, lambda: None),
+                  sim.schedule_now(lambda: None),
+                  sim.schedule_at(2.0, lambda: None)):
+            assert type(h) is list
+            assert any(h is entry for entry in sim._heap)
+
+    def test_callback_cancelling_its_own_handle_is_a_noop(self):
+        sim = Simulator()
+        box = []
+        box.append(sim.schedule(1.0, lambda: sim.cancel(box[0])))
+        sim.run()
+        assert sim.events_processed == 1
+        assert sim.cancelled_pending == 0
+        assert sim.check_invariants() == []
+
+    def test_check_invariants_reports_unaccounted_dead_entry(self):
+        """A ``None`` callback slot the counter does not account for —
+        a fired entry left in the heap, or a slot cleared behind
+        ``cancel()``'s back — is a ``cancelled_pending`` mismatch."""
+        sim = Simulator()
+        h = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        assert sim.check_invariants() == []
+        h[2] = None
+        violations = sim.check_invariants()
+        assert len(violations) == 1
+        assert "cancelled_pending=0" in violations[0]
+        assert "holds 1 cancelled" in violations[0]
 
 
 class TestRunControl:
@@ -168,7 +241,7 @@ class TestRunControl:
 
         def cancel_tail():
             for h in handles[100:]:
-                h.cancel()
+                sim.cancel(h)
 
         sim.schedule(0.5, cancel_tail)
         with pytest.raises(SimulationError) as exc:

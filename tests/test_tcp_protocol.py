@@ -18,7 +18,7 @@ from repro.net.packet import (
     Packet,
 )
 from repro.sim import Simulator
-from repro.tcp import TcpConfig, TcpSender, TcpVariant
+from repro.tcp import RttEstimator, TcpConfig, TcpSender, TcpVariant
 
 MSS = 1460
 
@@ -334,3 +334,123 @@ class TestDctcpReaction:
         for i in range(1, 30):
             host.deliver(ack(sender, i * MSS))
         assert sender.stats.cwnd_cuts == 0
+
+
+class _AuditedSender(TcpSender):
+    """Checks every advancing ACK against the full-scan purge.
+
+    ``_tx_time`` is purged from the front of the dict, stopping at the
+    first key past the ACK; this is only right while keys stay in
+    ascending insertion order. The audit recomputes what deleting *every*
+    key ``<= ack`` (a full scan) leaves behind and which RTT sample it
+    takes, and compares contents, order and samples.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.audits = 0
+        self.expected_samples = []
+        self.new_data_on_dup_ack = 0
+        self._karn_pops = []
+        super().__init__(*args, **kwargs)
+
+    def _send_segment(self, seq, retransmit):
+        if retransmit:
+            self._karn_pops.append(seq + min(self._mss, self.nbytes - seq))
+        elif self.dup_acks in (1, 2) and not self.in_recovery:
+            self.new_data_on_dup_ack += 1
+        return super()._send_segment(seq, retransmit)
+
+    def _on_ack_advance(self, ack, ece, marked_bytes=0):
+        before = dict(self._tx_time)
+        self._karn_pops.clear()
+        super()._on_ack_advance(ack, ece, marked_bytes)
+        if ack in before:
+            self.expected_samples.append(self.sim.now - before[ack])
+        expected = {end: t for end, t in before.items() if end > ack}
+        for end in self._karn_pops:  # a partial ACK's hole retransmit
+            expected.pop(end, None)
+        assert list(self._tx_time.items()) == list(expected.items())
+        self.audits += 1
+
+
+class TestTxTimePurge:
+    def test_front_purge_matches_full_scan(self):
+        sim = Simulator()
+        cfg = TcpConfig(variant=TcpVariant.ECN, limited_transmit=True,
+                        rwnd_bytes=4000 * MSS)
+        host = StubHost()
+        sender = _AuditedSender(sim, host, dst=1, dport=5000,
+                                nbytes=20000 * MSS, config=cfg,
+                                on_fail=lambda s: None)
+        samples = []
+
+        class RecordingRtt(RttEstimator):
+            def sample(self, rtt):
+                samples.append(rtt)
+                super().sample(rtt)
+
+        sender.rtt = RecordingRtt(cfg.init_rto, cfg.min_rto, cfg.max_rto)
+
+        script_time = 100e-6
+
+        def at_next(fn, gap=1e-6):
+            nonlocal script_time
+            script_time += gap
+            sim.schedule_at(script_time, fn)
+
+        def deliver_ack(segments=0, offset=0):
+            """ACK ``segments`` whole segments past snd_una (+ ``offset``)."""
+            def fire():
+                host.deliver(ack(sender, sender.snd_una + segments * MSS + offset))
+            return fire
+
+        def open_window():
+            sender.cc.cwnd = 700.0 * MSS
+            sender._try_send()
+            assert len(sender._tx_time) == 700
+
+        sender.start()
+        sim.schedule_at(100e-6, lambda: host.deliver(synack(sender)))
+        at_next(open_window)
+        for _ in range(150):                 # delayed-ACK cadence, 2 segments
+            at_next(deliver_ack(2))
+        at_next(deliver_ack(50))             # stretch ACK: 50 keys in one go
+        at_next(deliver_ack(3, offset=-100))  # mid-segment: purge, no sample
+        at_next(deliver_ack(1, offset=100))   # ...and back onto a boundary
+        for _ in range(2):                   # limited transmit: new data
+            at_next(deliver_ack(0))
+        at_next(deliver_ack(0))              # third dup: fast retransmit
+        for _ in range(5):
+            at_next(deliver_ack(0))          # window inflation
+        for _ in range(6):
+            at_next(deliver_ack(4))          # partial ACKs: hole retransmits
+        at_next(lambda: host.deliver(ack(sender, sender._recover)))  # full ACK
+        for _ in range(20):
+            at_next(deliver_ack(2))
+        sim.run(until=script_time + 1e-6)
+        assert sender.stats.rtos == 0
+        assert sender.stats.fast_retransmits == 1
+        assert sender.new_data_on_dup_ack == 2
+        assert not sender.in_recovery
+
+        # Silence until the RTO rolls snd_nxt back to snd_una (+1 segment).
+        flight_before = sender.flight_bytes
+        sim.run(until=sim.now + 2 * sender.rtt.rto)
+        assert sender.stats.rtos >= 1
+        assert sender._tx_time == {}
+        assert sender.flight_bytes < flight_before
+        script_time = sim.now
+        # ACKs for the pre-collapse flight overtake the rolled-back send
+        # point, then go-back-N resends sit below the Karn horizon (no
+        # samples) until new data passes it.
+        at_next(deliver_ack(10))
+        for _ in range(400):
+            at_next(deliver_ack(2))
+        sim.run(until=script_time + 1e-6)
+        assert sender.snd_una > sender._no_sample_below
+        assert sender._tx_time  # sampling resumed past the horizon
+
+        assert samples[0] == pytest.approx(100e-6)  # the SYN's own sample
+        assert samples[1:] == sender.expected_samples
+        assert len(sender.expected_samples) > 200
+        assert sender.audits > 550

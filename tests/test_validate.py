@@ -164,7 +164,7 @@ class TestEngineStepCompaction:
         # (two thirds cancelled guarantees the threshold is crossed).
         for i, h in enumerate(handles):
             if i % 3:
-                h.cancel()
+                sim.cancel(h)
         assert sim.check_invariants() == []
         while sim.step():
             assert sim.check_invariants() == []
@@ -177,7 +177,7 @@ class TestEngineStepCompaction:
             hs = [sim.schedule(1e-4 * (i % 7 + 1), lambda i=i: fired.append(i))
                   for i in range(150)]
             for h in hs[1::3]:
-                h.cancel()
+                sim.cancel(h)
             return sim, fired
 
         sim_a, fired_a = build()
