@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core import DropTail, ProtectionMode
-from repro.experiments import ExperimentConfig, QueueSetup
-from repro.experiments.multirack import MultiRackConfig, run_multirack_cell
+from repro.experiments import ExperimentConfig, QueueSetup, run_cell
+from repro.experiments.multirack import MultiRackConfig
 from repro.mapreduce import ClusterSpec, MapReduceEngine, NodeSpec, make_job
 from repro.net import build_single_rack
 from repro.sim import Simulator
@@ -38,12 +38,12 @@ def test_e1_leaf_spine_ordering(benchmark, bench_scale, bench_seed):
 
     def sweep():
         cells = {}
-        cells["droptail"] = run_multirack_cell(
+        cells["droptail"] = run_cell(
             build(QueueSetup(kind="droptail"), TcpVariant.RENO))
-        cells["red-default"] = run_multirack_cell(
+        cells["red-default"] = run_cell(
             build(QueueSetup(kind="red", target_delay_s=us(100)),
                   TcpVariant.ECN))
-        cells["marking"] = run_multirack_cell(
+        cells["marking"] = run_cell(
             build(QueueSetup(kind="marking", target_delay_s=us(100)),
                   TcpVariant.DCTCP))
         return cells

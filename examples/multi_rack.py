@@ -14,8 +14,7 @@ import argparse
 from dataclasses import replace
 
 from repro.core import ProtectionMode
-from repro.experiments import ExperimentConfig, QueueSetup
-from repro.experiments.multirack import MultiRackConfig, run_multirack_cell
+from repro.experiments import ExperimentConfig, MultiRackConfig, QueueSetup, run_cell
 from repro.tcp import TcpVariant
 from repro.units import fmt_time, us
 
@@ -46,7 +45,7 @@ def main() -> None:
                 ExperimentConfig(queue=queue, variant=variant,
                                  allow_timeout=True).scaled(args.scale),
             )
-            cell = run_multirack_cell(MultiRackConfig(
+            cell = run_cell(MultiRackConfig(
                 base=base, n_leaves=4, n_spines=2, hosts_per_leaf=4,
                 oversubscription=oversub,
             ))

@@ -570,55 +570,85 @@ def _emit_json(payload, dest: str) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.errors import ExperimentError
+def _open_grid(verb: str, args: argparse.Namespace, build):
+    """Front half every grid verb (sweep / mix / fixedk / stability) shares.
+
+    Validates ``--jobs`` / ``--resume`` / ``--limit``, calls ``build()``
+    for the verb's work list (``None`` = the verb already printed why
+    not), trims it to ``--limit``, opens the result cache and builds the
+    progress reporter. Returns ``(work, cache, progress)``, or the exit
+    code 2 after printing ``<verb>: <reason>`` to stderr.
+    """
+    from repro.errors import ConfigError, ExperimentError
     from repro.experiments.cache import ResultCache
-    from repro.experiments.grids import grid_cells
-    from repro.experiments.parallel import run_cells
-    from repro.telemetry.manifest import build_sweep_manifest
     from repro.telemetry.profiler import ProgressReporter
 
-    if args.jobs < 1:
-        print(f"sweep: --jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
-        return 2
-    if args.resume and not args.cache_dir:
-        print("sweep: --resume needs --cache-dir (nothing to resume from)",
-              file=sys.stderr)
-        return 2
-    if args.limit is not None and args.limit < 1:
-        print(f"sweep: --limit must be >= 1 (got {args.limit})",
-              file=sys.stderr)
+    def refuse(reason: str) -> int:
+        print(f"{verb}: {reason}", file=sys.stderr)
         return 2
 
-    todo = grid_cells(args.deep, args.scale, args.seed)
-    if args.limit is not None:
-        todo = todo[: args.limit]
+    limit = getattr(args, "limit", None)
+    if args.jobs < 1:
+        return refuse(f"--jobs must be >= 1 (got {args.jobs})")
+    if args.resume and not args.cache_dir:
+        return refuse("--resume needs --cache-dir (nothing to resume from)")
+    if limit is not None and limit < 1:
+        return refuse(f"--limit must be >= 1 (got {limit})")
     try:
+        work = build()
+        if work is None:
+            return 2
         cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    except ExperimentError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
-    progress = None if args.quiet else ProgressReporter()
+    except (ExperimentError, ConfigError) as exc:
+        return refuse(str(exc))
+    if limit is not None:
+        work = work[:limit]
+    return work, cache, (None if args.quiet else ProgressReporter())
+
+
+def _grid_footer(args: argparse.Namespace, report, cache,
+                 jobs_line: bool = False) -> None:
+    """The "cells … executed, … cached" summary under a grid verb's table."""
+    print(f"cells    : {len(report.results)} total — "
+          f"{len(report.executed)} executed, {len(report.cached)} cached")
+    if jobs_line:
+        print(f"jobs     : {report.jobs}")
+    print(f"wall time: {report.wall_s:.1f}s")
+    if cache is not None:
+        print(f"cache    : {args.cache_dir} ({len(cache)} entries)")
+
+
+def _grid_manifest(report, **fields) -> dict:
+    """Sweep manifest of one finished grid run (``fields`` lead the doc)."""
+    from repro.telemetry.manifest import build_sweep_manifest
+
+    return build_sweep_manifest(
+        {label: res.manifest for label, res in report.results.items()},
+        **fields, jobs=report.jobs, executed=report.executed,
+        cached=report.cached, wall_s=report.wall_s,
+    )
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.grids import grid_cells
+    from repro.experiments.parallel import run_cells
+
+    opened = _open_grid(
+        "sweep", args, lambda: grid_cells(args.deep, args.scale, args.seed))
+    if isinstance(opened, int):
+        return opened
+    todo, cache, progress = opened
 
     report = run_cells(todo, jobs=args.jobs, cache=cache,
                        resume=args.resume, progress=progress)
 
     print(f"sweep    : {'deep' if args.deep else 'shallow'} buffers, "
           f"scale {args.scale}, seed {args.seed}")
-    print(f"cells    : {len(report.results)} total — "
-          f"{len(report.executed)} executed, {len(report.cached)} cached")
-    print(f"jobs     : {report.jobs}")
-    print(f"wall time: {report.wall_s:.1f}s")
-    if cache is not None:
-        print(f"cache    : {args.cache_dir} ({len(cache)} entries)")
+    _grid_footer(args, report, cache, jobs_line=True)
     if args.manifest:
-        sweep = build_sweep_manifest(
-            {label: res.manifest for label, res in report.results.items()},
-            deep=args.deep, scale=args.scale, seed=args.seed,
-            jobs=report.jobs, executed=report.executed,
-            cached=report.cached, wall_s=report.wall_s,
-        )
-        return _emit_json(sweep, args.manifest)
+        return _emit_json(
+            _grid_manifest(report, deep=args.deep, scale=args.scale,
+                           seed=args.seed), args.manifest)
     return 0
 
 
@@ -688,54 +718,27 @@ def _cmd_mix_smoke(args: argparse.Namespace) -> int:
 
 
 def _cmd_mix(args: argparse.Namespace) -> int:
-    from repro.errors import ExperimentError
-    from repro.experiments.cache import ResultCache
     from repro.experiments.mix import mix_grid, render_mix_table
     from repro.experiments.parallel import run_cells
-    from repro.telemetry.manifest import build_sweep_manifest
-    from repro.telemetry.profiler import ProgressReporter
 
     if args.smoke:
         return _cmd_mix_smoke(args)
-    if args.jobs < 1:
-        print(f"mix: --jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
-        return 2
-    if args.resume and not args.cache_dir:
-        print("mix: --resume needs --cache-dir (nothing to resume from)",
-              file=sys.stderr)
-        return 2
-    if args.limit is not None and args.limit < 1:
-        print(f"mix: --limit must be >= 1 (got {args.limit})", file=sys.stderr)
-        return 2
-
-    todo = mix_grid(args.scale, args.seed)
-    if args.limit is not None:
-        todo = todo[: args.limit]
-    try:
-        cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    except ExperimentError as exc:
-        print(f"mix: {exc}", file=sys.stderr)
-        return 2
-    progress = None if args.quiet else ProgressReporter()
+    opened = _open_grid("mix", args,
+                        lambda: mix_grid(args.scale, args.seed))
+    if isinstance(opened, int):
+        return opened
+    todo, cache, progress = opened
 
     report = run_cells(todo, jobs=args.jobs, cache=cache,
                        resume=args.resume, progress=progress)
 
     print(render_mix_table(report.results))
     print()
-    print(f"cells    : {len(report.results)} total — "
-          f"{len(report.executed)} executed, {len(report.cached)} cached")
-    print(f"wall time: {report.wall_s:.1f}s")
-    if cache is not None:
-        print(f"cache    : {args.cache_dir} ({len(cache)} entries)")
+    _grid_footer(args, report, cache)
     if args.manifest:
-        sweep = build_sweep_manifest(
-            {label: res.manifest for label, res in report.results.items()},
-            kind_detail="mix", scale=args.scale, seed=args.seed,
-            jobs=report.jobs, executed=report.executed,
-            cached=report.cached, wall_s=report.wall_s,
-        )
-        return _emit_json(sweep, args.manifest)
+        return _emit_json(
+            _grid_manifest(report, kind_detail="mix", scale=args.scale,
+                           seed=args.seed), args.manifest)
     return 0
 
 
@@ -812,35 +815,32 @@ def _cmd_stability(args: argparse.Namespace) -> int:
         render_regime_table,
         run_bifurcation,
     )
-    from repro.experiments.cache import ResultCache
     from repro.experiments.probe import StabilityProbeConfig
-    from repro.telemetry.profiler import ProgressReporter
 
     if args.smoke:
         return _cmd_stability_smoke(args)
-    if args.jobs < 1:
-        print(f"stability: --jobs must be >= 1 (got {args.jobs})",
-              file=sys.stderr)
-        return 2
-    if args.resume and not args.cache_dir:
-        print("stability: --resume needs --cache-dir (nothing to resume "
-              "from)", file=sys.stderr)
-        return 2
-    if args.rounds < 0:
-        print(f"stability: --rounds must be >= 0 (got {args.rounds})",
-              file=sys.stderr)
-        return 2
 
-    raw = args.values or ",".join(str(v)
-                                  for v in _STABILITY_GRIDS[args.axis])
-    try:
-        values = [float(v) for v in raw.split(",") if v.strip()]
-    except ValueError:
-        print(f"stability: --values must be comma-separated numbers "
-              f"(got {raw!r})", file=sys.stderr)
-        return 2
-    if args.axis == "target-delay":
-        values = [us(v) for v in values]
+    def axis_values():
+        if args.rounds < 0:
+            print(f"stability: --rounds must be >= 0 (got {args.rounds})",
+                  file=sys.stderr)
+            return None
+        raw = args.values or ",".join(str(v)
+                                      for v in _STABILITY_GRIDS[args.axis])
+        try:
+            values = [float(v) for v in raw.split(",") if v.strip()]
+        except ValueError:
+            print(f"stability: --values must be comma-separated numbers "
+                  f"(got {raw!r})", file=sys.stderr)
+            return None
+        if args.axis == "target-delay":
+            values = [us(v) for v in values]
+        return values
+
+    opened = _open_grid("stability", args, axis_values)
+    if isinstance(opened, int):
+        return opened
+    values, cache, progress = opened
 
     base = StabilityProbeConfig(
         queue=QueueSetup(kind=args.queue, target_delay_s=us(200.0)),
@@ -850,8 +850,6 @@ def _cmd_stability(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     try:
-        cache = ResultCache(args.cache_dir) if args.cache_dir else None
-        progress = None if args.quiet else ProgressReporter()
         m = run_bifurcation(base, args.axis, values, rounds=args.rounds,
                             jobs=args.jobs, cache=cache,
                             resume=args.resume, progress=progress)
@@ -1033,8 +1031,6 @@ def _parse_axis(name: str, raw: str, cast):
 
 
 def _cmd_fixedk(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError, ExperimentError
-    from repro.experiments.cache import ResultCache
     from repro.experiments.fixedk import (
         DEFAULT_FANOUTS,
         DEFAULT_K_VALUES,
@@ -1046,46 +1042,30 @@ def _cmd_fixedk(args: argparse.Namespace) -> int:
         render_regime_grid,
     )
     from repro.experiments.parallel import run_cells
-    from repro.telemetry.manifest import build_sweep_manifest
-    from repro.telemetry.profiler import ProgressReporter
 
     if args.smoke:
         return _cmd_fixedk_smoke(args)
-    if args.jobs < 1:
-        print(f"fixedk: --jobs must be >= 1 (got {args.jobs})",
-              file=sys.stderr)
-        return 2
-    if args.resume and not args.cache_dir:
-        print("fixedk: --resume needs --cache-dir (nothing to resume from)",
-              file=sys.stderr)
-        return 2
-    if args.limit is not None and args.limit < 1:
-        print(f"fixedk: --limit must be >= 1 (got {args.limit})",
-              file=sys.stderr)
-        return 2
 
-    k_values = (_parse_axis("k-values", args.k_values, int)
-                if args.k_values else DEFAULT_K_VALUES)
-    loads = (_parse_axis("loads", args.loads, float)
-             if args.loads else DEFAULT_LOADS)
-    fanouts = (_parse_axis("fanouts", args.fanouts, int)
-               if args.fanouts else DEFAULT_FANOUTS)
-    if k_values is None or loads is None or fanouts is None:
-        return 2
-
-    base = FixedKConfig(seed=args.seed)
-    try:
+    def validated_grid():
+        k_values = (_parse_axis("k-values", args.k_values, int)
+                    if args.k_values else DEFAULT_K_VALUES)
+        loads = (_parse_axis("loads", args.loads, float)
+                 if args.loads else DEFAULT_LOADS)
+        fanouts = (_parse_axis("fanouts", args.fanouts, int)
+                   if args.fanouts else DEFAULT_FANOUTS)
+        if k_values is None or loads is None or fanouts is None:
+            return None
         todo = fixedk_grid(k_values=k_values, loads=loads, fanouts=fanouts,
-                           seeds=(args.seed,), base=base)
+                           seeds=(args.seed,),
+                           base=FixedKConfig(seed=args.seed))
         for _label, cfg in todo:
             cfg.validate()
-        if args.limit is not None:
-            todo = todo[: args.limit]
-        cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    except (ExperimentError, ConfigError) as exc:
-        print(f"fixedk: {exc}", file=sys.stderr)
-        return 2
-    progress = None if args.quiet else ProgressReporter()
+        return todo
+
+    opened = _open_grid("fixedk", args, validated_grid)
+    if isinstance(opened, int):
+        return opened
+    todo, cache, progress = opened
 
     report = run_cells(todo, jobs=args.jobs, cache=cache,
                        resume=args.resume, progress=progress)
@@ -1098,11 +1078,7 @@ def _cmd_fixedk(args: argparse.Namespace) -> int:
         print()
         print(render_regime_grid(m))
     print()
-    print(f"cells    : {len(report.results)} total — "
-          f"{len(report.executed)} executed, {len(report.cached)} cached")
-    print(f"wall time: {report.wall_s:.1f}s")
-    if cache is not None:
-        print(f"cache    : {args.cache_dir} ({len(cache)} entries)")
+    _grid_footer(args, report, cache)
     if args.svg:
         from repro.plotting import grid_regime_map_to_svg
 
@@ -1117,12 +1093,7 @@ def _cmd_fixedk(args: argparse.Namespace) -> int:
                 return 1
             print(f"wrote {path}", file=sys.stderr)
     if args.manifest:
-        sweep = build_sweep_manifest(
-            {label: res.manifest for label, res in report.results.items()},
-            kind_detail="fixedk", seed=args.seed,
-            jobs=report.jobs, executed=report.executed,
-            cached=report.cached, wall_s=report.wall_s,
-        )
+        sweep = _grid_manifest(report, kind_detail="fixedk", seed=args.seed)
         sweep["regime_maps"] = [m.to_dict() for m in maps]
         return _emit_json(sweep, args.manifest)
     return 0

@@ -1,7 +1,10 @@
 """Experiment harness: the paper's evaluation grid and figure generators.
 
-``run_cell`` executes one (transport × queue × buffer × target-delay)
-configuration of the scaled Terasort; ``run_grid`` sweeps the full grid of
+``run_cell`` is the one cell harness: it executes a config of any
+registered cell kind (:mod:`repro.experiments.kinds`) — by default one
+(transport × queue × buffer × target-delay) configuration of the scaled
+Terasort. Importing this package registers every built-in kind.
+``run_grid`` sweeps the full grid of
 Figures 2-4 (optionally fanned out over worker processes against an
 on-disk result cache — see :mod:`repro.experiments.parallel` and
 :mod:`repro.experiments.cache`); the ``figures`` module projects grid
@@ -39,21 +42,22 @@ from repro.experiments.fixedk import (
     fixedk_smoke_cells,
     render_fixedk_table,
     render_regime_grid,
-    run_fixedk_cell,
 )
 from repro.experiments.mix import (
     MixConfig,
     mix_grid,
     render_mix_table,
-    run_mix_cell,
 )
 from repro.experiments.bifurcation import (
     StabilityMap,
     render_regime_table,
     run_bifurcation,
 )
+from repro.experiments.bulkcell import BulkConfig
+from repro.experiments.kinds import CellKind, kind_names, register_kind
+from repro.experiments.multirack import MultiRackConfig
 from repro.experiments.parallel import SweepReport, run_cells
-from repro.experiments.probe import StabilityProbeConfig, run_probe_cell
+from repro.experiments.probe import StabilityProbeConfig
 from repro.experiments.runner import apply_analyses, run_cell
 from repro.experiments.report import check_claims, render_claims, write_experiments_md
 
@@ -67,8 +71,12 @@ __all__ = [
     "DEEP_TARGET_DELAYS",
     "run_cell",
     "run_cells",
+    "CellKind",
+    "register_kind",
+    "kind_names",
+    "BulkConfig",
+    "MultiRackConfig",
     "FixedKConfig",
-    "run_fixedk_cell",
     "fixedk_grid",
     "fixedk_smoke_cells",
     "render_fixedk_table",
@@ -90,11 +98,9 @@ __all__ = [
     "render_claims",
     "write_experiments_md",
     "MixConfig",
-    "run_mix_cell",
     "mix_grid",
     "render_mix_table",
     "StabilityProbeConfig",
-    "run_probe_cell",
     "StabilityMap",
     "run_bifurcation",
     "render_regime_table",

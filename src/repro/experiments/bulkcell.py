@@ -20,22 +20,19 @@ the baseline for the hybrid-vs-packet tolerance checks and the
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import List
 
 from repro.core.marking import SimpleMarkingQueue
 from repro.core.target_delay import threshold_packets
 from repro.errors import ConfigError, ExperimentError
-from repro.experiments.config import CellResult
-from repro.net.topology import build_single_rack
-from repro.sim.engine import Simulator
-from repro.stats.collect import LatencyCollector, RunMetrics
+from repro.experiments.config import validate_knobs
+from repro.experiments.kinds import CellKind, flow_fields, register_kind
 from repro.tcp.endpoint import TcpConfig, TcpListener, TcpVariant
 from repro.tcp.flow import FlowResult, start_bulk_flow
 from repro.units import gbps, mb, us
 
-__all__ = ["BULK_PORT", "BulkConfig", "run_bulk_cell"]
+__all__ = ["BULK_PORT", "BulkConfig", "BulkCell"]
 
 #: Destination port every bulk pair uses (one listener per receiving host).
 BULK_PORT = 7000
@@ -73,8 +70,7 @@ class BulkConfig:
             raise ConfigError("buffer must be positive")
         if self.target_delay_s <= 0:
             raise ConfigError("target delay must be positive")
-        if self.fidelity not in ("packet", "hybrid"):
-            raise ConfigError(f"unknown fidelity {self.fidelity!r}")
+        validate_knobs(self)
         return self
 
     def scaled(self, factor: float) -> "BulkConfig":
@@ -98,113 +94,51 @@ class BulkConfig:
                 f"x{self.flow_bytes}B/s{self.seed}{suffix}")
 
 
-def run_bulk_cell(
-    config: BulkConfig,
-    telemetry: Optional["Telemetry"] = None,  # noqa: F821 - forward ref
-    checks: Optional["ValidationSuite"] = None,  # noqa: F821 - forward ref
-) -> CellResult:
-    """Execute one bulk cell; mirrors :func:`run_cell`'s contract.
+@register_kind("bulk", "bulk-cell", BulkConfig)
+class BulkCell(CellKind):
+    """Disjoint host pairs streaming through marking queues.
 
-    In hybrid mode ``manifest["fluid"]`` records promotions, demotions
-    (by reason) and the fluid byte/packet share.
+    In hybrid mode the harness' ``manifest["fluid"]`` block records
+    promotions, demotions (by reason) and the fluid byte/packet share.
     """
-    wall_start = _time.perf_counter()
-    config.validate()
-    sim = Simulator()
-    tracer = telemetry.tracer if telemetry is not None else None
-    if checks is not None and tracer is None:
-        from repro.sim.trace import Tracer
 
-        tracer = Tracer()
+    def qdisc(self, name: str):
+        c = self.config
+        return SimpleMarkingQueue(c.buffer_packets, c.mark_threshold(),
+                                  name=name)
 
-    k = config.mark_threshold()
+    def start(self) -> None:
+        config, sim, hosts = self.config, self.sim, self.spec.hosts
+        tcp = config.tcp_config()
+        self.results: List[FlowResult] = []
+        n_pairs = config.n_pairs
 
-    def qdisc_factory(name: str):
-        return SimpleMarkingQueue(config.buffer_packets, k, name=name)
+        def on_done(res: FlowResult) -> None:
+            self.results.append(res)
+            if len(self.results) >= n_pairs:
+                sim.stop()
 
-    spec = build_single_rack(
-        sim,
-        config.n_hosts,
-        switch_qdisc=qdisc_factory,
-        host_qdisc=qdisc_factory,
-        link_rate_bps=config.link_rate_bps,
-        link_delay_s=config.link_delay_s,
-        tracer=tracer,
-    )
-    if checks is not None:
-        checks.attach(sim, spec.network, tracer)
-    latency = LatencyCollector().attach(spec.network)
+        for i in range(n_pairs):
+            TcpListener(sim, hosts[2 * i + 1], BULK_PORT, tcp)
+        for i in range(n_pairs):
+            start_bulk_flow(
+                sim, hosts[2 * i], hosts[2 * i + 1], BULK_PORT,
+                config.flow_bytes, tcp, on_done=on_done,
+            )
 
-    fluid = None
-    if config.fidelity == "hybrid":
-        from repro.sim.fluid import FluidManager
-
-        fluid = FluidManager(sim, spec.network, latency_credit=latency.credit)
-
-    if telemetry is not None:
-        telemetry.attach(sim, spec, engine=None)
-
-    tcp = config.tcp_config()
-    results: List[FlowResult] = []
-    n_pairs = config.n_pairs
-
-    def on_done(res: FlowResult) -> None:
-        results.append(res)
-        if len(results) >= n_pairs:
-            sim.stop()
-
-    for i in range(n_pairs):
-        dst = spec.hosts[2 * i + 1]
-        TcpListener(sim, dst, BULK_PORT, tcp)
-    for i in range(n_pairs):
-        start_bulk_flow(
-            sim, spec.hosts[2 * i], spec.hosts[2 * i + 1], BULK_PORT,
-            config.flow_bytes, tcp, on_done=on_done,
+    def collect(self):
+        config, results = self.config, self.results
+        if len(results) < config.n_pairs:
+            raise ExperimentError(
+                f"cell {config.label()}: {config.n_pairs - len(results)} of "
+                f"{config.n_pairs} flows unfinished at "
+                f"t={config.sim_horizon_s}s")
+        return flow_fields(
+            results,
+            max(r.end_time for r in results),
+            sum(r.nbytes for r in results if not r.failed),
+            {
+                "mark_threshold_packets": config.mark_threshold(),
+                "fct_max_s": max(r.fct for r in results),
+            },
         )
-    sim.run(until=config.sim_horizon_s)
-
-    if len(results) < n_pairs:
-        raise ExperimentError(
-            f"cell {config.label()}: {n_pairs - len(results)} of "
-            f"{n_pairs} flows unfinished at t={config.sim_horizon_s}s")
-
-    completed = [r for r in results if not r.failed]
-    metrics = RunMetrics(
-        runtime=max(r.end_time for r in results),
-        bytes_transferred=sum(r.nbytes for r in completed),
-        n_nodes=config.n_hosts,
-        mean_latency=latency.mean,
-        p99_latency=latency.percentile(99),
-        packets_delivered=latency.count,
-        queue=spec.network.aggregate_switch_stats(),
-        flows_completed=len(completed),
-        flows_failed=sum(1 for r in results if r.failed),
-        retransmits=sum(r.retransmits for r in results),
-        rtos=sum(r.rtos for r in results),
-        syn_retries=sum(r.syn_retries for r in results),
-        extra={
-            "mark_threshold_packets": k,
-            "fct_max_s": max(r.fct for r in results),
-        },
-    )
-    profile = telemetry.finish(sim) if telemetry is not None else None
-
-    from repro.telemetry.manifest import build_manifest
-
-    manifest = build_manifest(
-        config,
-        metrics,
-        wall_s=_time.perf_counter() - wall_start,
-        events=sim.events_processed,
-        telemetry_snapshot=(telemetry.snapshot() if telemetry is not None
-                            else None),
-        profile=profile,
-        kind="bulk-cell",
-    )
-    if fluid is not None:
-        manifest["fluid"] = fluid.summary()
-    if checks is not None:
-        checks.finish()
-        manifest["validation"] = checks.as_dict()
-    return CellResult(config=config, metrics=metrics, snapshots=[],
-                      manifest=manifest)

@@ -1,10 +1,11 @@
 """Content-addressed result cache for experiment cells.
 
-A cell's cache key is the SHA-256 of its canonicalised
-:class:`~repro.experiments.config.ExperimentConfig` (the same JSON-safe
-rendering that goes into ``repro.run_manifest/v1`` manifests, serialised
-with sorted keys), so any change to any config field — queue parameters,
-seed, scale, transport — yields a different key. Entries are one JSON
+A cell's cache key is the SHA-256 of its canonicalised config — the
+frozen dataclass of any registered cell kind
+(:mod:`repro.experiments.kinds`), in the same JSON-safe rendering that
+goes into ``repro.run_manifest/v1`` manifests, serialised with sorted
+keys — so any change to any config field (queue parameters, seed, scale,
+transport) yields a different key. Entries are one JSON
 file per cell under the cache directory, which makes resume-after-
 interrupt a directory scan and lets concurrent sweeps share a cache.
 
@@ -35,7 +36,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.monitor import QueueSnapshot
 from repro.core.qdisc import QueueStats
 from repro.errors import ExperimentError
-from repro.experiments.config import CellResult, ExperimentConfig
+from repro.experiments.config import CellResult
 from repro.stats.collect import RunMetrics
 from repro.telemetry.manifest import config_to_dict, git_describe
 
@@ -46,13 +47,13 @@ __all__ = ["CACHE_SCHEMA", "canonical_config_json", "config_cache_key",
 CACHE_SCHEMA = "repro.cell_cache/v1"
 
 
-def canonical_config_json(config: ExperimentConfig) -> str:
+def canonical_config_json(config) -> str:
     """Canonical JSON rendering of a config (sorted keys, no whitespace)."""
     return json.dumps(config_to_dict(config), sort_keys=True,
                       separators=(",", ":"))
 
 
-def config_cache_key(config: ExperimentConfig) -> str:
+def config_cache_key(config) -> str:
     """Content address of one cell: SHA-256 over the canonical config."""
     return hashlib.sha256(canonical_config_json(config).encode()).hexdigest()
 
@@ -89,8 +90,7 @@ def result_to_entry(result: CellResult) -> Dict[str, Any]:
     }
 
 
-def result_from_entry(entry: Dict[str, Any],
-                      config: ExperimentConfig) -> CellResult:
+def result_from_entry(entry: Dict[str, Any], config) -> CellResult:
     """Rebuild the :class:`CellResult` for ``config`` from an entry doc."""
     return CellResult(
         config=config,
@@ -127,7 +127,7 @@ class ResultCache:
     Attributes
     ----------
     hits, misses, writes:
-        Lookup/store counters for this instance (diagnostics and tests).
+        Lookup/store counters for this instance (also in :meth:`stats`).
     """
 
     def __init__(self, root: str):
@@ -145,7 +145,7 @@ class ResultCache:
 
     # -- addressing ---------------------------------------------------------
 
-    def path_for(self, config: ExperimentConfig) -> str:
+    def path_for(self, config) -> str:
         """Entry file for ``config`` (whether or not it exists yet)."""
         return os.path.join(self.root, config_cache_key(config) + ".json")
 
@@ -162,29 +162,50 @@ class ResultCache:
 
     # -- lookup / store -----------------------------------------------------
 
-    def get(self, config: ExperimentConfig) -> Optional[CellResult]:
-        """Return the cached :class:`CellResult` for ``config``, or None.
+    def get_entry(self, key: str,
+                  config_dict: Optional[Dict[str, Any]] = None,
+                  ) -> Optional[Dict[str, Any]]:
+        """The entry document stored under ``key``, or None — the one
+        keyed read (every lookup counts one hit or one miss).
 
-        A corrupt or mismatched entry (hash collision, truncated write,
-        schema drift) counts as a miss rather than an error: the cell is
-        simply re-run and the entry overwritten.
+        A corrupt or mismatched entry (truncated write, schema drift, or
+        — when ``config_dict`` is given — a stored config that differs
+        from it, i.e. a hash collision) counts as a miss rather than an
+        error: the cell is simply re-run and the entry overwritten.
         """
-        path = self.path_for(config)
-        try:
-            with open(path) as fh:
-                entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            self.misses += 1
-            return None
-        if (entry.get("schema") != CACHE_SCHEMA
-                or entry.get("config") != config_to_dict(config)):
+        entry = self._load(key)
+        if entry is None or (config_dict is not None
+                             and entry.get("config") != config_dict):
             self.misses += 1
             return None
         self.hits += 1
-        return result_from_entry(entry, config)
+        return entry
+
+    def _load(self, key: str) -> Optional[Dict[str, Any]]:
+        """Parse ``key``'s file; None unless it is a well-formed entry."""
+        try:
+            with open(os.path.join(self.root, key + ".json")) as fh:
+                entry = json.load(fh)
+        except (OSError, json.JSONDecodeError):
+            return None
+        if isinstance(entry, dict) and entry.get("schema") == CACHE_SCHEMA:
+            return entry
+        return None
+
+    def get(self, config) -> Optional[CellResult]:
+        """Return the cached :class:`CellResult` for ``config``, or None
+        (see :meth:`get_entry` for what counts as a miss)."""
+        entry = self.get_entry(config_cache_key(config),
+                               config_to_dict(config))
+        return None if entry is None else result_from_entry(entry, config)
 
     def put(self, result: CellResult) -> str:
-        """Store one finished cell; returns the entry path.
+        """Store one finished cell; returns the entry path."""
+        return self.put_entry(result_to_entry(result))
+
+    def put_entry(self, entry: Dict[str, Any]) -> str:
+        """Store an entry document (as produced by :func:`result_to_entry`,
+        carrying its own ``key``); returns the entry path.
 
         Atomic against any interruption a filesystem can survive: the
         entry is written to a same-directory temp file (named uniquely
@@ -193,25 +214,6 @@ class ResultCache:
         over the final name. A worker killed — even ``SIGKILL``\\ ed —
         mid-write leaves at worst a stale ``*.tmp`` file (collected by
         :meth:`prune`), never a truncated entry that would poison resume.
-        """
-        path = self.path_for(result.config)
-        entry = result_to_entry(result)
-        tmp = f"{path}.{os.getpid()}.{next(self._tmp_ids)}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(entry, fh, indent=2)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        self.writes += 1
-        return path
-
-    def put_entry(self, entry: Dict[str, Any]) -> str:
-        """Store a pre-encoded entry document (farm scheduler path).
-
-        The document must carry its own ``key`` (as produced by
-        :func:`result_to_entry`); same atomic write discipline as
-        :meth:`put`.
         """
         key = entry.get("key")
         if not key or entry.get("schema") != CACHE_SCHEMA:
@@ -244,16 +246,11 @@ class ResultCache:
                 st = os.stat(path)
             except OSError:
                 continue  # raced with a concurrent prune
-            label: Optional[str] = None
-            try:
-                with open(path) as fh:
-                    doc = json.load(fh)
-                if doc.get("schema") == CACHE_SCHEMA:
-                    label = doc.get("label") or "?"
-            except (OSError, json.JSONDecodeError):
-                pass
+            doc = self._load(key)
             out.append(CacheEntryInfo(
-                key=key, label=label, bytes=st.st_size,
+                key=key,
+                label=None if doc is None else doc.get("label") or "?",
+                bytes=st.st_size,
                 age_s=max(0.0, now - st.st_mtime), path=path,
             ))
         return out
@@ -278,6 +275,9 @@ class ResultCache:
             "oldest_age_s": max(ages) if ages else 0.0,
             "newest_age_s": min(ages) if ages else 0.0,
             "stale_tmp_files": len(self.stale_tmp_files()),
+            "hits": self.hits,
+            "misses": self.misses,
+            "writes": self.writes,
         }
 
     def prune(

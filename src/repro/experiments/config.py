@@ -15,7 +15,7 @@ tests and benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Any, Optional
 
 from repro.core.protection import ProtectionMode
 from repro.core.qdisc import QueueDisc
@@ -33,6 +33,10 @@ __all__ = [
     "QueueSetup",
     "ExperimentConfig",
     "CellResult",
+    "validate_knobs",
+    "transport_config",
+    "queue_tag",
+    "transport_suffix",
 ]
 
 #: "Commodity switch with shallow buffers": ~100 full-size packets/port.
@@ -96,6 +100,49 @@ class QueueSetup:
         return qdisc_entry(self.kind).label(self)
 
 
+# -- knobs several config families share, duck-typed over the config so a new
+# transport knob is threaded through here once instead of through every family
+
+
+def validate_knobs(config) -> None:
+    """Raise :class:`ConfigError` on an unknown fidelity tier, cc key or
+    flaw profile (fields a config does not have are skipped)."""
+    fidelity = getattr(config, "fidelity", "packet")
+    if fidelity not in ("packet", "hybrid"):
+        raise ConfigError(f"unknown fidelity {fidelity!r}")
+    cc = getattr(config, "cc", None)
+    if cc is not None and cc not in cc_names():
+        raise ConfigError(
+            f"unknown cc {cc!r}; known: {', '.join(cc_names())}")
+    flaw = getattr(config, "flaw_profile", None)
+    if flaw is not None and flaw not in FLAW_PROFILES:
+        raise ConfigError(
+            f"unknown flaw profile {flaw!r}; "
+            f"known: {', '.join(sorted(FLAW_PROFILES))}")
+
+
+def transport_config(config, **knobs) -> TcpConfig:
+    """The :class:`TcpConfig` for a config's variant + cc + flaw profile."""
+    return TcpConfig(variant=config.variant, cc=config.cc,
+                     **knobs).with_flaw_profile(config.flaw_profile)
+
+
+def queue_tag(config) -> str:
+    """``<queue label>[@<N>us]`` label fragment for a config's queue."""
+    queue = config.queue
+    if queue.target_delay_s is None:
+        return queue.label()
+    return f"{queue.label()}@{queue.target_delay_s * 1e6:.0f}us"
+
+
+def transport_suffix(config) -> str:
+    """``+<cc>`` / ``!<flaw>`` label suffix (empty on the defaults)."""
+    suffix = f"+{config.cc}" if config.cc is not None else ""
+    if config.flaw_profile is not None:
+        suffix += f"!{config.flaw_profile}"
+    return suffix
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One grid cell: cluster + workload + transport + queue."""
@@ -137,15 +184,7 @@ class ExperimentConfig:
             raise ConfigError("need at least 2 hosts")
         if self.data_bytes <= 0 or self.block_bytes <= 0:
             raise ConfigError("sizes must be positive")
-        if self.fidelity not in ("packet", "hybrid"):
-            raise ConfigError(f"unknown fidelity {self.fidelity!r}")
-        if self.cc is not None and self.cc not in cc_names():
-            raise ConfigError(
-                f"unknown cc {self.cc!r}; known: {', '.join(cc_names())}")
-        if self.flaw_profile is not None and self.flaw_profile not in FLAW_PROFILES:
-            raise ConfigError(
-                f"unknown flaw profile {self.flaw_profile!r}; "
-                f"known: {', '.join(sorted(FLAW_PROFILES))}")
+        validate_knobs(self)
         return self
 
     def scaled(self, factor: float) -> "ExperimentConfig":
@@ -156,30 +195,22 @@ class ExperimentConfig:
 
     def tcp_config(self) -> TcpConfig:
         """Transport configuration for this cell."""
-        cfg = TcpConfig(variant=self.variant, cc=self.cc)
-        return cfg.with_flaw_profile(self.flaw_profile)
+        return transport_config(self)
 
     def label(self) -> str:
         """Human-readable cell id."""
         depth = "deep" if self.queue.is_deep else "shallow"
-        td = (
-            f"@{self.queue.target_delay_s * 1e6:.0f}us"
-            if self.queue.target_delay_s is not None
-            else ""
-        )
         suffix = "+hybrid" if self.fidelity == "hybrid" else ""
-        if self.cc is not None:
-            suffix += f"+{self.cc}"
-        if self.flaw_profile is not None:
-            suffix += f"!{self.flaw_profile}"
-        return f"{self.variant}/{self.queue.label()}{td}/{depth}{suffix}"
+        suffix += transport_suffix(self)
+        return f"{self.variant}/{queue_tag(self)}/{depth}{suffix}"
 
 
 @dataclass
 class CellResult:
     """A config plus everything measured when running it."""
 
-    config: ExperimentConfig
+    #: The config that was run: any registered cell kind's dataclass.
+    config: Any
     metrics: RunMetrics
     snapshots: list = field(default_factory=list)
     #: JSON-serialisable run manifest (config + seed + version + timings +

@@ -30,7 +30,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.experiments.bulkcell import BulkConfig
 from repro.experiments.config import CellResult
-from repro.experiments.fixedk import FixedKConfig, run_fixedk_cell
+from repro.experiments.fixedk import FixedKConfig
 from repro.experiments.runner import run_cell
 from repro.validate.smoke import build_suite, fingerprint, smoke_cells
 
@@ -115,8 +115,9 @@ def fluid_smoke(progress: Optional[Callable[[str], None]] = None) -> Dict:
     # -- claim 1: bit-identical no-op on shared-path / short-flow cells --
     noop = []
     cells = dict(smoke_cells())
-    for name in ("red-default", "marking"):
-        cfg = cells[name]
+    fx = FixedKConfig(duration_s=0.1, drain_s=0.1)
+    for name, cfg in (("red-default", cells["red-default"]),
+                      ("marking", cells["marking"]), (fx.label(), fx)):
         say(f"no-op gate: {name} (packet vs hybrid)")
         fp_p = fingerprint(run_cell(cfg))
         hy = run_cell(_hybrid(cfg))
@@ -128,18 +129,6 @@ def fluid_smoke(progress: Optional[Callable[[str], None]] = None) -> Dict:
         }
         noop.append(entry)
         payload["ok"] &= entry["identical"] and fl["promotions"] == 0
-    fx = FixedKConfig(duration_s=0.1, drain_s=0.1)
-    say(f"no-op gate: {fx.label()} (packet vs hybrid)")
-    fp_p = fingerprint(run_fixedk_cell(fx))
-    hy = run_fixedk_cell(_hybrid(fx))
-    fl = hy.manifest["fluid"]
-    entry = {
-        "cell": fx.label(),
-        "identical": fingerprint(hy) == fp_p,
-        "promotions": fl["promotions"],
-    }
-    noop.append(entry)
-    payload["ok"] &= entry["identical"] and fl["promotions"] == 0
     payload["noop"] = noop
 
     # -- claim 2: pinned tolerances on the bulk pairs cell ---------------

@@ -26,35 +26,33 @@ queue-depth series of the bottleneck ports — which the PR-6 stability
 layer classifies into the K-vs-load regime maps
 (:func:`build_regime_maps`).
 
-:func:`run_fixedk_cell` mirrors :func:`~repro.experiments.runner.run_cell`
-(same tracer/validation/manifest plumbing, and ``run_cell`` dispatches
-here for a :class:`FixedKConfig`), so fixedk cells flow through the
-parallel sweep runner, the result cache, resume, and the armed-checker
-bit-identity smoke unchanged.
+Fixed-K cells are the ``"fixedk"`` cell kind (:class:`FixedKCell`) on the
+shared harness in :mod:`repro.experiments.runner`.
 """
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.monitor import QueueMonitor
 from repro.core.protection import ProtectionMode
 from repro.core.red import RedParams, RedQueue
 from repro.errors import ConfigError
-from repro.experiments.config import SHALLOW_BUFFER_PACKETS, CellResult
+from repro.experiments.config import (
+    SHALLOW_BUFFER_PACKETS,
+    CellResult,
+    validate_knobs,
+)
+from repro.experiments.kinds import CellKind, flow_fields, register_kind
 from repro.net.topology import build_leaf_spine
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
-from repro.stats.collect import LatencyCollector, RunMetrics
 from repro.tcp.endpoint import TcpConfig, TcpVariant
 from repro.units import gbps, us
+from repro.workloads.metrics import rpc_bucket
 from repro.workloads.rpc import PartitionAggregateWorkload
 
 __all__ = [
     "FixedKConfig",
-    "run_fixedk_cell",
+    "FixedKCell",
     "fixedk_grid",
     "fixedk_smoke_cells",
     "render_fixedk_table",
@@ -170,8 +168,7 @@ class FixedKConfig:
             raise ConfigError("monitor interval must be in (0, duration)")
         if not (0.0 < self.max_p <= 1.0):
             raise ConfigError(f"max_p must be in (0, 1], got {self.max_p}")
-        if self.fidelity not in ("packet", "hybrid"):
-            raise ConfigError(f"unknown fidelity {self.fidelity!r}")
+        validate_knobs(self)
         return self
 
     # -- derived knobs --------------------------------------------------------
@@ -239,12 +236,9 @@ class FixedKConfig:
         return replace(self, load=load)
 
 
-def run_fixedk_cell(
-    config: FixedKConfig,
-    telemetry: Optional["Telemetry"] = None,  # noqa: F821 - forward ref
-    checks: Optional["ValidationSuite"] = None,  # noqa: F821 - forward ref
-) -> CellResult:
-    """Execute one Fixed-K cell and return its measurements.
+@register_kind("fixedk", "fixedk-cell", FixedKConfig)
+class FixedKCell(CellKind):
+    """Partition-aggregate incast across a Fixed-K leaf–spine fabric.
 
     Queries are issued for ``duration_s`` simulated seconds, then the
     workload stops and the run drains (up to ``drain_s``) so in-flight
@@ -254,141 +248,76 @@ def run_fixedk_cell(
     layer's input), and the per-query/per-flow tails plus uplink
     ACK-loss accounting land under ``manifest["fixedk"]``.
     """
-    wall_start = _time.perf_counter()
-    config.validate()
-    sim = Simulator()
-    rng = RngRegistry(seed=config.seed)
-    tracer = telemetry.tracer if telemetry is not None else None
-    if checks is not None and tracer is None:
-        from repro.sim.trace import Tracer
 
-        tracer = Tracer()
+    def qdisc(self, name: str):
+        c = self.config
+        return RedQueue(c.buffer_packets, c.red_params(),
+                        rand=self.rng.uniform_fn(f"red.{name}"), name=name)
 
-    params = config.red_params()
+    def build_topology(self):
+        c = self.config
+        return self.fabric(build_leaf_spine,
+                           c.n_leaves, c.n_spines, c.hosts_per_leaf,
+                           uplink_rate_bps=c.uplink_rates(),
+                           per_packet_ecmp=c.per_packet_ecmp)
 
-    def qdisc_factory(name: str):
-        return RedQueue(config.buffer_packets, params,
-                        rand=rng.uniform_fn(f"red.{name}"), name=name)
+    def monitored_ports(self) -> list:
+        # Bottleneck instrumentation: the aggregator's ToR downlink (first
+        # host-facing hot port) plus every fabric uplink.
+        return [self.spec.hot_ports[0]] + self.spec.uplink_ports
 
-    spec = build_leaf_spine(
-        sim,
-        config.n_leaves,
-        config.n_spines,
-        config.hosts_per_leaf,
-        switch_qdisc=qdisc_factory,
-        host_qdisc=qdisc_factory,
-        link_rate_bps=config.link_rate_bps,
-        link_delay_s=config.link_delay_s,
-        uplink_rate_bps=config.uplink_rates(),
-        per_packet_ecmp=config.per_packet_ecmp,
-        tracer=tracer,
-    )
-    if checks is not None:
-        checks.attach(sim, spec.network, tracer)
-    latency = LatencyCollector().attach(spec.network)
+    @property
+    def horizon_s(self) -> float:
+        return self.config.duration_s + self.config.drain_s
 
-    fluid = None
-    if config.fidelity == "hybrid":
-        from repro.sim.fluid import FluidManager
+    def start(self) -> None:
+        config, sim, hosts = self.config, self.sim, self.spec.hosts
+        # Aggregator pinned to leaf 0's first host; workers are every host
+        # on the *other* leaves, so all responses cross the spine plane.
+        self.wl = wl = PartitionAggregateWorkload(
+            sim, [hosts[0]] + hosts[config.hosts_per_leaf:],
+            config.tcp_config(), self.rng.stream("workload.fixedk"),
+            rate_qps=config.rate_qps(), fanout=config.fanout,
+            response_bytes=config.rpc_response_bytes,
+            deadline_s=config.rpc_deadline_s,
+            aggregator_index=0, name="fixedk-rpc",
+        )
+        wl.on_idle = sim.stop
+        wl.start()
+        sim.schedule(config.duration_s, wl.stop)
 
-        fluid = FluidManager(sim, spec.network, latency_credit=latency.credit)
-
-    # Bottleneck instrumentation: the aggregator's ToR downlink (first
-    # host-facing hot port) plus every fabric uplink.
-    monitors: List[QueueMonitor] = []
-    for port in [spec.hot_ports[0]] + spec.uplink_ports:
-        mon = QueueMonitor(sim, port.qdisc, config.monitor_interval_s)
-        mon.start()
-        monitors.append(mon)
-
-    if telemetry is not None:
-        telemetry.attach(sim, spec, engine=None)
-
-    # Aggregator pinned to leaf 0's first host; workers are every host on
-    # the *other* leaves, so all responses cross the spine plane.
-    aggregator = spec.hosts[0]
-    remote = spec.hosts[config.hosts_per_leaf:]
-    wl = PartitionAggregateWorkload(
-        sim, [aggregator] + remote, config.tcp_config(),
-        rng.stream("workload.fixedk"),
-        rate_qps=config.rate_qps(), fanout=config.fanout,
-        response_bytes=config.rpc_response_bytes,
-        deadline_s=config.rpc_deadline_s,
-        aggregator_index=0, name="fixedk-rpc",
-    )
-    wl.on_idle = sim.stop
-    wl.start()
-    sim.schedule(config.duration_s, wl.stop)
-    sim.run(until=config.duration_s + config.drain_s)
-    for mon in monitors:
-        mon.stop()
-
-    flows = wl.flow_results
-    completed = [f for f in flows if not f.failed]
-    metrics = RunMetrics(
-        runtime=sim.now,
-        bytes_transferred=sum(f.nbytes for f in completed),
-        n_nodes=config.n_hosts,
-        mean_latency=latency.mean,
-        p99_latency=latency.percentile(99),
-        packets_delivered=latency.count,
-        queue=spec.network.aggregate_switch_stats(),
-        flows_completed=len(completed),
-        flows_failed=sum(1 for f in flows if f.failed),
-        retransmits=sum(f.retransmits for f in flows),
-        rtos=sum(f.rtos for f in flows),
-        syn_retries=sum(f.syn_retries for f in flows),
-        extra={
-            "k_packets": float(config.k_packets),
+    def collect(self):
+        config, wl = self.config, self.wl
+        flows = wl.flow_results
+        self.manifest_blocks["fixedk"] = {
+            "schema": FIXEDK_SCHEMA,
+            "k_packets": config.k_packets,
             "load": config.load,
-            "fanout": float(config.fanout),
+            "fanout": config.fanout,
+            "protection": str(config.protection),
+            "variant": str(config.variant),
+            "gentle": config.gentle,
+            "use_avg": config.use_avg,
+            "per_packet_ecmp": config.per_packet_ecmp,
             "rate_qps": config.rate_qps(),
-            "queries_completed": float(len(wl.results)),
-            "queries_open_at_end": float(wl.queries_open),
-        },
-    )
-    profile = telemetry.finish(sim) if telemetry is not None else None
-
-    snapshots = [s for mon in monitors for s in mon.snapshots]
-    if telemetry is not None and telemetry.queue_recorder is not None:
-        snapshots.extend(telemetry.queue_recorder.snapshots())
-
-    from repro.telemetry.manifest import build_manifest
-    from repro.workloads.metrics import rpc_bucket
-
-    manifest = build_manifest(
-        config,
-        metrics,
-        wall_s=_time.perf_counter() - wall_start,
-        events=sim.events_processed,
-        telemetry_snapshot=(telemetry.snapshot() if telemetry is not None
-                            else None),
-        profile=profile,
-        kind="fixedk-cell",
-    )
-    manifest["fixedk"] = {
-        "schema": FIXEDK_SCHEMA,
-        "k_packets": config.k_packets,
-        "load": config.load,
-        "fanout": config.fanout,
-        "protection": str(config.protection),
-        "variant": str(config.variant),
-        "gentle": config.gentle,
-        "use_avg": config.use_avg,
-        "per_packet_ecmp": config.per_packet_ecmp,
-        "rate_qps": config.rate_qps(),
-        "fanin_capacity_bps": config.fanin_capacity_bps(),
-        "uplink_rates_bps": list(config.uplink_rates()),
-        "rpc": rpc_bucket(wl, config.link_rate_bps),
-        "uplinks": _uplink_bucket(spec.uplink_ports),
-    }
-    if fluid is not None:
-        manifest["fluid"] = fluid.summary()
-    if checks is not None:
-        checks.finish()
-        manifest["validation"] = checks.as_dict()
-    return CellResult(config=config, metrics=metrics, snapshots=snapshots,
-                      manifest=manifest)
+            "fanin_capacity_bps": config.fanin_capacity_bps(),
+            "uplink_rates_bps": list(config.uplink_rates()),
+            "rpc": rpc_bucket(wl, config.link_rate_bps),
+            "uplinks": _uplink_bucket(self.spec.uplink_ports),
+        }
+        return flow_fields(
+            flows,
+            self.sim.now,
+            sum(f.nbytes for f in flows if not f.failed),
+            {
+                "k_packets": float(config.k_packets),
+                "load": config.load,
+                "fanout": float(config.fanout),
+                "rate_qps": config.rate_qps(),
+                "queries_completed": float(len(wl.results)),
+                "queries_open_at_end": float(wl.queries_open),
+            },
+        )
 
 
 def _uplink_bucket(uplink_ports) -> Dict[str, object]:

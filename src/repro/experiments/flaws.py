@@ -18,19 +18,19 @@ threshold), where delayed ACKs routinely cover a mix of marked and
 unmarked segments and drops force retransmissions — the exact regime
 where the flaws diverge from the faithful algorithm.
 
-Every run flows through :func:`~repro.experiments.probe.run_probe_cell`,
-so results carry full manifests, land in the shared result cache, and
-fingerprint bit-identically for the determinism gate
-(``repro flaws --smoke``).
+Every run is a ``"probe"`` cell through
+:func:`~repro.experiments.runner.run_cell`, so results carry full
+manifests, land in the shared result cache, and fingerprint
+bit-identically for the determinism gate (``repro flaws --smoke``).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.config import CellResult, QueueSetup
-from repro.experiments.probe import StabilityProbeConfig, run_probe_cell
+from repro.experiments.probe import StabilityProbeConfig
+from repro.experiments.runner import run_cell
 from repro.tcp.endpoint import FLAW_PROFILES, TcpVariant
 from repro.units import us
 
@@ -108,7 +108,7 @@ def run_flaws(
     rows: List[Dict[str, object]] = []
     for profile in FLAWS_PROFILES:
         cfg = flaws_cell(profile, seed=seed, duration_s=duration_s)
-        cell = run_probe_cell(cfg, checks=checks)
+        cell = run_cell(cfg, checks=checks)
         cells.append(cell)
         rows.append(_row(profile, cell))
     return cells, rows

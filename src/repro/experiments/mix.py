@@ -9,11 +9,9 @@ open-loop background flow mix drawn from an empirical CDF, then reports
 per-workload results side by side: job runtime, RPC deadline-miss rate
 and query-completion tail, and background FCT slowdown percentiles.
 
-:func:`run_mix_cell` mirrors :func:`~repro.experiments.runner.run_cell`
-(same rack builder, telemetry, validation and manifest plumbing — and
-:func:`run_cell` dispatches here for a :class:`MixConfig`, so the
-parallel sweep runner, result cache and bench harness all work on mix
-cells unchanged); the per-workload buckets land under
+Mix cells are the ``"mix"`` cell kind (:class:`MixCell`): the shared
+harness in :mod:`repro.experiments.runner` runs them like any other
+config, and the per-workload buckets land under
 ``manifest["workloads"]``.
 
 :func:`mix_grid` is the coexistence comparison: {DropTail, RED-default,
@@ -24,32 +22,29 @@ shuffle. :func:`render_mix_table` prints it.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.monitor import QueueMonitor
 from repro.core.protection import ProtectionMode
-from repro.errors import ConfigError, ExperimentError, MapReduceError
+from repro.errors import ConfigError
 from repro.experiments.config import (
     SHALLOW_BUFFER_PACKETS,
     CellResult,
     QueueSetup,
+    queue_tag,
+    transport_config,
+    transport_suffix,
+    validate_knobs,
 )
-from repro.mapreduce.cluster import ClusterSpec, NodeSpec
-from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.terasort import terasort_job
-from repro.net.topology import build_single_rack
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
-from repro.stats.collect import LatencyCollector, RunMetrics
+from repro.experiments.kinds import flow_fields, register_kind
+from repro.experiments.runner import TerasortCell
 from repro.tcp.endpoint import TcpConfig, TcpVariant
 from repro.units import gbps, mb, us
 from repro.workloads.cdf import named_cdf
 from repro.workloads.metrics import flow_bucket
 from repro.workloads.mix import WorkloadMix
 
-__all__ = ["MixConfig", "run_mix_cell", "mix_grid", "render_mix_table"]
+__all__ = ["MixConfig", "MixCell", "mix_grid", "render_mix_table"]
 
 
 @dataclass(frozen=True)
@@ -102,16 +97,7 @@ class MixConfig:
     def validate(self) -> "MixConfig":
         """Raise :class:`ConfigError` on nonsensical values; return self."""
         self.queue.validate()
-        from repro.tcp.cc import cc_names
-        from repro.tcp.endpoint import FLAW_PROFILES
-
-        if self.cc is not None and self.cc not in cc_names():
-            raise ConfigError(
-                f"unknown cc {self.cc!r}; known: {', '.join(cc_names())}")
-        if self.flaw_profile is not None and self.flaw_profile not in FLAW_PROFILES:
-            raise ConfigError(
-                f"unknown flaw profile {self.flaw_profile!r}; "
-                f"known: {', '.join(sorted(FLAW_PROFILES))}")
+        validate_knobs(self)
         if self.n_hosts < 2:
             raise ConfigError("need at least 2 hosts")
         if self.data_bytes <= 0 or self.block_bytes <= 0:
@@ -134,8 +120,7 @@ class MixConfig:
 
     def tcp_config(self) -> TcpConfig:
         """Transport configuration for this cell (shared by all tenants)."""
-        cfg = TcpConfig(variant=self.variant, cc=self.cc)
-        return cfg.with_flaw_profile(self.flaw_profile)
+        return transport_config(self)
 
     def bg_cdf(self):
         """The background flow-size CDF, truncated at ``bg_max_bytes``."""
@@ -147,180 +132,73 @@ class MixConfig:
     def label(self) -> str:
         """Human-readable cell id, ``mix/``-prefixed."""
         depth = "deep" if self.queue.is_deep else "shallow"
-        td = (
-            f"@{self.queue.target_delay_s * 1e6:.0f}us"
-            if self.queue.target_delay_s is not None
-            else ""
-        )
-        suffix = f"+{self.cc}" if self.cc is not None else ""
-        if self.flaw_profile is not None:
-            suffix += f"!{self.flaw_profile}"
-        return f"mix/{self.variant}/{self.queue.label()}{td}/{depth}{suffix}"
+        return (f"mix/{self.variant}/{queue_tag(self)}/{depth}"
+                f"{transport_suffix(self)}")
 
 
-def run_mix_cell(
-    config: MixConfig,
-    telemetry: Optional["Telemetry"] = None,  # noqa: F821 - forward ref
-    checks: Optional["ValidationSuite"] = None,  # noqa: F821 - forward ref
-) -> CellResult:
-    """Execute one coexistence cell and return its measurements.
+@register_kind("mix", "mix-cell", MixConfig)
+class MixCell(TerasortCell):
+    """The Terasort shuffle with an RPC service and background flows.
 
     The RPC and background workloads start at t=0 and run until the
     shuffle completes; then everything stops and the run drains for
-    ``config.drain_s``. The returned :class:`CellResult` carries the
-    shuffle-centric :class:`RunMetrics` (so mix cells flow through the
-    cache/sweep/bench machinery unchanged) and a
-    ``manifest["workloads"]`` dict with one bucket per workload —
+    ``config.drain_s``. ``RunMetrics`` stay shuffle-centric (runtime,
+    bytes) with effort counters over all tenants' flows, and
+    ``manifest["workloads"]`` carries one bucket per workload —
     ``shuffle``, ``rpc`` and ``background``.
     """
-    wall_start = _time.perf_counter()
-    config.validate()
-    sim = Simulator()
-    rng = RngRegistry(seed=config.seed)
-    tracer = telemetry.tracer if telemetry is not None else None
-    if checks is not None and tracer is None:
-        from repro.sim.trace import Tracer
 
-        tracer = Tracer()
-
-    def qdisc_factory(name: str):
-        return config.queue.build(name, config.link_rate_bps, rng)
-
-    spec = build_single_rack(
-        sim,
-        config.n_hosts,
-        switch_qdisc=qdisc_factory,
-        host_qdisc=qdisc_factory,
-        link_rate_bps=config.link_rate_bps,
-        link_delay_s=config.link_delay_s,
-        tracer=tracer,
-    )
-    if checks is not None:
-        checks.attach(sim, spec.network, tracer)
-    latency = LatencyCollector().attach(spec.network)
-
-    monitors: List[QueueMonitor] = []
-    if config.monitor_interval_s is not None:
-        for port in spec.hot_ports:
-            mon = QueueMonitor(sim, port.qdisc, config.monitor_interval_s)
-            mon.start()
-            monitors.append(mon)
-
-    tcp_cfg = config.tcp_config()
-    mix = WorkloadMix(sim, spec.hosts, config.link_rate_bps)
-    mix.add_rpc(
-        "rpc", tcp_cfg, rng.stream("workload.rpc"),
-        rate_qps=config.rpc_rate_qps, fanout=config.rpc_fanout,
-        response_bytes=config.rpc_response_bytes,
-        deadline_s=config.rpc_deadline_s,
-    )
-    mix.add_open_loop(
-        "background", tcp_cfg, rng.stream("workload.bg"),
-        rate_fps=config.bg_rate_fps, sizes=config.bg_cdf(),
-    )
-
-    def job_done(_result) -> None:
-        # Shuffle over: stop offering load, drain in-flight work, halt.
-        mix.stop_all()
-        sim.schedule(config.drain_s, sim.stop)
-
-    cluster = ClusterSpec(config.n_hosts, NodeSpec())
-    job = terasort_job(
-        config.data_bytes,
-        block_size=config.block_bytes,
-        n_reducers=config.n_reducers,
-    )
-    engine = MapReduceEngine(
-        sim,
-        spec,
-        cluster,
-        job,
-        tcp_cfg,
-        rng.stream("hdfs"),
-        shuffle_parallelism=config.shuffle_parallelism,
-        replication=config.replication,
-        on_job_done=job_done,
-    )
-    if telemetry is not None:
-        telemetry.attach(sim, spec, engine)
-    engine.submit()
-    mix.start()
-    try:
-        sim.run(until=config.sim_horizon_s)
-    except MapReduceError:
-        if not config.allow_timeout:
-            raise
-
-    timed_out = engine.result is None
-    if timed_out and not config.allow_timeout:
-        raise ExperimentError(
-            f"cell {config.label()} did not finish within "
-            f"{config.sim_horizon_s}s of simulated time"
+    def setup(self) -> None:
+        config, rng = self.config, self.rng
+        tcp_cfg = config.tcp_config()
+        self.mix = WorkloadMix(self.sim, self.spec.hosts, config.link_rate_bps)
+        self.mix.add_rpc(
+            "rpc", tcp_cfg, rng.stream("workload.rpc"),
+            rate_qps=config.rpc_rate_qps, fanout=config.rpc_fanout,
+            response_bytes=config.rpc_response_bytes,
+            deadline_s=config.rpc_deadline_s,
         )
-    if timed_out:
-        mix.stop_all()
-        runtime = config.sim_horizon_s
-        bytes_shuffled = sum(r.fetched_bytes for r in engine.reduces)
-    else:
-        runtime = engine.result.runtime
-        bytes_shuffled = engine.result.bytes_shuffled
+        self.mix.add_open_loop(
+            "background", tcp_cfg, rng.stream("workload.bg"),
+            rate_fps=config.bg_rate_fps, sizes=config.bg_cdf(),
+        )
+        super().setup()
 
-    shuffle_flows = engine.shuffle_flow_results()
-    rpc = mix["rpc"]
-    bg = mix["background"]
-    all_flows = shuffle_flows + rpc.flow_results + bg.results
-    metrics = RunMetrics(
-        runtime=runtime,
-        bytes_transferred=bytes_shuffled,
-        n_nodes=config.n_hosts,
-        mean_latency=latency.mean,
-        p99_latency=latency.percentile(99),
-        packets_delivered=latency.count,
-        queue=spec.network.aggregate_switch_stats(),
-        flows_completed=sum(1 for f in all_flows if not f.failed),
-        flows_failed=sum(1 for f in all_flows if f.failed),
-        retransmits=sum(f.retransmits for f in all_flows),
-        rtos=sum(f.rtos for f in all_flows),
-        syn_retries=sum(f.syn_retries for f in all_flows),
-        extra={
-            "timed_out": 1.0 if timed_out else 0.0,
-            "fetch_failures": float(engine.fetch_failures()),
-            "rpc_deadline_miss_rate": rpc.deadline_miss_rate(),
-            "rpc_queries_completed": float(len(rpc.results)),
-            "bg_flows_completed": float(
-                sum(1 for f in bg.results if not f.failed)),
-        },
-    )
-    profile = telemetry.finish(sim) if telemetry is not None else None
+    def job_done(self, _result) -> None:
+        # Shuffle over: stop offering load, drain in-flight work, halt.
+        self.mix.stop_all()
+        self.sim.schedule(self.config.drain_s, self.sim.stop)
 
-    snapshots = [s for mon in monitors for s in mon.snapshots]
-    if telemetry is not None and telemetry.queue_recorder is not None:
-        snapshots.extend(telemetry.queue_recorder.snapshots())
+    def start(self) -> None:
+        super().start()
+        self.mix.start()
 
-    from repro.telemetry.manifest import build_manifest
-
-    manifest = build_manifest(
-        config,
-        metrics,
-        wall_s=_time.perf_counter() - wall_start,
-        events=sim.events_processed,
-        telemetry_snapshot=(telemetry.snapshot() if telemetry is not None
-                            else None),
-        profile=profile,
-        kind="mix-cell",
-    )
-    workloads = mix.summary()
-    shuffle_bucket = flow_bucket(shuffle_flows, config.link_rate_bps)
-    shuffle_bucket["kind"] = "shuffle"
-    shuffle_bucket["runtime_s"] = runtime
-    shuffle_bucket["bytes_shuffled"] = int(bytes_shuffled)
-    workloads["shuffle"] = shuffle_bucket
-    manifest["workloads"] = workloads
-    if checks is not None:
-        checks.finish()
-        manifest["validation"] = checks.as_dict()
-    return CellResult(config=config, metrics=metrics, snapshots=snapshots,
-                      manifest=manifest)
+    def collect(self):
+        config, engine, mix = self.config, self.engine, self.mix
+        timed_out, runtime, bytes_shuffled = self.shuffle_outcome()
+        if timed_out:
+            mix.stop_all()
+        shuffle_flows = engine.shuffle_flow_results()
+        rpc = mix["rpc"]
+        bg = mix["background"]
+        workloads = self.manifest_blocks["workloads"] = mix.summary()
+        shuffle_bucket = flow_bucket(shuffle_flows, config.link_rate_bps)
+        shuffle_bucket["kind"] = "shuffle"
+        shuffle_bucket["runtime_s"] = runtime
+        shuffle_bucket["bytes_shuffled"] = int(bytes_shuffled)
+        workloads["shuffle"] = shuffle_bucket
+        return flow_fields(
+            shuffle_flows + rpc.flow_results + bg.results,
+            runtime, bytes_shuffled,
+            {
+                "timed_out": 1.0 if timed_out else 0.0,
+                "fetch_failures": float(engine.fetch_failures()),
+                "rpc_deadline_miss_rate": rpc.deadline_miss_rate(),
+                "rpc_queries_completed": float(len(rpc.results)),
+                "bg_flows_completed": float(
+                    sum(1 for f in bg.results if not f.failed)),
+            },
+        )
 
 
 #: Queue schemes compared in the coexistence table, in rank order of the

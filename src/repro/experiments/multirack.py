@@ -14,21 +14,16 @@ spine).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, replace
 
-from repro.core.monitor import QueueMonitor
 from repro.errors import ConfigError
-from repro.experiments.config import CellResult, ExperimentConfig, QueueSetup
-from repro.mapreduce.cluster import ClusterSpec, NodeSpec
-from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.terasort import terasort_job
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.kinds import register_kind
+from repro.experiments.runner import TerasortCell
 from repro.net.topology import build_leaf_spine
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
-from repro.stats.collect import LatencyCollector, RunMetrics
+from repro.tcp.endpoint import TcpConfig
 
-__all__ = ["MultiRackConfig", "run_multirack_cell"]
+__all__ = ["MultiRackConfig", "MultiRackCell"]
 
 
 @dataclass(frozen=True)
@@ -66,84 +61,46 @@ class MultiRackConfig:
         aggregate_host = self.hosts_per_leaf * self.base.link_rate_bps
         return aggregate_host / (self.oversubscription * self.n_spines)
 
+    # -- what the shared harness reads, taken from the base cell --------------
 
-def run_multirack_cell(config: MultiRackConfig) -> CellResult:
-    """Run one leaf-spine cell; metrics mirror :func:`run_cell`."""
-    config.validate()
-    base = config.base
-    sim = Simulator()
-    rng = RngRegistry(seed=base.seed)
+    @property
+    def seed(self) -> int:
+        """The base cell's seed."""
+        return self.base.seed
 
-    def qdisc_factory(name: str):
-        return base.queue.build(name, base.link_rate_bps, rng)
+    def tcp_config(self) -> TcpConfig:
+        """Transport configuration (the base cell's)."""
+        return self.base.tcp_config()
 
-    spec = build_leaf_spine(
-        sim,
-        config.n_leaves,
-        config.n_spines,
-        config.hosts_per_leaf,
-        switch_qdisc=qdisc_factory,
-        host_qdisc=qdisc_factory,
-        link_rate_bps=base.link_rate_bps,
-        link_delay_s=base.link_delay_s,
-        uplink_rate_bps=config.uplink_rate_bps(),
-    )
-    latency = LatencyCollector().attach(spec.network)
+    def label(self) -> str:
+        """Human-readable cell id, ``multirack/``-prefixed."""
+        return (f"multirack/{self.base.label()}/{self.n_leaves}x"
+                f"{self.hosts_per_leaf}s{self.n_spines}"
+                f"/o{self.oversubscription:g}")
 
-    # Snapshot the congestible queues when the base config asks for
-    # monitoring. ``hot_ports`` now folds in the leaf↔spine uplinks, so —
-    # unlike the pre-fix behaviour, which watched only ToR downlinks —
-    # the oversubscribed fabric bottleneck is actually observed.
-    monitors: List[QueueMonitor] = []
-    if base.monitor_interval_s is not None:
-        for port in spec.hot_ports:
-            mon = QueueMonitor(sim, port.qdisc, base.monitor_interval_s)
-            mon.start()
-            monitors.append(mon)
 
-    cluster = ClusterSpec(config.n_hosts, NodeSpec())
-    job = terasort_job(
-        base.data_bytes,
-        block_size=base.block_bytes,
-        n_reducers=config.n_hosts,
-    )
-    engine = MapReduceEngine(
-        sim, spec, cluster, job, base.tcp_config(), rng.stream("hdfs"),
-        shuffle_parallelism=base.shuffle_parallelism,
-        replication=base.replication,
-        on_job_done=lambda _r: sim.stop(),
-    )
-    engine.submit()
-    sim.run(until=base.sim_horizon_s)
+@register_kind("multirack", "multirack-cell", MultiRackConfig)
+class MultiRackCell(TerasortCell):
+    """The Terasort cell on a leaf–spine fabric, one reducer per host.
 
-    for mon in monitors:
-        mon.stop()
+    ``hot_ports`` folds in the leaf↔spine uplinks, so when the base
+    config asks for monitoring the oversubscribed fabric bottleneck is
+    observed, not just the ToR downlinks.
+    """
 
-    timed_out = engine.result is None
-    if timed_out and not base.allow_timeout:
-        from repro.errors import ExperimentError
+    def __init__(self, config: MultiRackConfig, *run):
+        # The Terasort side runs on the base cell resized to the fabric.
+        super().__init__(replace(config.base, n_hosts=config.n_hosts,
+                                 n_reducers=config.n_hosts), *run)
+        self.clos = config
 
-        raise ExperimentError("multirack cell did not finish in the horizon")
+    def build_topology(self):
+        f = self.clos
+        return self.fabric(build_leaf_spine,
+                           f.n_leaves, f.n_spines, f.hosts_per_leaf,
+                           uplink_rate_bps=f.uplink_rate_bps())
 
-    flows = engine.shuffle_flow_results()
-    metrics = RunMetrics(
-        runtime=base.sim_horizon_s if timed_out else engine.result.runtime,
-        bytes_transferred=(
-            sum(r.fetched_bytes for r in engine.reduces)
-            if timed_out else engine.result.bytes_shuffled
-        ),
-        n_nodes=config.n_hosts,
-        mean_latency=latency.mean,
-        p99_latency=latency.percentile(99),
-        packets_delivered=latency.count,
-        queue=spec.network.aggregate_switch_stats(),
-        flows_completed=sum(1 for f in flows if not f.failed),
-        flows_failed=sum(1 for f in flows if f.failed),
-        retransmits=sum(f.retransmits for f in flows),
-        rtos=sum(f.rtos for f in flows),
-        syn_retries=sum(f.syn_retries for f in flows),
-        extra={"timed_out": 1.0 if timed_out else 0.0,
-               "oversubscription": config.oversubscription},
-    )
-    snapshots = [s for mon in monitors for s in mon.snapshots]
-    return CellResult(config=base, metrics=metrics, snapshots=snapshots)
+    def collect(self):
+        fields = super().collect()
+        fields["extra"]["oversubscription"] = self.clos.oversubscription
+        return fields

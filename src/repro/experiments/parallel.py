@@ -2,9 +2,10 @@
 
 The paper's evaluation grid is dozens of independent cells — (transport
 variant × queue setup × buffer depth × target delay) — and each cell is a
-pure function of its :class:`~repro.experiments.config.ExperimentConfig`:
+pure function of its config (the frozen dataclass of any registered cell
+kind, see :mod:`repro.experiments.kinds`):
 :func:`~repro.experiments.runner.run_cell` builds its own kernel, RNG
-registry, topology and engine from the config alone, and every random
+registry, topology and traffic from the config alone, and every random
 stream is seeded from ``config.seed``. That purity is what makes the fan-
 out trivial *and* bit-identical: a cell computes the same
 :class:`~repro.stats.collect.RunMetrics` whether it runs in this process,
@@ -29,18 +30,18 @@ from __future__ import annotations
 import time as _time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
 from repro.experiments.cache import ResultCache, config_cache_key
-from repro.experiments.config import CellResult, ExperimentConfig
+from repro.experiments.config import CellResult
 from repro.experiments.runner import run_cell
 from repro.telemetry.profiler import ProgressReporter
 
 __all__ = ["SweepReport", "run_cells"]
 
-#: ``(label, config)`` pairs, as produced by the grid builders.
-Cells = Sequence[Tuple[str, ExperimentConfig]]
+#: ``(label, config)`` pairs, as produced by the grid builders (any kind).
+Cells = Sequence[Tuple[str, Any]]
 
 Progress = Callable[[int, int, str], None]
 
@@ -65,7 +66,7 @@ class SweepReport:
     wall_s: float = 0.0
 
 
-def _run_one(item: Tuple[str, ExperimentConfig]) -> Tuple[str, CellResult]:
+def _run_one(item: Tuple[str, Any]) -> Tuple[str, CellResult]:
     """Worker entry point: one cell, picklable in and out."""
     label, config = item
     return label, run_cell(config)
@@ -121,7 +122,7 @@ def run_cells(
     # key under two labels executes once, and the aliases share the one
     # result object (a cell is a pure function of its config, and labels
     # are presentation-only — they appear nowhere in the result).
-    pending: List[Tuple[str, ExperimentConfig]] = []
+    pending: List[Tuple[str, Any]] = []
     results: Dict[str, CellResult] = {}
     primary_by_key: Dict[str, str] = {}
     aliases_of: Dict[str, List[str]] = {}

@@ -12,11 +12,8 @@ simulated ``duration_s``, the congested ToR downlink is sampled every
 still in flight — by construction, so every sample after the ramp-up
 shows the closed loop at its operating point.
 
-:func:`run_probe_cell` mirrors :func:`~repro.experiments.runner.run_cell`
-(same rack builder, tracer/validation plumbing, manifest shape, and
-:func:`run_cell` dispatches here for a :class:`StabilityProbeConfig`), so
-probe cells flow through the parallel sweep runner, the result cache and
-``repro.validate.smoke.fingerprint`` unchanged. The stability detector
+Probe cells are the ``"probe"`` cell kind (:class:`ProbeCell`) on the
+shared harness in :mod:`repro.experiments.runner`. The stability detector
 (:class:`~repro.analysis.stability.StabilityAnalysis`) consumes the
 snapshots either via ``run_cell(..., analyses=[...])`` or after the fact
 on a cache hit.
@@ -24,22 +21,23 @@ on a cache hit.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from repro.core.monitor import QueueMonitor
 from repro.errors import ConfigError
-from repro.experiments.config import CellResult, QueueSetup
-from repro.net.topology import build_single_rack
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
-from repro.stats.collect import LatencyCollector, RunMetrics
+from repro.experiments.config import (
+    QueueSetup,
+    queue_tag,
+    transport_config,
+    transport_suffix,
+    validate_knobs,
+)
+from repro.experiments.kinds import CellKind, register_kind
 from repro.tcp.endpoint import TcpConfig, TcpVariant
 from repro.units import gbps, us
 from repro.workloads.bulk import incast
 
-__all__ = ["StabilityProbeConfig", "run_probe_cell"]
+__all__ = ["StabilityProbeConfig", "ProbeCell"]
 
 
 @dataclass(frozen=True)
@@ -87,26 +85,13 @@ class StabilityProbeConfig:
             raise ConfigError("monitor interval must be below the duration")
         if self.dctcp_g is not None and not (0.0 < self.dctcp_g <= 1.0):
             raise ConfigError(f"dctcp_g must be in (0, 1], got {self.dctcp_g}")
-        from repro.tcp.cc import cc_names
-        from repro.tcp.endpoint import FLAW_PROFILES
-
-        if self.cc is not None and self.cc not in cc_names():
-            raise ConfigError(
-                f"unknown cc {self.cc!r}; known: {', '.join(cc_names())}")
-        if self.flaw_profile is not None and self.flaw_profile not in FLAW_PROFILES:
-            raise ConfigError(
-                f"unknown flaw profile {self.flaw_profile!r}; "
-                f"known: {', '.join(sorted(FLAW_PROFILES))}")
+        validate_knobs(self)
         return self
 
     def tcp_config(self) -> TcpConfig:
         """Transport configuration for the probe flows."""
-        if self.dctcp_g is not None:
-            cfg = TcpConfig(variant=self.variant, dctcp_g=self.dctcp_g,
-                            cc=self.cc)
-        else:
-            cfg = TcpConfig(variant=self.variant, cc=self.cc)
-        return cfg.with_flaw_profile(self.flaw_profile)
+        knobs = {} if self.dctcp_g is None else {"dctcp_g": self.dctcp_g}
+        return transport_config(self, **knobs)
 
     def flow_bytes(self) -> int:
         """Per-flow size guaranteeing the flows outlive the horizon.
@@ -119,17 +104,9 @@ class StabilityProbeConfig:
 
     def label(self) -> str:
         """Human-readable cell id, ``probe/``-prefixed."""
-        td = (
-            f"@{self.queue.target_delay_s * 1e6:.0f}us"
-            if self.queue.target_delay_s is not None
-            else ""
-        )
         g = f"/g{self.dctcp_g:g}" if self.dctcp_g is not None else ""
-        suffix = f"+{self.cc}" if self.cc is not None else ""
-        if self.flaw_profile is not None:
-            suffix += f"!{self.flaw_profile}"
-        return (f"probe/{self.variant}/{self.queue.label()}{td}"
-                f"/n{self.n_senders}{g}{suffix}")
+        return (f"probe/{self.variant}/{queue_tag(self)}"
+                f"/n{self.n_senders}{g}{transport_suffix(self)}")
 
     # -- sweep-axis helpers ---------------------------------------------------
 
@@ -143,131 +120,73 @@ class StabilityProbeConfig:
         return replace(self, dctcp_g=g)
 
 
-def run_probe_cell(
-    config: StabilityProbeConfig,
-    telemetry: Optional["Telemetry"] = None,  # noqa: F821 - forward ref
-    checks: Optional["ValidationSuite"] = None,  # noqa: F821 - forward ref
-) -> CellResult:
-    """Execute one stability probe and return its measurements.
+@register_kind("probe", "stability-probe", StabilityProbeConfig)
+class ProbeCell(CellKind):
+    """An N:1 incast held in steady state until the horizon.
 
-    The returned :class:`CellResult` carries shuffle-shaped
-    :class:`RunMetrics` (``runtime`` is the fixed horizon;
+    ``RunMetrics`` are shuffle-shaped (``runtime`` is the fixed horizon;
     ``bytes_transferred`` is the acked payload) so probe cells flow
-    through the cache/sweep/fingerprint machinery unchanged, plus the
-    dense snapshot series of every hot port — the stability detector's
-    input.
+    through the cache/sweep/fingerprint machinery unchanged; the dense
+    snapshot series of every hot port is the stability detector's input.
     """
-    wall_start = _time.perf_counter()
-    config.validate()
-    sim = Simulator()
-    rng = RngRegistry(seed=config.seed)
-    tracer = telemetry.tracer if telemetry is not None else None
-    if checks is not None and tracer is None:
-        from repro.sim.trace import Tracer
 
-        tracer = Tracer()
+    @property
+    def horizon_s(self) -> float:
+        return self.config.duration_s
 
-    def qdisc_factory(name: str):
-        return config.queue.build(name, config.link_rate_bps, rng)
+    def start(self) -> None:
+        config, sim = self.config, self.sim
+        self.flows = incast(
+            sim, self.spec.hosts, receiver_index=0,
+            nbytes=config.flow_bytes(), cfg=config.tcp_config(),
+        )
+        # Time-averaged DCTCP α across the senders, sampled at the monitor
+        # cadence: the end-of-run snapshot alone is one point of a limit
+        # cycle, far too noisy for flawed-vs-fixed comparisons (the flaws
+        # pack gates on this average). Pure reads — the sampler never
+        # perturbs the packet trajectory.
+        self.alpha_sum = 0.0
+        self.alpha_n = 0
+        sim.schedule(config.monitor_interval_s, self._sample_alpha)
 
-    spec = build_single_rack(
-        sim,
-        config.n_hosts,
-        switch_qdisc=qdisc_factory,
-        host_qdisc=qdisc_factory,
-        link_rate_bps=config.link_rate_bps,
-        link_delay_s=config.link_delay_s,
-        tracer=tracer,
-    )
-    if checks is not None:
-        checks.attach(sim, spec.network, tracer)
-    latency = LatencyCollector().attach(spec.network)
-
-    monitors: List[QueueMonitor] = []
-    for port in spec.hot_ports:
-        mon = QueueMonitor(sim, port.qdisc, config.monitor_interval_s)
-        mon.start()
-        monitors.append(mon)
-
-    if telemetry is not None:
-        telemetry.attach(sim, spec, engine=None)
-
-    flows = incast(
-        sim, spec.hosts, receiver_index=0,
-        nbytes=config.flow_bytes(), cfg=config.tcp_config(),
-    )
-
-    # Time-averaged DCTCP α across the senders, sampled at the monitor
-    # cadence: the end-of-run snapshot alone is one point of a limit
-    # cycle, far too noisy for flawed-vs-fixed comparisons (the flaws
-    # pack gates on this average). Pure reads — the sampler never
-    # perturbs the packet trajectory.
-    alpha_acc = {"sum": 0.0, "n": 0}
-
-    def _sample_alpha():
-        vals = [f.sender.cc.alpha for f in flows
+    def _alphas(self):
+        return [f.sender.cc.alpha for f in self.flows
                 if hasattr(f.sender.cc, "alpha")]
+
+    def _sample_alpha(self) -> None:
+        vals = self._alphas()
         if vals:
-            alpha_acc["sum"] += sum(vals) / len(vals)
-            alpha_acc["n"] += 1
-            if sim.now < config.duration_s:
-                sim.schedule(config.monitor_interval_s, _sample_alpha)
+            self.alpha_sum += sum(vals) / len(vals)
+            self.alpha_n += 1
+            if self.sim.now < self.config.duration_s:
+                self.sim.schedule(self.config.monitor_interval_s,
+                                  self._sample_alpha)
 
-    sim.schedule(config.monitor_interval_s, _sample_alpha)
-    sim.run(until=config.duration_s)
-    for mon in monitors:
-        mon.stop()
-
-    # The flows are deliberately still in flight: read effort counters
-    # and progress off the live senders.
-    finished = [f for f in flows if f.result is not None]
-    bytes_acked = sum(f.sender.snd_una for f in flows)
-    metrics = RunMetrics(
-        runtime=config.duration_s,
-        bytes_transferred=bytes_acked,
-        n_nodes=config.n_hosts,
-        mean_latency=latency.mean,
-        p99_latency=latency.percentile(99),
-        packets_delivered=latency.count,
-        queue=spec.network.aggregate_switch_stats(),
-        flows_completed=sum(1 for f in finished if not f.result.failed),
-        flows_failed=sum(1 for f in finished if f.result.failed),
-        retransmits=sum(f.sender.stats.retransmits for f in flows),
-        rtos=sum(f.sender.stats.rtos for f in flows),
-        syn_retries=sum(f.sender.stats.syn_retries for f in flows),
-        extra={
+    def collect(self):
+        config, flows = self.config, self.flows
+        # The flows are deliberately still in flight: read effort counters
+        # and progress off the live senders.
+        finished = [f for f in flows if f.result is not None]
+        bytes_acked = sum(f.sender.snd_una for f in flows)
+        extra = {
             "probe_senders": float(config.n_senders),
             "goodput_bps": bytes_acked * 8.0 / config.duration_s,
-        },
-    )
-    # Live DCTCP α estimate across the senders (the flaws pack compares
-    # this between flawed and corrected endpoint profiles).
-    alphas = [f.sender.cc.alpha for f in flows if hasattr(f.sender.cc, "alpha")]
-    if alphas:
-        metrics.extra["dctcp_alpha_mean"] = sum(alphas) / len(alphas)
-        metrics.extra["dctcp_alpha_max"] = max(alphas)
-    if alpha_acc["n"]:
-        metrics.extra["dctcp_alpha_timeavg"] = alpha_acc["sum"] / alpha_acc["n"]
-    profile = telemetry.finish(sim) if telemetry is not None else None
-
-    snapshots = [s for mon in monitors for s in mon.snapshots]
-    if telemetry is not None and telemetry.queue_recorder is not None:
-        snapshots.extend(telemetry.queue_recorder.snapshots())
-
-    from repro.telemetry.manifest import build_manifest
-
-    manifest = build_manifest(
-        config,
-        metrics,
-        wall_s=_time.perf_counter() - wall_start,
-        events=sim.events_processed,
-        telemetry_snapshot=(telemetry.snapshot() if telemetry is not None
-                            else None),
-        profile=profile,
-        kind="stability-probe",
-    )
-    if checks is not None:
-        checks.finish()
-        manifest["validation"] = checks.as_dict()
-    return CellResult(config=config, metrics=metrics, snapshots=snapshots,
-                      manifest=manifest)
+        }
+        # Live DCTCP α estimate across the senders (the flaws pack compares
+        # this between flawed and corrected endpoint profiles).
+        alphas = self._alphas()
+        if alphas:
+            extra["dctcp_alpha_mean"] = sum(alphas) / len(alphas)
+            extra["dctcp_alpha_max"] = max(alphas)
+        if self.alpha_n:
+            extra["dctcp_alpha_timeavg"] = self.alpha_sum / self.alpha_n
+        return {
+            "runtime": config.duration_s,
+            "bytes_transferred": bytes_acked,
+            "flows_completed": sum(1 for f in finished if not f.result.failed),
+            "flows_failed": sum(1 for f in finished if f.result.failed),
+            "retransmits": sum(f.sender.stats.retransmits for f in flows),
+            "rtos": sum(f.sender.stats.rtos for f in flows),
+            "syn_retries": sum(f.sender.stats.syn_retries for f in flows),
+            "extra": extra,
+        }

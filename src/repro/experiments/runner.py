@@ -1,10 +1,13 @@
-"""Run one experiment cell end to end.
+"""Run one experiment cell end to end — the one cell harness.
 
-Builds the rack, attaches collectors, runs a scaled Terasort through the
-MapReduce engine, and assembles :class:`~repro.stats.collect.RunMetrics`.
-The same queue setup is applied to the switch egress ports *and* the host
-NIC ports, matching the NS-2 duplex-link convention the paper's
-methodology inherits (every queue on the path is the configured type).
+:func:`run_cell` runs a config of *any* registered cell kind
+(:mod:`repro.experiments.kinds`): it owns the simulator, RNG registry,
+tracer, invariant checkers, latency collector, fluid tier, queue
+monitors, the common :class:`~repro.stats.collect.RunMetrics` fields and
+the manifest, in one fixed order; the kind supplies the topology, the
+traffic and the traffic-side numbers. This module also registers the
+paper's own kind, ``"cell"``: a scaled Terasort through the MapReduce
+engine on a single rack.
 
 Every cell also gets a **run manifest** — a JSON-serialisable record of
 the config, seed, package version, git state, wall-clock timings, and the
@@ -18,20 +21,27 @@ the run; a run without one takes exactly the pre-telemetry code path.
 from __future__ import annotations
 
 import time as _time
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.monitor import QueueMonitor
 from repro.errors import ExperimentError, MapReduceError
 from repro.experiments.config import CellResult, ExperimentConfig
+from repro.experiments.kinds import (
+    CellKind,
+    flow_fields,
+    kind_for,
+    register_kind,
+)
 from repro.mapreduce.cluster import ClusterSpec, NodeSpec
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.terasort import terasort_job
-from repro.net.topology import build_single_rack
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+from repro.sim.trace import Tracer
 from repro.stats.collect import LatencyCollector, RunMetrics
+from repro.telemetry.manifest import build_manifest
 
-__all__ = ["apply_analyses", "run_cell"]
+__all__ = ["apply_analyses", "run_cell", "TerasortCell"]
 
 
 def apply_analyses(cell: CellResult, analyses, telemetry=None) -> CellResult:
@@ -54,17 +64,18 @@ def apply_analyses(cell: CellResult, analyses, telemetry=None) -> CellResult:
 
 
 def run_cell(
-    config: ExperimentConfig,
+    config,
     telemetry: Optional["Telemetry"] = None,  # noqa: F821 - forward ref
     checks: Optional["ValidationSuite"] = None,  # noqa: F821 - forward ref
     analyses: Optional[list] = None,
 ) -> CellResult:
-    """Execute one grid cell and return its measurements.
+    """Execute one cell of any registered kind and return its measurements.
 
     Parameters
     ----------
     config:
-        The cell configuration.
+        The cell configuration — an instance of any registered kind's
+        config dataclass (:func:`repro.experiments.kinds.kind_for`).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` session (registry,
         recorders, profiler).
@@ -81,49 +92,18 @@ def run_cell(
         and lands under ``manifest[analysis.key]`` — so an analysed run
         is bit-identical to a plain one.
     """
-    # Coexistence cells (MixConfig) and stability probes share this entry
-    # point so the sweep runner, result cache and bench harness handle
-    # them transparently.
-    from repro.experiments.bulkcell import BulkConfig, run_bulk_cell
-    from repro.experiments.fixedk import FixedKConfig, run_fixedk_cell
-    from repro.experiments.mix import MixConfig, run_mix_cell
-    from repro.experiments.probe import StabilityProbeConfig, run_probe_cell
-
-    if isinstance(config, MixConfig):
-        cell = run_mix_cell(config, telemetry=telemetry, checks=checks)
-        return apply_analyses(cell, analyses or (), telemetry)
-    if isinstance(config, StabilityProbeConfig):
-        cell = run_probe_cell(config, telemetry=telemetry, checks=checks)
-        return apply_analyses(cell, analyses or (), telemetry)
-    if isinstance(config, FixedKConfig):
-        cell = run_fixedk_cell(config, telemetry=telemetry, checks=checks)
-        return apply_analyses(cell, analyses or (), telemetry)
-    if isinstance(config, BulkConfig):
-        cell = run_bulk_cell(config, telemetry=telemetry, checks=checks)
-        return apply_analyses(cell, analyses or (), telemetry)
-
     wall_start = _time.perf_counter()
+    kind_cls = kind_for(config)
     config.validate()
     sim = Simulator()
     rng = RngRegistry(seed=config.seed)
     tracer = telemetry.tracer if telemetry is not None else None
     if checks is not None and tracer is None:
-        from repro.sim.trace import Tracer
-
         tracer = Tracer()
 
-    def qdisc_factory(name: str):
-        return config.queue.build(name, config.link_rate_bps, rng)
-
-    spec = build_single_rack(
-        sim,
-        config.n_hosts,
-        switch_qdisc=qdisc_factory,
-        host_qdisc=qdisc_factory,
-        link_rate_bps=config.link_rate_bps,
-        link_delay_s=config.link_delay_s,
-        tracer=tracer,
-    )
+    kind = kind_cls(config, sim, rng, tracer)
+    run = kind.config  # the cell that runs: a wrapper config's resized base
+    spec = kind.spec = kind.build_topology()
     if checks is not None:
         # Before any traffic: the conservation ledger must witness every
         # packet's first enqueue.
@@ -131,101 +111,45 @@ def run_cell(
     latency = LatencyCollector().attach(spec.network)
 
     fluid = None
-    if config.fidelity == "hybrid":
+    if getattr(run, "fidelity", "packet") == "hybrid":
+        # Imported here so packet-mode processes never load the fluid tier.
         from repro.sim.fluid import FluidManager
 
         # Before any traffic: senders self-register at construction.
         fluid = FluidManager(sim, spec.network, latency_credit=latency.credit)
 
-    monitors: List[QueueMonitor] = []
-    if config.monitor_interval_s is not None:
-        for port in spec.hot_ports:
-            mon = QueueMonitor(sim, port.qdisc, config.monitor_interval_s)
+    monitors = []
+    interval = getattr(run, "monitor_interval_s", None)
+    if interval is not None:
+        for port in kind.monitored_ports():
+            mon = QueueMonitor(sim, port.qdisc, interval)
             mon.start()
             monitors.append(mon)
 
-    cluster = ClusterSpec(config.n_hosts, NodeSpec())
-    job = terasort_job(
-        config.data_bytes,
-        block_size=config.block_bytes,
-        n_reducers=config.n_reducers,
-    )
-    engine = MapReduceEngine(
-        sim,
-        spec,
-        cluster,
-        job,
-        config.tcp_config(),
-        rng.stream("hdfs"),
-        shuffle_parallelism=config.shuffle_parallelism,
-        replication=config.replication,
-        # Stop the kernel as soon as the job finishes; otherwise periodic
-        # monitors would keep the event loop alive until the horizon.
-        on_job_done=lambda _r: sim.stop(),
-    )
+    kind.setup()
     if telemetry is not None:
-        telemetry.attach(sim, spec, engine)
-    engine.submit()
+        telemetry.attach(sim, spec, kind.engine)
+    kind.start()
     try:
-        sim.run(until=config.sim_horizon_s)
-    except MapReduceError:
-        # A shuffle fetch was abandoned after its retry budget. Under
-        # allow_timeout the cell reports as a (horizon-capped) failure;
-        # otherwise the error is a genuine test failure.
-        if not config.allow_timeout:
-            raise
+        sim.run(until=kind.horizon_s)
+    except kind.tolerated_errors:
+        pass  # the collector reports what the run got to
+    for mon in monitors:
+        mon.stop()
 
-    timed_out = engine.result is None
-    if timed_out and not config.allow_timeout:
-        raise ExperimentError(
-            f"cell {config.label()} did not finish within "
-            f"{config.sim_horizon_s}s of simulated time"
-        )
-
-    if timed_out:
-        runtime = config.sim_horizon_s
-        bytes_shuffled = sum(r.fetched_bytes for r in engine.reduces)
-        map_phase = 0.0
-        locality = engine.hdfs.locality_fraction(
-            [(m.block.block_id, m.node) for m in engine.maps if m.node is not None]
-        )
-        remote = 0.0
-    else:
-        runtime = engine.result.runtime
-        bytes_shuffled = engine.result.bytes_shuffled
-        map_phase = engine.result.map_phase_duration
-        locality = engine.result.locality_fraction
-        remote = float(engine.result.bytes_shuffled_remote)
-
-    flows = engine.shuffle_flow_results()
     metrics = RunMetrics(
-        runtime=runtime,
-        bytes_transferred=bytes_shuffled,
-        n_nodes=config.n_hosts,
+        n_nodes=run.n_hosts,
         mean_latency=latency.mean,
         p99_latency=latency.percentile(99),
         packets_delivered=latency.count,
         queue=spec.network.aggregate_switch_stats(),
-        flows_completed=sum(1 for f in flows if not f.failed),
-        flows_failed=sum(1 for f in flows if f.failed),
-        retransmits=sum(f.retransmits for f in flows),
-        rtos=sum(f.rtos for f in flows),
-        syn_retries=sum(f.syn_retries for f in flows),
-        extra={
-            "map_phase_s": map_phase,
-            "locality": locality,
-            "bytes_shuffled_remote": remote,
-            "timed_out": 1.0 if timed_out else 0.0,
-            "fetch_failures": float(engine.fetch_failures()),
-        },
+        **kind.collect(),
     )
     profile = telemetry.finish(sim) if telemetry is not None else None
 
     snapshots = [s for mon in monitors for s in mon.snapshots]
     if telemetry is not None and telemetry.queue_recorder is not None:
         snapshots.extend(telemetry.queue_recorder.snapshots())
-
-    from repro.telemetry.manifest import build_manifest
 
     manifest = build_manifest(
         config,
@@ -235,7 +159,9 @@ def run_cell(
         telemetry_snapshot=(telemetry.snapshot() if telemetry is not None
                             else None),
         profile=profile,
+        kind=kind.manifest_kind,
     )
+    manifest.update(kind.manifest_blocks)
     if fluid is not None:
         manifest["fluid"] = fluid.summary()
     if checks is not None:
@@ -244,3 +170,84 @@ def run_cell(
     cell = CellResult(config=config, metrics=metrics, snapshots=snapshots,
                       manifest=manifest)
     return apply_analyses(cell, analyses or (), telemetry)
+
+
+@register_kind("cell", "cell", ExperimentConfig)
+class TerasortCell(CellKind):
+    """The paper's cell: a scaled Terasort shuffle on a single rack.
+
+    Also the base of every family whose batch tenant is the Terasort
+    (``"mix"``, ``"multirack"``): they override the topology or add
+    co-tenants and reuse the job and the time-out accounting.
+    """
+
+    def job_done(self, _result) -> None:
+        """Stop the kernel as soon as the job finishes; otherwise periodic
+        monitors would keep the event loop alive until the horizon."""
+        self.sim.stop()
+
+    def setup(self) -> None:
+        config = self.config
+        if config.allow_timeout:
+            # A shuffle fetch abandoned after its retry budget: the cell
+            # reports as a (horizon-capped) failure. Without allow_timeout
+            # the error is a genuine test failure.
+            self.tolerated_errors = (MapReduceError,)
+        job = terasort_job(
+            config.data_bytes,
+            block_size=config.block_bytes,
+            n_reducers=config.n_reducers,
+        )
+        self.engine = MapReduceEngine(
+            self.sim,
+            self.spec,
+            ClusterSpec(config.n_hosts, NodeSpec()),
+            job,
+            config.tcp_config(),
+            self.rng.stream("hdfs"),
+            shuffle_parallelism=config.shuffle_parallelism,
+            replication=config.replication,
+            on_job_done=self.job_done,
+        )
+
+    def start(self) -> None:
+        self.engine.submit()
+
+    def shuffle_outcome(self):
+        """``(timed_out, runtime, bytes_shuffled)``; raises
+        :class:`ExperimentError` on a time-out the config does not allow."""
+        engine, config = self.engine, self.config
+        if engine.result is not None:
+            return False, engine.result.runtime, engine.result.bytes_shuffled
+        if not config.allow_timeout:
+            raise ExperimentError(
+                f"cell {config.label()} did not finish within "
+                f"{config.sim_horizon_s}s of simulated time"
+            )
+        return (True, config.sim_horizon_s,
+                sum(r.fetched_bytes for r in engine.reduces))
+
+    def collect(self):
+        engine = self.engine
+        timed_out, runtime, bytes_shuffled = self.shuffle_outcome()
+        if timed_out:
+            map_phase = 0.0
+            locality = engine.hdfs.locality_fraction(
+                [(m.block.block_id, m.node) for m in engine.maps
+                 if m.node is not None]
+            )
+            remote = 0.0
+        else:
+            map_phase = engine.result.map_phase_duration
+            locality = engine.result.locality_fraction
+            remote = float(engine.result.bytes_shuffled_remote)
+        return flow_fields(
+            engine.shuffle_flow_results(), runtime, bytes_shuffled,
+            {
+                "map_phase_s": map_phase,
+                "locality": locality,
+                "bytes_shuffled_remote": remote,
+                "timed_out": 1.0 if timed_out else 0.0,
+                "fetch_failures": float(engine.fetch_failures()),
+            },
+        )

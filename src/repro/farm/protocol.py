@@ -9,11 +9,13 @@ socket and split on newlines is a farm client.
 Config transport
 ----------------
 A cell config crosses the wire as ``{"kind": <registry name>, "config":
-<config_to_dict(...)>}``. The ``kind`` discriminates the five config
-dataclasses that :func:`~repro.experiments.runner.run_cell` dispatches
-on; :func:`config_from_dict` rebuilds the frozen dataclass (enums,
-nested :class:`~repro.experiments.config.QueueSetup`, tuples) so that
-the round trip preserves the content-addressed cache key exactly::
+<config_to_dict(...)>}``. The ``kind`` is the config's cell-kind name in
+:mod:`repro.experiments.kinds` — the same registry
+:func:`~repro.experiments.runner.run_cell` resolves configs through — and
+:func:`config_from_dict` rebuilds the frozen dataclass from its own type
+hints (enums, nested dataclasses, tuples), so a newly registered kind
+needs nothing here and the round trip preserves the content-addressed
+cache key exactly::
 
     config_cache_key(config_from_dict(config_kind(c), config_to_dict(c)))
         == config_cache_key(c)
@@ -25,23 +27,19 @@ different clients against each other and against the on-disk cache.
 from __future__ import annotations
 
 import dataclasses
+import enum
+import functools
 import json
 import socket
+import typing
 from typing import Any, Dict, Iterator, Optional, Tuple, Type
 
-from repro.core.protection import ProtectionMode
 from repro.errors import ConfigError, FarmError
-from repro.experiments.bulkcell import BulkConfig
-from repro.experiments.config import ExperimentConfig, QueueSetup
-from repro.experiments.fixedk import FixedKConfig
-from repro.experiments.mix import MixConfig
-from repro.experiments.probe import StabilityProbeConfig
-from repro.tcp.endpoint import TcpVariant
+from repro.experiments.kinds import kind_for, kind_named
 from repro.telemetry.manifest import config_to_dict
 
 __all__ = [
     "PROTOCOL_SCHEMA",
-    "CONFIG_KINDS",
     "config_kind",
     "config_from_dict",
     "config_to_wire",
@@ -53,42 +51,41 @@ __all__ = [
 
 PROTOCOL_SCHEMA = "repro.farm_protocol/v1"
 
-#: ``kind`` string -> config dataclass. Order matters for
-#: :func:`config_kind` only in that subclasses (none today) would need
-#: to precede their bases.
-CONFIG_KINDS: Dict[str, type] = {
-    "cell": ExperimentConfig,
-    "mix": MixConfig,
-    "fixedk": FixedKConfig,
-    "probe": StabilityProbeConfig,
-    "bulk": BulkConfig,
-}
-
-_KIND_OF: Dict[type, str] = {cls: name for name, cls in CONFIG_KINDS.items()}
-
-#: Fields that deserialise through an enum constructor.
-_ENUM_FIELDS: Dict[str, type] = {
-    "variant": TcpVariant,
-    "protection": ProtectionMode,
-}
-
-#: Fields whose JSON list must come back as a tuple (frozen dataclasses
-#: hash their field values).
-_TUPLE_FIELDS = frozenset({"uplink_rates_bps"})
-
 
 def config_kind(config) -> str:
     """Registry name for a config instance (raises FarmError if unknown)."""
-    kind = _KIND_OF.get(type(config))
-    if kind is None:
-        raise FarmError(
-            f"unknown config type {type(config).__name__}; the farm knows "
-            f"{', '.join(sorted(CONFIG_KINDS))}")
-    return kind
+    try:
+        return kind_for(config).name
+    except ConfigError as exc:
+        raise FarmError(str(exc)) from exc
 
 
-def _queue_from_dict(d: Dict[str, Any]) -> QueueSetup:
-    return _rebuild(QueueSetup, d)
+def _decoder(hint):
+    """What undoes ``config_to_dict`` for a field typed ``hint`` (None when
+    the JSON value already is the field value)."""
+    origin = typing.get_origin(hint)
+    if origin is typing.Union:  # Optional[X]
+        alternatives = [a for a in typing.get_args(hint)
+                        if a is not type(None)]
+        return _decoder(alternatives[0]) if len(alternatives) == 1 else None
+    if origin is tuple:  # frozen dataclasses hash their field values
+        return tuple
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return hint  # calling the Enum class looks the value up
+    if dataclasses.is_dataclass(hint):
+        return functools.partial(_rebuild, hint)
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _field_decoders(cls: Type) -> Dict[str, Any]:
+    """Per-field decoder of a config dataclass, from its own type hints.
+
+    Cached per class: resolving string annotations costs ~100 µs, and the
+    scheduler decodes every submitted cell.
+    """
+    hints = typing.get_type_hints(cls)
+    return {f.name: _decoder(hints[f.name]) for f in dataclasses.fields(cls)}
 
 
 def _rebuild(cls: Type, d: Dict[str, Any]):
@@ -96,36 +93,28 @@ def _rebuild(cls: Type, d: Dict[str, Any]):
     if not isinstance(d, dict):
         raise FarmError(f"{cls.__name__} config must be an object, "
                         f"got {type(d).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(d) - names)
+    decoders = _field_decoders(cls)
+    unknown = sorted(set(d) - set(decoders))
     if unknown:
         raise FarmError(
             f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
     kwargs: Dict[str, Any] = {}
-    for name, value in d.items():
-        if value is not None:
-            if name == "queue":
-                value = _queue_from_dict(value)
-            elif name in _ENUM_FIELDS:
-                try:
-                    value = _ENUM_FIELDS[name](value)
-                except ValueError as exc:
-                    raise FarmError(str(exc)) from exc
-            elif name in _TUPLE_FIELDS:
-                value = tuple(value)
-        kwargs[name] = value
     try:
+        for name, value in d.items():
+            decode = decoders[name]
+            kwargs[name] = (value if decode is None or value is None
+                            else decode(value))
         return cls(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # bad field type / enum value
         raise FarmError(f"bad {cls.__name__} config: {exc}") from exc
 
 
 def config_from_dict(kind: str, d: Dict[str, Any]):
     """Rebuild and validate a config from its wire rendering."""
-    cls = CONFIG_KINDS.get(kind)
-    if cls is None:
-        raise FarmError(f"unknown config kind {kind!r}; known: "
-                        f"{', '.join(sorted(CONFIG_KINDS))}")
+    try:
+        cls = kind_named(kind).config_cls
+    except ConfigError as exc:
+        raise FarmError(str(exc)) from exc
     config = _rebuild(cls, d)
     try:
         config.validate()
@@ -212,13 +201,6 @@ def parse_lines(buf: bytearray) -> Tuple[list, bytearray]:
 def error_response(message: str, **extra: Any) -> Dict[str, Any]:
     """Uniform error envelope."""
     return {"ok": False, "error": message, **extra}
-
-
-def job_summary(job_id: str, state: str, counts: Dict[str, int],
-                priority: int, **extra: Any) -> Dict[str, Any]:
-    """Uniform job-status envelope (shared by status/submit responses)."""
-    return {"id": job_id, "state": state, "priority": priority,
-            "cells": counts, **extra}
 
 
 def make_request(op: str, **fields: Any) -> Dict[str, Any]:

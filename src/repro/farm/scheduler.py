@@ -41,7 +41,6 @@ killed worker costs exactly the cell it was running.
 from __future__ import annotations
 
 import heapq
-import json
 import os
 import selectors
 import signal
@@ -51,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import FarmError
-from repro.experiments.cache import CACHE_SCHEMA, ResultCache
+from repro.experiments.cache import ResultCache
 from repro.farm.journal import Journal
 from repro.farm.protocol import (
     PROTOCOL_SCHEMA,
@@ -240,7 +239,7 @@ class FarmScheduler:
                 # Trust the cache, not the record: a pruned cache entry
                 # means the work is genuinely gone and must re-run.
                 if unit is not None and unit.state in ("pending", "running"):
-                    if self._cache_has(unit.key):
+                    if self.cache.get_entry(unit.key) is not None:
                         self._unit_finished(unit, "executed")
             elif ev == "failed":
                 unit = self.units.get(rec.get("key", ""))
@@ -253,22 +252,6 @@ class FarmScheduler:
                     self._cancel_job(job, journal=False)
 
     # -- bookkeeping helpers -------------------------------------------------
-
-    def _cache_has(self, key: str) -> bool:
-        """Is a well-formed entry for ``key`` on disk right now?"""
-        try:
-            with open(os.path.join(self.cache.root, key + ".json")) as fh:
-                return json.load(fh).get("schema") == CACHE_SCHEMA
-        except (OSError, json.JSONDecodeError):
-            return False
-
-    def _cache_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(os.path.join(self.cache.root, key + ".json")) as fh:
-                entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return None
-        return entry if entry.get("schema") == CACHE_SCHEMA else None
 
     def _push(self, unit: ExecUnit) -> None:
         self._seq += 1
@@ -317,7 +300,7 @@ class FarmScheduler:
         # tick can declare the job done.
         for cell in cells:
             label, key = cell["label"], cell["key"]
-            if self._cache_has(key):
+            if self.cache.get_entry(key) is not None:
                 job.done[label] = "cached"
                 self._tick(job, label, ProgressReporter.CACHED_SUFFIX)
                 continue
@@ -476,7 +459,7 @@ class FarmScheduler:
             # (journal lost its tail, cache kept the result) and the
             # window where another client's identical cell finished
             # between submit and dispatch both land here.
-            if self._cache_has(unit.key):
+            if self.cache.get_entry(unit.key) is not None:
                 self.journal.append({"ev": "done", "key": unit.key})
                 self._unit_finished(unit, "cached")
                 continue
@@ -701,7 +684,7 @@ class FarmScheduler:
         results: Dict[str, Any] = {}
         missing: List[str] = []
         for label in job.labels:
-            entry = self._cache_entry(job.key_of[label])
+            entry = self.cache.get_entry(job.key_of[label])
             if entry is None:
                 missing.append(label)
             else:

@@ -204,8 +204,14 @@ def spawn_worker(interval_s: float = CHECKPOINT_INTERVAL_S, ctx=None,
         except ValueError:  # pragma: no cover - non-POSIX
             ctx = mp.get_context()
     parent_conn, child_conn = ctx.Pipe()
+    close_fds = tuple(close_fds)
+    if ctx.get_start_method() == "fork":
+        # The fork also inherits the scheduler's end of *this* pipe: left
+        # open, a SIGKILLed scheduler never reads as EOF in the worker,
+        # which then idles for ever.
+        close_fds += (parent_conn.fileno(),)
     proc = ctx.Process(target=worker_main,
-                       args=(child_conn, interval_s, tuple(close_fds)),
+                       args=(child_conn, interval_s, close_fds),
                        daemon=True)
     proc.start()
     child_conn.close()

@@ -98,6 +98,15 @@ def _wait_ping(client, timeout_s=10.0):
             time.sleep(0.05)
 
 
+def _subprocess_env():
+    """os.environ with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    return env
+
+
 def _wait(predicate, timeout_s=60.0, interval_s=0.02):
     deadline = time.time() + timeout_s
     while not predicate():
@@ -115,20 +124,15 @@ class TestProtocol:
         assert config_cache_key(back) == config_cache_key(cfg)
 
     def test_all_config_kinds_round_trip(self):
-        from repro.experiments.bulkcell import BulkConfig
-        from repro.experiments.fixedk import FixedKConfig
-        from repro.experiments.mix import MixConfig
-        from repro.experiments.probe import StabilityProbeConfig
+        from repro.experiments.kinds import kind_named, kind_names
+        from tests.test_cell_kinds import TINY
 
-        configs = [
-            MixConfig(queue=QueueSetup(kind="red", target_delay_s=us(200))),
-            FixedKConfig(),
-            StabilityProbeConfig(
-                queue=QueueSetup(kind="marking", target_delay_s=us(200))),
-            BulkConfig(),
-        ]
-        for cfg in configs:
+        assert set(TINY) == set(kind_names())
+        for name in kind_names():
+            cfg = TINY[name]
+            assert type(cfg) is kind_named(name).config_cls
             wire = json.loads(json.dumps(config_to_wire(cfg)))
+            assert wire["kind"] == name
             assert config_from_wire(wire) == cfg
 
     def test_unknown_kind_and_fields_rejected(self):
@@ -358,12 +362,17 @@ class TestFarmService:
 
     def test_resubmission_is_cache_served(self):
         cfg = tiny(QueueSetup(kind="droptail"))
-        with farm(workers=1) as (_sched, client):
+        with farm(workers=1) as (sched, client):
             first = client.submit([("x", cfg)])
             client.wait(first["id"], timeout=120)
+            hits = sched.cache.hits
             again = client.submit([("x", cfg)])
             assert again["state"] == "done"
             assert again["cells"]["cached"] == 1
+            # The scheduler reads through ResultCache, so a warm farm
+            # shows up in the cache's own counters and in `farm --stats`.
+            assert sched.cache.hits == hits + 1
+            assert client.stats()["cache"]["hits"] >= hits + 1
 
     def test_watch_streams_live_progress(self):
         cfg_a = tiny(QueueSetup(kind="droptail"))
@@ -439,16 +448,18 @@ class TestCrashResume:
     def test_scheduler_kill9_resumes_from_journal(self):
         """The honest test: kill -9 a real `repro serve` mid-sweep."""
         cells = [("cell/%d" % i, slow(seed=300 + i)) for i in range(3)]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src"),
-             env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+        env = _subprocess_env()
+
+        started = []
 
         def start(d):
+            # Own session: the finally block can killpg the scheduler
+            # *and* its workers whatever state the test left them in.
             proc = subprocess.Popen(
                 [sys.executable, "-m", "repro", "serve", "--farm-dir", d,
                  "--workers", "1", "--checkpoint-s", "0.005"],
-                env=env, stderr=subprocess.DEVNULL)
+                env=env, stderr=subprocess.DEVNULL, start_new_session=True)
+            started.append(proc)
             client = FarmClient(os.path.join(d, "farm.sock"))
             _wait_ping(client, timeout_s=30)
             return proc, client
@@ -491,9 +502,49 @@ class TestCrashResume:
                 proc.wait(timeout=60)
                 assert proc.returncode == 0
             finally:
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait(timeout=10)
+                for p in started:
+                    try:
+                        os.killpg(p.pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+                    p.wait(timeout=10)
+
+    def test_orphaned_worker_exits_when_its_scheduler_is_killed(self):
+        """A forked worker must not hold the scheduler's end of its own
+        pipe: after ``kill -9`` of the scheduler it has to see EOF."""
+        script = (
+            "import sys, time\n"
+            "from repro.farm.worker import spawn_worker\n"
+            "proc, conn = spawn_worker()\n"
+            "assert conn.recv() == {'ev': 'ready'}\n"
+            "print(proc.pid, flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = _subprocess_env()
+        holder = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                  stdout=subprocess.PIPE, text=True,
+                                  start_new_session=True)
+        try:
+            worker_pid = int(holder.stdout.readline())
+            os.kill(holder.pid, signal.SIGKILL)
+            holder.wait(timeout=10)
+
+            def gone():
+                try:
+                    with open(f"/proc/{worker_pid}/stat") as fh:
+                        # Exited, not yet reaped by whoever adopted it.
+                        state = fh.read().rsplit(")", 1)[1].split()[0]
+                        return state == "Z"
+                except FileNotFoundError:
+                    return True
+
+            _wait(gone, timeout_s=5)
+        finally:
+            try:
+                os.killpg(holder.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            holder.wait(timeout=10)
 
     def test_resume_tolerates_torn_journal_tail(self):
         cfg = tiny(QueueSetup(kind="droptail"))

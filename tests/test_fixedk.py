@@ -14,7 +14,6 @@ from repro.experiments.fixedk import (
     fixedk_smoke_cells,
     render_fixedk_table,
     render_regime_grid,
-    run_fixedk_cell,
 )
 from repro.experiments.runner import run_cell
 from repro.tcp.endpoint import TcpVariant
@@ -128,7 +127,7 @@ class TestGrid:
 
 class TestRun:
     def test_cell_produces_fixedk_manifest(self):
-        cell = run_fixedk_cell(tiny())
+        cell = run_cell(tiny())
         assert cell.manifest["kind"] == "fixedk-cell"
         fx = cell.manifest["fixedk"]
         assert fx["schema"] == "repro.fixedk/v1"
@@ -142,7 +141,7 @@ class TestRun:
         assert len(up["per_port"]) == 4
 
     def test_monitors_cover_uplinks_and_aggregator_downlink(self):
-        cell = run_fixedk_cell(tiny())
+        cell = run_cell(tiny())
         queues = {s.queue for s in cell.snapshots}
         assert "leaf0->spine0" in queues
         assert "spine0->leaf0" in queues
@@ -152,12 +151,12 @@ class TestRun:
         from repro.validate.smoke import fingerprint
 
         a = run_cell(tiny())       # via the run_cell dispatch branch
-        b = run_fixedk_cell(tiny())
+        b = run_cell(tiny())
         assert a.manifest["kind"] == "fixedk-cell"
         assert fingerprint(a) == fingerprint(b)
 
     def test_every_response_crosses_the_fabric(self):
-        cell = run_fixedk_cell(tiny())
+        cell = run_cell(tiny())
         up = cell.manifest["fixedk"]["uplinks"]
         rpc = cell.manifest["fixedk"]["rpc"]
         # Each completed response is >= response_bytes across the spine.
@@ -169,7 +168,7 @@ class TestReporting:
         results = {}
         for k in (8, 64):
             cfg = tiny(k_packets=k)
-            results[cfg.label()] = run_fixedk_cell(cfg)
+            results[cfg.label()] = run_cell(cfg)
         return results
 
     def test_regime_maps_and_renderers(self):

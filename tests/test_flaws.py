@@ -15,7 +15,7 @@ from repro.experiments.flaws import (
     flaws_grid,
     render_flaws_table,
 )
-from repro.experiments.probe import run_probe_cell
+from repro.experiments.runner import run_cell
 from repro.net.packet import ECN_CE, ECN_ECT0, ECN_NOT_ECT, FLAG_CWR, FLAG_ECE, FLAG_SYN, Packet
 from repro.sim import Simulator
 from repro.tcp import TcpConfig, TcpVariant
@@ -165,8 +165,8 @@ class TestFlawsCells:
         # flaw shows measurably higher time-averaged α and no higher
         # goodput than the corrected stack on the pinned tiny-buffer
         # incast (the CI smoke runs the full 1 s version of this).
-        fixed = run_probe_cell(flaws_cell(None, duration_s=0.3))
-        flawed = run_probe_cell(flaws_cell("coalesce", duration_s=0.3))
+        fixed = run_cell(flaws_cell(None, duration_s=0.3))
+        flawed = run_cell(flaws_cell("coalesce", duration_s=0.3))
         a_fixed = fixed.metrics.extra["dctcp_alpha_timeavg"]
         a_flawed = flawed.metrics.extra["dctcp_alpha_timeavg"]
         assert a_flawed > a_fixed * 1.01

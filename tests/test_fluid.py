@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.bulkcell import BulkConfig, run_bulk_cell
+from repro.experiments.bulkcell import BulkConfig
 from repro.experiments.config import ExperimentConfig, QueueSetup
 from repro.experiments.fidelity import BULK_TOLERANCES, compare_metrics
 from repro.experiments.runner import run_cell
@@ -119,7 +119,7 @@ class TestBulkHybrid:
         from repro.errors import ExperimentError
 
         with pytest.raises(ExperimentError):
-            run_bulk_cell(BulkConfig(sim_horizon_s=0.001))
+            run_cell(BulkConfig(sim_horizon_s=0.001))
 
 
 class TestHybridNoOp:

@@ -1,5 +1,5 @@
 """Tests for the mixed-cluster coexistence experiment layer
-(MixConfig / run_mix_cell / mix_grid) and its CLI verb."""
+(MixConfig / the "mix" cell kind / mix_grid) and its CLI verb."""
 
 import dataclasses
 import json
@@ -16,7 +16,6 @@ from repro.experiments import (
     run_cells,
 )
 from repro.experiments.cache import ResultCache
-from repro.experiments.mix import run_mix_cell
 from repro.tcp import TcpVariant
 from repro.units import mb, us
 
@@ -43,7 +42,7 @@ def strip_wallclock(manifest):
 
 class TestMixCell:
     def test_manifest_workload_buckets(self):
-        cell = run_mix_cell(tiny_config())
+        cell = run_cell(tiny_config())
         wl = cell.manifest["workloads"]
         assert set(wl) == {"shuffle", "rpc", "background"}
         rpc = wl["rpc"]
@@ -62,12 +61,12 @@ class TestMixCell:
             assert bg["slowdown"]["minimum"] >= 1.0
 
     def test_manifest_is_json_serialisable(self):
-        cell = run_mix_cell(tiny_config())
+        cell = run_cell(tiny_config())
         json.dumps(cell.manifest)
 
     def test_back_to_back_runs_bit_identical(self):
         cfg = tiny_config()
-        a, b = run_mix_cell(cfg), run_mix_cell(cfg)
+        a, b = run_cell(cfg), run_cell(cfg)
         assert dataclasses.asdict(a.metrics) == dataclasses.asdict(b.metrics)
         assert strip_wallclock(a.manifest) == strip_wallclock(b.manifest)
 
@@ -75,8 +74,8 @@ class TestMixCell:
         from repro.validate.smoke import build_suite
 
         cfg = tiny_config()
-        plain = run_mix_cell(cfg)
-        armed = run_mix_cell(cfg, checks=build_suite(cfg))
+        plain = run_cell(cfg)
+        armed = run_cell(cfg, checks=build_suite(cfg))
         assert armed.manifest["validation"]["ok"]
         assert dataclasses.asdict(plain.metrics) == dataclasses.asdict(
             armed.metrics)
@@ -84,8 +83,8 @@ class TestMixCell:
                 == armed.manifest["workloads"])
 
     def test_seed_changes_results(self):
-        a = run_mix_cell(tiny_config(seed=1))
-        b = run_mix_cell(tiny_config(seed=2))
+        a = run_cell(tiny_config(seed=1))
+        b = run_cell(tiny_config(seed=2))
         assert a.manifest["workloads"] != b.manifest["workloads"]
 
     def test_run_cell_dispatches_mixconfig(self):
@@ -95,7 +94,7 @@ class TestMixCell:
         assert cell.manifest["kind"] == "mix-cell"
 
     def test_rpc_extra_metrics(self):
-        cell = run_mix_cell(tiny_config())
+        cell = run_cell(tiny_config())
         extra = cell.metrics.extra
         assert "rpc_deadline_miss_rate" in extra
         assert extra["rpc_queries_completed"] > 0

@@ -5,8 +5,12 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments import ExperimentConfig, QueueSetup
-from repro.experiments.multirack import MultiRackConfig, run_multirack_cell
+from repro.experiments import (
+    ExperimentConfig,
+    MultiRackConfig,
+    QueueSetup,
+    run_cell,
+)
 from repro.tcp import TcpVariant
 from repro.units import gbps, mb, us
 
@@ -54,26 +58,26 @@ class TestConfig:
 
 class TestRuns:
     def test_droptail_completes(self):
-        cell = run_multirack_cell(tiny_cell())
+        cell = run_cell(tiny_cell())
         assert cell.metrics.runtime > 0
         assert cell.metrics.extra["timed_out"] == 0.0
 
     def test_marking_lowest_latency(self):
-        dt = run_multirack_cell(tiny_cell())
-        mk = run_multirack_cell(tiny_cell(
+        dt = run_cell(tiny_cell())
+        mk = run_cell(tiny_cell(
             queue=QueueSetup(kind="marking", target_delay_s=us(100)),
             variant=TcpVariant.DCTCP,
         ))
         assert mk.metrics.mean_latency < dt.metrics.mean_latency
 
     def test_deterministic(self):
-        a = run_multirack_cell(tiny_cell())
-        b = run_multirack_cell(tiny_cell())
+        a = run_cell(tiny_cell())
+        b = run_cell(tiny_cell())
         assert a.metrics.runtime == b.metrics.runtime
 
     def test_oversubscription_slows_shuffle(self):
-        fast = run_multirack_cell(tiny_cell(oversubscription=1.0))
-        slow = run_multirack_cell(tiny_cell(oversubscription=4.0))
+        fast = run_cell(tiny_cell(oversubscription=1.0))
+        slow = run_cell(tiny_cell(oversubscription=4.0))
         assert slow.metrics.runtime > fast.metrics.runtime
 
 
@@ -84,12 +88,12 @@ class TestUplinkMonitoring:
     def test_snapshots_cover_uplink_queues(self):
         cfg = tiny_cell()
         cfg = replace(cfg, base=replace(cfg.base, monitor_interval_s=0.001))
-        cell = run_multirack_cell(cfg)
+        cell = run_cell(cfg)
         assert cell.snapshots
         queues = {s.queue for s in cell.snapshots}
         assert any("spine" in q for q in queues)  # uplinks observed
         assert any(q.startswith("leaf") and "->h" in q for q in queues)
 
     def test_no_monitoring_without_interval(self):
-        cell = run_multirack_cell(tiny_cell())
+        cell = run_cell(tiny_cell())
         assert cell.snapshots == []
