@@ -21,30 +21,27 @@ Subcommands regenerate each paper artifact:
   ``--baseline PATH`` gates regressions (``--quick`` is the CI smoke
   mode); ``--compare A B`` renders a side-by-side table of two
   committed reports' normalized macro times without running anything
-* ``fluid`` — validate the hybrid fluid/packet fidelity tier
-  (``fidelity="hybrid"`` on a cell config): bit-identity to packet mode
-  where no flow qualifies, pinned RunMetrics tolerances on the bulk
-  pairs cell where the fluid recurrence carries most bytes, and
-  bit-exact determinism with the invariant checkers armed (``--smoke``
-  is the CI mode)
+* ``smoke`` — run the pinned CI smoke gates (``repro smoke [NAME…]``; no
+  names = all seven; ``--json PATH`` writes the ``repro.smoke/v1``
+  reports): every gate replays its cells plain, plain again and with the
+  invariant checkers armed, and must stay bit-identical — see DESIGN.md
+  "Smoke gates"
 * ``check`` — arm the simulation invariant checkers (packet
   conservation, queue accounting, TCP sequence space, event engine) on
   representative figure cells, verify armed runs are bit-identical to
-  unarmed ones, and fuzz randomized scenarios (``--smoke`` is the CI
-  mode; failing scenarios are shrunk to a minimal repro dict)
+  unarmed ones, and fuzz randomized scenarios (failing scenarios are
+  shrunk to a minimal repro dict)
 * ``stability`` — the stability observatory: sweep one control-loop
   parameter (ECN threshold K via target delay, or the DCTCP gain) with
   steady-state incast probe cells, classify each point as stable /
   limit-cycle / chaotic-irregular, automatically refine the grid near
   regime boundaries, and write the stability map as SVG + JSON
-  (``--smoke`` pins one oscillating and one damped cell for CI)
 * ``fixedk`` — the Fixed-K ECN study: single-threshold RED
   (``min_th == max_th == K``) on the leaf–spine fabric under
   partition-aggregate incast, swept over K × offered load × fan-in ×
   protection mode × transport; prints the FCT-slowdown-vs-K table and
   ASCII K-vs-load regime grids, and writes one regime-map SVG per
-  (variant, protection, fan-in) slice (``--smoke`` replays a pinned
-  8-cell mini-grid bit-for-bit for CI)
+  (variant, protection, fan-in) slice
 * ``serve`` — run the sweep-farm scheduler: a daemonized job-queue
   service (result cache + crash-safe journal + artifact store + N
   worker processes) answering submit/status/results/cancel/watch as
@@ -53,8 +50,7 @@ Subcommands regenerate each paper artifact:
 * ``farm`` — sweep-farm client: submit the target-delay grids to a
   running ``serve`` (``--priority`` jumps the queue, preempting
   lower-priority cells at their next event-loop checkpoint), stream
-  live progress, fetch results, cancel jobs, or run the ``--smoke``
-  CI gate against a throwaway farm
+  live progress, fetch results, or cancel jobs
 * ``cache`` — inspect a content-addressed result cache: list entries
   with label/size/age, ``--stats``, and ``--prune-age HOURS`` /
   ``--keep-grid`` hygiene (corrupt entries and stale ``*.tmp`` files
@@ -62,9 +58,7 @@ Subcommands regenerate each paper artifact:
 * ``flaws`` — the Linux-DCTCP flaws pack: re-run one pinned tiny-buffer
   incast cell with each Misund endpoint flaw (delayed-ACK mark
   coalescing, ECT retransmits, α-freeze across RTO) re-enabled and print
-  the flawed-vs-corrected comparison table (``--smoke`` replays every
-  profile bit-for-bit, checkers armed, and gates on the flawed α
-  exceeding the corrected α)
+  the flawed-vs-corrected comparison table
 
 ``--scale`` shrinks the Terasort dataset for quick looks (1.0 = the 256 MB
 reference configuration; 0.25 runs in roughly a quarter of the time).
@@ -105,8 +99,14 @@ __all__ = ["main"]
 
 
 def _progress(done: int, total: int, label: str) -> None:
-    # Kept for API stability; sweeps below use a ProgressReporter (adds ETA).
+    # Progress callback of fig2-4 / claims / report (unless --quiet); the
+    # grid verbs use a ProgressReporter instead (adds ETA).
     print(f"  [{done:3d}/{total}] {label}", file=sys.stderr)
+
+
+def _say(msg: str) -> None:
+    # Progress line of the smoke gates and `check` (unless --quiet).
+    print(f"  {msg}", file=sys.stderr)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -124,12 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("tables", help="print Tables I and II")
+    sub.add_parser("tables", help="print Tables I and II").set_defaults(
+        handler=_cmd_tables)
 
     p1 = sub.add_parser("fig1", help="queue snapshot + ACK drop asymmetry")
     p1.add_argument("--svg", metavar="PATH",
                     help="also write the figure as an SVG file")
     _add_common(p1)
+    p1.set_defaults(handler=_cmd_fig1)
 
     for name, help_text in (
         ("fig2", "Hadoop runtime vs target delay"),
@@ -145,17 +147,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for the underlying sweep "
                             "(default 1 = serial; results are identical)")
         _add_common(p)
+        p.set_defaults(handler=_cmd_figure)
 
     pc = sub.add_parser("claims", help="check paper claims C1-C6")
     pc.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="worker processes for the underlying sweeps")
     _add_common(pc)
+    pc.set_defaults(handler=_cmd_claims)
 
     pr = sub.add_parser("report", help="write EXPERIMENTS.md")
     pr.add_argument("--out", default="EXPERIMENTS.md", help="output path")
     pr.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="worker processes for the underlying sweeps")
     _add_common(pr)
+    pr.set_defaults(handler=_cmd_report)
 
     def _add_cell_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--queue",
@@ -198,16 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     psweep.add_argument("--limit", type=int, default=None, metavar="N",
                         help="run only the first N cells (smoke tests)")
     _add_common(psweep)
+    psweep.set_defaults(handler=_cmd_sweep)
 
     pmix = sub.add_parser(
         "mix",
         help="mixed-cluster coexistence: Terasort shuffle + "
              "partition-aggregate RPC + background flows per queue scheme")
-    pmix.add_argument("--smoke", action="store_true",
-                      help="CI mode: one tiny coexistence cell, run "
-                           "back-to-back (plain twice, then with the "
-                           "validation checkers armed) and compared "
-                           "bit-for-bit")
     pmix.add_argument("--jobs", type=int, default=1, metavar="N",
                       help="worker processes (default 1 = serial)")
     pmix.add_argument("--cache-dir", metavar="DIR",
@@ -216,23 +217,25 @@ def build_parser() -> argparse.ArgumentParser:
     pmix.add_argument("--resume", action="store_true",
                       help="skip cells already present in --cache-dir")
     pmix.add_argument("--manifest", metavar="PATH",
-                      help="write the run manifest as JSON (--smoke "
-                           "default: mix_smoke_manifest.json)")
+                      help="write the merged sweep manifest as JSON")
     pmix.add_argument("--limit", type=int, default=None, metavar="N",
                       help="run only the first N grid cells")
     _add_common(pmix)
+    pmix.set_defaults(handler=_cmd_mix)
 
     pcell = sub.add_parser("cell", help="run one configuration")
     pcell.add_argument("--json", nargs="?", const="-", metavar="PATH",
                        help="emit the run manifest as JSON to PATH "
                             "(default: stdout) instead of the text summary")
     _add_cell_options(pcell)
+    pcell.set_defaults(handler=_cmd_cell)
 
     pprof = sub.add_parser(
         "profile", help="profile the event loop over one configuration")
     pprof.add_argument("--json", nargs="?", const="-", metavar="PATH",
                        help="emit the profile report as JSON")
     _add_cell_options(pprof)
+    pprof.set_defaults(handler=_cmd_profile)
 
     ptrace = sub.add_parser(
         "trace", help="export a JSONL event trace of one configuration")
@@ -246,18 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also sample queue composition on this period "
                              "(emits queue.sample records)")
     _add_cell_options(ptrace)
+    ptrace.set_defaults(handler=_cmd_trace)
 
     pcheck = sub.add_parser(
         "check",
         help="arm the simulation invariant checkers on representative "
              "figure cells (plus a randomized scenario fuzz sweep) and "
              "verify armed runs stay bit-identical")
-    pcheck.add_argument("--smoke", action="store_true",
-                        help="CI mode: fewer cells and a shorter fuzz "
-                             "sweep")
-    pcheck.add_argument("--fuzz", type=int, default=None, metavar="N",
-                        help="randomized scenarios to run (default: 50, "
-                             "or 10 with --smoke; 0 disables fuzzing)")
+    pcheck.add_argument("--fuzz", type=int, default=50, metavar="N",
+                        help="randomized scenarios to run (default 50; "
+                             "0 disables fuzzing)")
     pcheck.add_argument("--checkers", default=",".join(
                             "conservation queues tcp engine".split()),
                         help="comma-separated checker subset (default: "
@@ -273,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     pcheck.add_argument("--seed", type=int, default=42, help="master seed")
     pcheck.add_argument("--quiet", action="store_true",
                         help="suppress progress")
+    pcheck.set_defaults(handler=_cmd_check)
 
     pstab = sub.add_parser(
         "stability",
@@ -281,12 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(stable / limit-cycle / chaotic-irregular), refine the "
              "grid near regime boundaries, and write the stability map "
              "(SVG + JSON)")
-    pstab.add_argument("--smoke", action="store_true",
-                       help="CI mode: classify one pinned oscillating "
-                            "and one pinned damped cell, each run twice "
-                            "plain and once with the validation checkers "
-                            "armed; classifications, stability blocks "
-                            "and run fingerprints must all match")
     pstab.add_argument("--axis", choices=["target-delay", "dctcp-g"],
                        default="target-delay",
                        help="parameter to sweep (target-delay sets the "
@@ -324,12 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     pstab.add_argument("--json", metavar="PATH", default="stability_map.json",
                        help="stability-map JSON path "
                             "(default stability_map.json)")
-    pstab.add_argument("--manifest", metavar="PATH",
-                       help="--smoke: write the smoke manifest here "
-                            "(default stability_smoke_manifest.json)")
     pstab.add_argument("--seed", type=int, default=42, help="probe seed")
     pstab.add_argument("--quiet", action="store_true",
                        help="suppress progress")
+    pstab.set_defaults(handler=_cmd_stability)
 
     pfk = sub.add_parser(
         "fixedk",
@@ -338,12 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
              "x fan-in x protection mode x transport under "
              "partition-aggregate incast; report FCT-slowdown tails, "
              "uplink ACK loss, and K-vs-load regime maps")
-    pfk.add_argument("--smoke", action="store_true",
-                     help="CI mode: a pinned 8-cell mini-grid (2 K values "
-                          "x 2 fan-ins x 2 protection modes), each cell "
-                          "run back-to-back (plain twice, then with the "
-                          "validation checkers armed) and compared "
-                          "bit-for-bit")
     pfk.add_argument("--k-values", default=None, metavar="K1,K2,...",
                      help="marking thresholds in packets "
                           "(default 4,8,16,32,64)")
@@ -367,33 +355,27 @@ def build_parser() -> argparse.ArgumentParser:
                           "PREFIX_<slice>.svg (default fixedk_regime; "
                           "empty string disables)")
     pfk.add_argument("--manifest", metavar="PATH",
-                     help="write the run manifest as JSON (--smoke "
-                          "default: fixedk_smoke_manifest.json)")
+                     help="write the merged sweep manifest (plus the "
+                          "regime maps) as JSON")
     pfk.add_argument("--seed", type=int, default=42, help="cell seed")
     pfk.add_argument("--quiet", action="store_true",
                      help="suppress progress")
+    pfk.set_defaults(handler=_cmd_fixedk)
 
     pflaws = sub.add_parser(
         "flaws",
         help="Linux-DCTCP flaws pack: flawed vs corrected endpoint "
              "fidelity on one pinned tiny-buffer incast cell")
-    pflaws.add_argument("--smoke", action="store_true",
-                        help="CI mode: run every profile back-to-back "
-                             "(plain twice, then checkers armed), compare "
-                             "bit-for-bit and gate on the flawed-vs-fixed "
-                             "α ordering")
     pflaws.add_argument("--duration-s", type=float, default=1.0,
                         metavar="S",
                         help="simulated horizon per profile (default 1.0)")
     pflaws.add_argument("--json", nargs="?", const="-", metavar="PATH",
                         help="emit the comparison rows as JSON to PATH "
                              "(default: stdout)")
-    pflaws.add_argument("--manifest", metavar="PATH",
-                        help="write the run manifest as JSON (--smoke "
-                             "default: flaws_smoke_manifest.json)")
     pflaws.add_argument("--seed", type=int, default=42, help="cell seed")
     pflaws.add_argument("--quiet", action="store_true",
                         help="suppress progress")
+    pflaws.set_defaults(handler=_cmd_flaws)
 
     pbench = sub.add_parser(
         "bench",
@@ -422,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "instead of running the suite; exit 1 when B "
                              "regresses past --tolerance on any shared "
                              "macro cell")
+    pbench.set_defaults(handler=_cmd_bench)
 
     pserve = sub.add_parser(
         "serve",
@@ -444,20 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="S",
                         help="simulated seconds between preemption "
                              "checkpoints in workers (default 0.25)")
+    pserve.set_defaults(handler=_cmd_serve)
 
     pfarm = sub.add_parser(
         "farm",
         help="sweep-farm client: submit grids to, and inspect, a running "
-             "`repro serve` instance (--smoke runs the self-contained CI "
-             "gate: ephemeral farm, two clients, shared-config dedup, "
-             "streamed progress, cache-served resubmission, clean "
-             "shutdown)")
+             "`repro serve` instance")
     pfarm.add_argument("--socket", metavar="PATH",
                        help="the farm's Unix socket "
                             "(<farm-dir>/farm.sock)")
-    pfarm.add_argument("--smoke", action="store_true",
-                       help="run the CI gate against a throwaway farm "
-                            "(no --socket needed)")
     pfarm.add_argument("--ping", action="store_true",
                        help="liveness check")
     pfarm.add_argument("--stats", action="store_true",
@@ -490,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     pfarm.add_argument("--shutdown", action="store_true",
                        help="drain in-flight cells and stop the farm")
     _add_common(pfarm)
+    pfarm.set_defaults(handler=_cmd_farm)
 
     pcache = sub.add_parser(
         "cache",
@@ -516,22 +495,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report what would be pruned without "
                              "deleting anything")
     _add_common(pcache)
+    pcache.set_defaults(handler=_cmd_cache)
 
-    pfluid = sub.add_parser(
-        "fluid",
-        help="validate the hybrid fluid/packet fidelity tier: hybrid runs "
-             "must be bit-identical to packet mode on cells where no flow "
-             "qualifies, match packet RunMetrics within pinned tolerances "
-             "on the bulk pairs cell, and stay deterministic with the "
-             "invariant checkers armed")
-    pfluid.add_argument("--smoke", action="store_true",
-                        help="CI mode (currently the only mode; the flag "
-                             "is accepted for symmetry with other verbs)")
-    pfluid.add_argument("--manifest", metavar="PATH",
-                        help="write the gate manifest as JSON "
-                             "(default: fluid_smoke_manifest.json)")
-    pfluid.add_argument("--quiet", action="store_true",
+    from repro.validate.smoke import GATES
+
+    psmoke = sub.add_parser(
+        "smoke",
+        help="run the pinned CI smoke gates: each replays its cells plain, "
+             "plain again and with the invariant checkers armed, and must "
+             "stay bit-identical with zero violations (plus its own checks)",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="gates:\n" + "\n".join(
+            f"  {g.name:<10} {g.description}" for g in GATES.values()))
+    psmoke.add_argument("names", nargs="*", metavar="NAME",
+                        help="gates to run (default: all, in table order)")
+    psmoke.add_argument("--json", metavar="PATH",
+                        help="write the repro.smoke/v1 reports as JSON")
+    psmoke.add_argument("--quiet", action="store_true",
                         help="suppress progress")
+    psmoke.set_defaults(handler=_cmd_gates)
 
     return parser
 
@@ -554,20 +536,25 @@ def _cell_config(args: argparse.Namespace) -> ExperimentConfig:
     ).scaled(args.scale)
 
 
+def _write_text(dest: str, text: str) -> int:
+    """Write ``text`` to the file ``dest``; returns an exit code."""
+    try:
+        with open(dest, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {dest}: {exc.strerror}", file=sys.stderr)
+        return 1
+    print(f"wrote {dest}", file=sys.stderr)
+    return 0
+
+
 def _emit_json(payload, dest: str) -> int:
     """Write JSON to a path or stdout (dest '-'); returns an exit code."""
     text = json.dumps(payload, indent=2)
     if dest == "-":
         print(text)
         return 0
-    try:
-        with open(dest, "w") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {dest}: {exc.strerror}", file=sys.stderr)
-        return 1
-    print(f"wrote {dest}", file=sys.stderr)
-    return 0
+    return _write_text(dest, text + "\n")
 
 
 def _open_grid(verb: str, args: argparse.Namespace, build):
@@ -629,6 +616,56 @@ def _grid_manifest(report, **fields) -> dict:
     )
 
 
+def _cmd_tables(args: argparse.Namespace) -> int:
+    print(render_table1())
+    print()
+    print(render_table2())
+    return 0
+
+
+def _cmd_fig1(args: argparse.Namespace) -> int:
+    data = fig1_queue_snapshot(args.scale, args.seed)
+    print(render_fig1(data))
+    if args.svg:
+        from repro.plotting import queue_snapshot_to_svg
+
+        return _write_text(args.svg, queue_snapshot_to_svg(
+            data.snapshot, data.mark_threshold_packets))
+    return 0
+
+
+def _cmd_figure(args: argparse.Namespace) -> int:
+    fn = {"fig2": fig2_runtime, "fig3": fig3_throughput,
+          "fig4": fig4_latency}[args.command]
+    if args.jobs < 1:
+        print(f"{args.command}: --jobs must be >= 1 (got {args.jobs})",
+              file=sys.stderr)
+        return 2
+    fig = fn(args.deep, args.scale, args.seed,
+             progress=None if args.quiet else _progress, jobs=args.jobs)
+    print(render_figure(fig))
+    if args.svg:
+        from repro.plotting import figure_to_svg
+
+        return _write_text(args.svg, figure_to_svg(fig))
+    return 0
+
+
+def _cmd_claims(args: argparse.Namespace) -> int:
+    print(render_claims(check_claims(
+        args.scale, args.seed, progress=None if args.quiet else _progress,
+        jobs=args.jobs)))
+    return 0
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    write_experiments_md(args.out, args.scale, args.seed,
+                         progress=None if args.quiet else _progress,
+                         jobs=args.jobs)
+    print(f"wrote {args.out}")
+    return 0
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.grids import grid_cells
     from repro.experiments.parallel import run_cells
@@ -652,77 +689,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Smoke-mode dataset scale for ``mix --smoke`` (4 MB shuffle).
-MIX_SMOKE_SCALE = 1.0 / 16.0
-
-
-def _mix_fingerprint(cell) -> dict:
-    """Run digest for a mix cell: metrics digest + per-workload buckets."""
-    from repro.validate.smoke import fingerprint
-
-    return {**fingerprint(cell), "workloads": cell.manifest["workloads"]}
-
-
-def _cmd_mix_smoke(args: argparse.Namespace) -> int:
-    from repro.experiments.mix import MixConfig
-    from repro.validate.smoke import build_suite
-
-    cfg = MixConfig(
-        queue=QueueSetup(kind="red", target_delay_s=us(200)),
-        variant=TcpVariant.ECN,
-        n_hosts=8,
-        n_reducers=4,
-        rpc_fanout=4,
-        rpc_rate_qps=100.0,
-        bg_rate_fps=20.0,
-        seed=args.seed,
-    ).scaled(MIX_SMOKE_SCALE * args.scale)
-
-    t0 = time.time()
-    first = run_cell(cfg)
-    second = run_cell(cfg)
-    armed = run_cell(cfg, checks=build_suite(cfg))
-    fp = _mix_fingerprint(first)
-    identical_plain = fp == _mix_fingerprint(second)
-    identical_armed = fp == _mix_fingerprint(armed)
-    validation = armed.manifest["validation"]
-
-    wl = first.manifest["workloads"]
-    rpc, bg = wl["rpc"], wl["background"]
-    print(f"cell     : {cfg.label()}")
-    print(f"shuffle  : runtime {fmt_time(first.metrics.runtime)}  "
-          f"{wl['shuffle']['flows']} flows")
-    print(f"rpc      : {rpc['queries_completed']} queries  "
-          f"miss rate {rpc['deadline_miss_rate']:.2%}  "
-          f"qct p99 {fmt_time(rpc['qct_s']['p99'])}")
-    print(f"backgrnd : {bg['flows']} flows  "
-          f"slowdown p99 {bg['slowdown']['p99']:.2f}x")
-    print(f"replay   : plain {'identical' if identical_plain else 'DIVERGED'}"
-          f"  armed {'identical' if identical_armed else 'DIVERGED'}")
-    print(f"checkers : {'ok' if validation['ok'] else 'VIOLATIONS'} "
-          f"({validation['violation_count']} violations)")
-    print(f"(wall time {time.time() - t0:.1f}s)")
-
-    manifest_path = args.manifest or "mix_smoke_manifest.json"
-    payload = dict(first.manifest)
-    payload["smoke"] = {
-        "identical_plain_rerun": identical_plain,
-        "identical_armed_rerun": identical_armed,
-        "validation_ok": bool(validation["ok"]),
-    }
-    rc = _emit_json(payload, manifest_path)
-    if rc != 0:
-        return rc
-    ok = identical_plain and identical_armed and bool(validation["ok"])
-    return 0 if ok else 1
-
-
 def _cmd_mix(args: argparse.Namespace) -> int:
     from repro.experiments.mix import mix_grid, render_mix_table
     from repro.experiments.parallel import run_cells
 
-    if args.smoke:
-        return _cmd_mix_smoke(args)
     opened = _open_grid("mix", args,
                         lambda: mix_grid(args.scale, args.seed))
     if isinstance(opened, int):
@@ -749,66 +719,6 @@ _STABILITY_GRIDS = {
 }
 
 
-def _cmd_stability_smoke(args: argparse.Namespace) -> int:
-    from repro.analysis.stability import StabilityAnalysis
-    from repro.validate.smoke import (
-        build_suite,
-        fingerprint,
-        stability_smoke_cells,
-    )
-
-    sa = StabilityAnalysis()
-    t0 = time.time()
-    ok = True
-    reports = []
-    for name, expected, cfg in stability_smoke_cells(args.seed):
-        first = run_cell(cfg, analyses=[sa])
-        second = run_cell(cfg, analyses=[sa])
-        armed = run_cell(cfg, checks=build_suite(cfg), analyses=[sa])
-        blocks = [json.dumps(c.manifest["stability"], sort_keys=True)
-                  for c in (first, second, armed)]
-        identical_blocks = blocks[0] == blocks[1] == blocks[2]
-        fp = fingerprint(first)
-        identical_fp = fp == fingerprint(second) == fingerprint(armed)
-        got = first.manifest["stability"]["classification"]
-        validation = armed.manifest["validation"]
-        cell_ok = (identical_blocks and identical_fp and got == expected
-                   and bool(validation["ok"]))
-        ok = ok and cell_ok
-        dom = first.manifest["stability"]["dominant_queue"]
-        print(f"cell {name:<12}: {cfg.label()}")
-        print(f"  regime    : {got} (expected {expected}) "
-              f"{'ok' if got == expected else 'MISMATCH'}")
-        print(f"  dominant  : {dom}")
-        print(f"  replay    : blocks "
-              f"{'identical' if identical_blocks else 'DIVERGED'}  "
-              f"fingerprints "
-              f"{'identical' if identical_fp else 'DIVERGED'}")
-        print(f"  checkers  : {'ok' if validation['ok'] else 'VIOLATIONS'} "
-              f"({validation['violation_count']} violations)")
-        reports.append({
-            "name": name,
-            "label": cfg.label(),
-            "expected": expected,
-            "classification": got,
-            "identical_blocks": identical_blocks,
-            "identical_fingerprints": identical_fp,
-            "validation_ok": bool(validation["ok"]),
-            "stability": first.manifest["stability"],
-        })
-    print(f"stability --smoke: {'OK' if ok else 'FAILED'} "
-          f"(wall time {time.time() - t0:.1f}s)")
-
-    payload = {
-        "schema": "repro.stability_smoke/v1",
-        "ok": ok,
-        "seed": args.seed,
-        "cells": reports,
-    }
-    rc = _emit_json(payload, args.manifest or "stability_smoke_manifest.json")
-    return rc or (0 if ok else 1)
-
-
 def _cmd_stability(args: argparse.Namespace) -> int:
     from repro.errors import ExperimentError
     from repro.experiments.bifurcation import (
@@ -816,9 +726,6 @@ def _cmd_stability(args: argparse.Namespace) -> int:
         run_bifurcation,
     )
     from repro.experiments.probe import StabilityProbeConfig
-
-    if args.smoke:
-        return _cmd_stability_smoke(args)
 
     def axis_values():
         if args.rounds < 0:
@@ -864,148 +771,11 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     if args.svg:
         from repro.plotting import regime_map_to_svg
 
-        try:
-            with open(args.svg, "w") as fh:
-                fh.write(regime_map_to_svg(m))
-        except OSError as exc:
-            print(f"error: cannot write {args.svg}: {exc.strerror}",
-                  file=sys.stderr)
-            return 1
-        print(f"wrote {args.svg}", file=sys.stderr)
+        return _write_text(args.svg, regime_map_to_svg(m))
     return 0
 
 
-def _fixedk_fingerprint(cell) -> dict:
-    """Run digest for a fixedk cell: metrics digest + the fixedk block."""
-    from repro.validate.smoke import fingerprint
-
-    return {**fingerprint(cell), "fixedk": cell.manifest["fixedk"]}
-
-
-def _cmd_fixedk_smoke(args: argparse.Namespace) -> int:
-    from repro.experiments.fixedk import fixedk_smoke_cells
-    from repro.validate.smoke import build_suite
-
-    t0 = time.time()
-    ok = True
-    reports = []
-    for label, cfg in fixedk_smoke_cells(args.seed):
-        first = run_cell(cfg)
-        second = run_cell(cfg)
-        armed = run_cell(cfg, checks=build_suite(cfg))
-        fp = _fixedk_fingerprint(first)
-        identical_plain = fp == _fixedk_fingerprint(second)
-        identical_armed = fp == _fixedk_fingerprint(armed)
-        validation = armed.manifest["validation"]
-        cell_ok = (identical_plain and identical_armed
-                   and bool(validation["ok"]))
-        ok = ok and cell_ok
-
-        fx = first.manifest["fixedk"]
-        rpc, up = fx["rpc"], fx["uplinks"]
-        print(f"cell {label}")
-        print(f"  rpc       : {rpc['queries_completed']} queries  "
-              f"qct p99 {fmt_time(rpc['qct_s']['p99'])}  "
-              f"slowdown p99 {rpc['responses']['slowdown']['p99']:.1f}x")
-        print(f"  uplinks   : ack loss {up['ack_loss_rate']:.2%}  "
-              f"marks {up['marks']}  tail drops {up['drops_tail']}")
-        print(f"  replay    : plain "
-              f"{'identical' if identical_plain else 'DIVERGED'}  armed "
-              f"{'identical' if identical_armed else 'DIVERGED'}")
-        print(f"  checkers  : {'ok' if validation['ok'] else 'VIOLATIONS'} "
-              f"({validation['violation_count']} violations)")
-        reports.append({
-            "label": label,
-            "identical_plain_rerun": identical_plain,
-            "identical_armed_rerun": identical_armed,
-            "validation_ok": bool(validation["ok"]),
-            "fixedk": fx,
-        })
-    print(f"fixedk --smoke: {'OK' if ok else 'FAILED'} "
-          f"(wall time {time.time() - t0:.1f}s)")
-
-    payload = {
-        "schema": "repro.fixedk_smoke/v1",
-        "ok": ok,
-        "seed": args.seed,
-        "cells": reports,
-    }
-    rc = _emit_json(payload, args.manifest or "fixedk_smoke_manifest.json")
-    return rc or (0 if ok else 1)
-
-
-def _cmd_flaws_smoke(args: argparse.Namespace) -> int:
-    from repro.experiments.flaws import (
-        FLAWS_PROFILES,
-        flaws_cell,
-        render_flaws_table,
-        _row,
-    )
-    from repro.validate.smoke import build_suite, fingerprint
-
-    t0 = time.time()
-    ok = True
-    reports = []
-    rows = []
-    for profile in FLAWS_PROFILES:
-        cfg = flaws_cell(profile, seed=args.seed,
-                         duration_s=args.duration_s)
-        first = run_cell(cfg)
-        second = run_cell(cfg)
-        armed = run_cell(cfg, checks=build_suite(cfg))
-        fp = fingerprint(first)
-        identical = fp == fingerprint(second) == fingerprint(armed)
-        validation = armed.manifest["validation"]
-        cell_ok = identical and bool(validation["ok"])
-        ok = ok and cell_ok
-        row = _row(profile, first)
-        rows.append(row)
-        print(f"cell {row['profile']:<14}: {cfg.label()}")
-        print(f"  alpha     : timeavg {row['alpha_timeavg']:.4f}  "
-              f"end {row['alpha_mean']:.4f}")
-        print(f"  replay    : "
-              f"{'identical' if identical else 'DIVERGED'}")
-        print(f"  checkers  : {'ok' if validation['ok'] else 'VIOLATIONS'} "
-              f"({validation['violation_count']} violations)")
-        reports.append({
-            "profile": row["profile"],
-            "label": cfg.label(),
-            "identical_reruns": identical,
-            "validation_ok": bool(validation["ok"]),
-            "row": row,
-        })
-
-    # The pack's raison d'être: the flawed endpoints must overestimate
-    # congestion on the pinned cell (time-averaged α, not the noisy
-    # end-of-run snapshot).
-    base = rows[0]["alpha_timeavg"]
-    inflated = {r["profile"]: r["alpha_timeavg"] > base for r in rows[1:]}
-    alpha_ok = inflated["linux-dctcp"] and inflated["coalesce"]
-    ok = ok and alpha_ok
-    print()
-    print(render_flaws_table(rows))
-    print(f"alpha inflation (flawed > fixed): "
-          f"{'ok' if alpha_ok else 'MISSING'} "
-          f"(linux-dctcp {'>' if inflated['linux-dctcp'] else '<='} fixed, "
-          f"coalesce {'>' if inflated['coalesce'] else '<='} fixed)")
-    print(f"flaws --smoke: {'OK' if ok else 'FAILED'} "
-          f"(wall time {time.time() - t0:.1f}s)")
-
-    payload = {
-        "schema": "repro.flaws_smoke/v1",
-        "ok": ok,
-        "alpha_inflation_ok": alpha_ok,
-        "seed": args.seed,
-        "duration_s": args.duration_s,
-        "cells": reports,
-    }
-    rc = _emit_json(payload, args.manifest or "flaws_smoke_manifest.json")
-    return rc or (0 if ok else 1)
-
-
 def _cmd_flaws(args: argparse.Namespace) -> int:
-    if args.smoke:
-        return _cmd_flaws_smoke(args)
     from repro.experiments.flaws import render_flaws_table, run_flaws
 
     t0 = time.time()
@@ -1042,9 +812,6 @@ def _cmd_fixedk(args: argparse.Namespace) -> int:
         render_regime_grid,
     )
     from repro.experiments.parallel import run_cells
-
-    if args.smoke:
-        return _cmd_fixedk_smoke(args)
 
     def validated_grid():
         k_values = (_parse_axis("k-values", args.k_values, int)
@@ -1083,15 +850,9 @@ def _cmd_fixedk(args: argparse.Namespace) -> int:
         from repro.plotting import grid_regime_map_to_svg
 
         for m in maps:
-            path = f"{args.svg}_{m.slice_id}.svg"
-            try:
-                with open(path, "w") as fh:
-                    fh.write(grid_regime_map_to_svg(m))
-            except OSError as exc:
-                print(f"error: cannot write {path}: {exc.strerror}",
-                      file=sys.stderr)
+            if _write_text(f"{args.svg}_{m.slice_id}.svg",
+                           grid_regime_map_to_svg(m)):
                 return 1
-            print(f"wrote {path}", file=sys.stderr)
     if args.manifest:
         sweep = _grid_manifest(report, kind_detail="fixedk", seed=args.seed)
         sweep["regime_maps"] = [m.to_dict() for m in maps]
@@ -1224,34 +985,40 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return rc
 
 
-def _cmd_fluid(args: argparse.Namespace) -> int:
-    from repro.experiments.fidelity import fluid_smoke
+def _cmd_gates(args: argparse.Namespace) -> int:
+    from repro.validate.smoke import GATES, SMOKE_SCHEMA, render_report, run_gate
 
-    progress = None if args.quiet else (
-        lambda msg: print(f"  {msg}", file=sys.stderr))
-    payload = fluid_smoke(progress=progress)
-    ok = payload["ok"]
-    noop_bad = [e["cell"] for e in payload["noop"]
-                if not e["identical"] or e["promotions"]]
-    bulk = payload["bulk"]
-    det = payload["determinism"]
-    print(f"fluid --smoke: {'OK' if ok else 'FAILED'} — "
-          f"{len(payload['noop'])} no-op cells "
-          f"({'all bit-identical' if not noop_bad else 'BAD: ' + ', '.join(noop_bad)}), "
-          f"bulk tolerances {'ok' if bulk['comparison']['ok'] else 'EXCEEDED'} "
-          f"(engaged={bulk['engaged']}, "
-          f"promotions={bulk['fluid']['promotions']}, "
-          f"fluid_bytes={bulk['fluid']['fluid_bytes']}), "
-          f"determinism {'ok' if det['repeat_identical'] and det['armed_identical'] else 'BROKEN'}, "
-          f"checker violations={det['violations']}")
-    rc = _emit_json(payload, args.manifest or "fluid_smoke_manifest.json")
-    return rc or (0 if ok else 1)
+    unknown = [n for n in args.names if n not in GATES]
+    if unknown:
+        print(f"smoke: unknown gate(s): {', '.join(unknown)} "
+              f"(available: {', '.join(GATES)})", file=sys.stderr)
+        return 2
+    reports = []
+    for name in args.names or GATES:
+        reports.append(run_gate(name, None if args.quiet else _say))
+        print(render_report(reports[-1]))
+    failed = [r["gate"] for r in reports if not r["ok"]]
+    if len(reports) > 1:
+        print(f"smoke: {len(reports) - len(failed)}/{len(reports)} gates OK"
+              + (f" — FAILED: {', '.join(failed)}" if failed else ""))
+    rc = 1 if failed else 0
+    if args.json:
+        rc = _emit_json({"schema": SMOKE_SCHEMA, "ok": not failed,
+                         "gates": reports}, args.json) or rc
+    return rc
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.errors import ValidationError
-    from repro.validate import CHECKER_NAMES, fuzz
-    from repro.validate.smoke import SMOKE_SCALE, check_cell, smoke_cells
+    from repro.validate import CHECKER_NAMES
+    from repro.validate.smoke import (
+        SMOKE_SCALE,
+        SmokeReport,
+        cell_ok,
+        render_report,
+        run_check,
+        smoke_cells,
+    )
 
     names = [c.strip() for c in args.checkers.split(",") if c.strip()]
     unknown = sorted(set(names) - set(CHECKER_NAMES))
@@ -1261,7 +1028,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"check: {what} (available: {', '.join(CHECKER_NAMES)})",
               file=sys.stderr)
         return 2
-    if args.fuzz is not None and args.fuzz < 0:
+    if args.fuzz < 0:
         print(f"check: --fuzz must be >= 0 (got {args.fuzz})", file=sys.stderr)
         return 2
     if args.scale is not None and args.scale <= 0:
@@ -1270,71 +1037,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 2
 
     scale = args.scale if args.scale is not None else SMOKE_SCALE
-    n_fuzz = args.fuzz if args.fuzz is not None else (10 if args.smoke else 50)
-    cells = smoke_cells(scale, args.seed)
-    if args.smoke:
-        # CI subset: one RED protection-mode pair plus the other qdiscs —
-        # every queue hot path, half the wall time.
-        keep = {"red-default", "red-ack+syn", "droptail-shallow",
-                "marking", "codel-default"}
-        cells = [(n, c) for n, c in cells if n in keep]
-
-    rc = 0
-    cell_reports = []
-    for name, config in cells:
-        result = check_cell(config, checker_names=names)
-        cell_reports.append(result)
-        violations = result["validation"]["violation_count"]
-        verdict = "ok" if result["ok"] else (
-            "FINGERPRINT MISMATCH (armed run diverged)"
-            if not result["identical"] else f"{violations} VIOLATION(S)")
-        if not args.quiet or not result["ok"]:
-            print(f"cell {name:<18}: {verdict}", file=sys.stderr)
-        if not result["ok"]:
-            for v in result["validation"]["violations"][:10]:
-                print(f"    t={v['time']:.6f} [{v['checker']}] "
-                      f"{v['where']}: {v['message']}", file=sys.stderr)
-            rc = 1
-
-    fuzz_report = None
-    if n_fuzz > 0:
-        def progress(i, n, result):
-            if not args.quiet and (i % 10 == 0 or not result.ok):
-                status = "ok" if result.ok else "VIOLATION"
-                print(f"fuzz {i:3d}/{n}: {status}", file=sys.stderr)
-
-        try:
-            fuzz_report = fuzz(n=n_fuzz, seed=args.seed,
-                               shrink_failures=not args.no_shrink,
-                               progress=progress)
-        except ValidationError as exc:
-            print(f"check: {exc}", file=sys.stderr)
-            return 2
-        if not fuzz_report.ok:
-            rc = 1
-            for failure in fuzz_report.failures:
-                repro_dict = failure.get("shrunk", failure["scenario"])
-                print(f"fuzz FAILURE — minimal repro: {repro_dict}",
-                      file=sys.stderr)
-                for v in failure["violations"][:5]:
-                    print(f"    {v}", file=sys.stderr)
-
-    summary = {
-        "ok": rc == 0,
-        "checkers": names,
-        "scale": scale,
-        "seed": args.seed,
-        "cells": cell_reports,
-        "fuzz": fuzz_report.as_dict() if fuzz_report is not None else None,
-    }
+    report = SmokeReport("check", None if args.quiet else _say)
+    try:
+        run_check(report, smoke_cells(scale, args.seed), n_fuzz=args.fuzz,
+                  seed=args.seed, checker_names=names,
+                  shrink_failures=not args.no_shrink)
+    except ValidationError as exc:
+        print(f"check: {exc}", file=sys.stderr)
+        return 2
+    doc = report.finish()
+    if not (args.quiet and doc["ok"]):
+        print(render_report(doc), file=sys.stderr)
+    rc = 0 if doc["ok"] else 1
     if args.json is not None:
-        json_rc = _emit_json(summary, args.json)
-        return rc or json_rc
-    n_cells_ok = sum(1 for r in cell_reports if r["ok"])
-    print(f"check: {n_cells_ok}/{len(cell_reports)} cells clean"
-          + (f", fuzz {fuzz_report.scenarios_run} scenarios "
-             f"({len(fuzz_report.failures)} failing)"
-             if fuzz_report is not None else "")
+        return _emit_json({**doc, "checkers": names, "scale": scale,
+                           "seed": args.seed}, args.json) or rc
+    fuzzed = doc["detail"].get("fuzz")
+    n_clean = sum(1 for c in doc["cells"] if cell_ok(c))
+    print(f"check: {n_clean}/{len(doc['cells'])} cells clean"
+          + (f", fuzz {fuzzed['scenarios_run']} scenarios "
+             f"({len(fuzzed['failures'])} failing)" if fuzzed else "")
           + f" — {'OK' if rc == 0 else 'FAILED'}")
     return rc
 
@@ -1414,10 +1136,6 @@ def _cmd_farm(args: argparse.Namespace) -> int:
     from repro.farm.client import FarmClient
     from repro.telemetry.profiler import ProgressReporter
 
-    if args.smoke:
-        from repro.farm.smoke import main as smoke_main
-
-        return smoke_main()
     if not args.socket:
         print("farm: --socket is required (the farm's <farm-dir>/farm.sock)",
               file=sys.stderr)
@@ -1479,7 +1197,7 @@ def _cmd_farm(args: argparse.Namespace) -> int:
         print(f"farm: {exc}", file=sys.stderr)
         return 1
     print("farm: nothing to do — pass one of --ping/--stats/--submit/"
-          "--status/--results/--watch/--cancel/--shutdown/--smoke",
+          "--status/--results/--watch/--cancel/--shutdown",
           file=sys.stderr)
     return 2
 
@@ -1551,80 +1269,7 @@ def main(argv: Optional[list] = None) -> int:
     except (ImportError, ValueError, AttributeError):  # pragma: no cover
         pass  # non-POSIX platform or non-main thread
     args = build_parser().parse_args(argv)
-    progress = None if getattr(args, "quiet", True) else _progress
-
-    if args.command == "tables":
-        print(render_table1())
-        print()
-        print(render_table2())
-        return 0
-    if args.command == "fig1":
-        data = fig1_queue_snapshot(args.scale, args.seed)
-        print(render_fig1(data))
-        if args.svg:
-            from repro.plotting import queue_snapshot_to_svg
-
-            with open(args.svg, "w") as fh:
-                fh.write(queue_snapshot_to_svg(
-                    data.snapshot, data.mark_threshold_packets))
-            print(f"wrote {args.svg}", file=sys.stderr)
-        return 0
-    if args.command in ("fig2", "fig3", "fig4"):
-        fn = {"fig2": fig2_runtime, "fig3": fig3_throughput,
-              "fig4": fig4_latency}[args.command]
-        if args.jobs < 1:
-            print(f"{args.command}: --jobs must be >= 1 (got {args.jobs})",
-                  file=sys.stderr)
-            return 2
-        fig = fn(args.deep, args.scale, args.seed, progress=progress,
-                 jobs=args.jobs)
-        print(render_figure(fig))
-        if args.svg:
-            from repro.plotting import figure_to_svg
-
-            with open(args.svg, "w") as fh:
-                fh.write(figure_to_svg(fig))
-            print(f"wrote {args.svg}", file=sys.stderr)
-        return 0
-    if args.command == "claims":
-        print(render_claims(check_claims(args.scale, args.seed,
-                                         progress=progress,
-                                         jobs=args.jobs)))
-        return 0
-    if args.command == "report":
-        write_experiments_md(args.out, args.scale, args.seed,
-                             progress=progress, jobs=args.jobs)
-        print(f"wrote {args.out}")
-        return 0
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "mix":
-        return _cmd_mix(args)
-    if args.command == "stability":
-        return _cmd_stability(args)
-    if args.command == "flaws":
-        return _cmd_flaws(args)
-    if args.command == "fixedk":
-        return _cmd_fixedk(args)
-    if args.command == "cell":
-        return _cmd_cell(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "fluid":
-        return _cmd_fluid(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "farm":
-        return _cmd_farm(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

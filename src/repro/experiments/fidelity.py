@@ -1,4 +1,4 @@
-"""Hybrid-vs-packet fidelity validation (powers ``repro fluid --smoke``).
+"""Hybrid-vs-packet fidelity validation (the ``fluid`` gate of ``repro smoke``).
 
 Three claims make the hybrid tier trustworthy, each checked here:
 
@@ -26,23 +26,20 @@ and latency by far more than 5%).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.experiments.bulkcell import BulkConfig
 from repro.experiments.config import CellResult
 from repro.experiments.fixedk import FixedKConfig
 from repro.experiments.runner import run_cell
-from repro.validate.smoke import build_suite, fingerprint, smoke_cells
+from repro.validate.smoke import fingerprint, smoke_cells
 
 __all__ = [
-    "FIDELITY_SCHEMA",
     "BULK_TOLERANCES",
     "EXACT_FIELDS",
     "compare_metrics",
     "fluid_smoke",
 ]
-
-FIDELITY_SCHEMA = "repro.fidelity/v1"
 
 #: Pinned relative tolerances for hybrid-vs-packet RunMetrics on cells
 #: where the fluid tier actually engages. Keys are RunMetrics fields.
@@ -103,66 +100,32 @@ def _hybrid(config):
     return dataclasses.replace(config, fidelity="hybrid")
 
 
-def fluid_smoke(progress: Optional[Callable[[str], None]] = None) -> Dict:
-    """The ``repro fluid --smoke`` CI gate; returns the result payload.
+def fluid_smoke(report) -> None:
+    """Body of the ``fluid`` smoke gate (``repro smoke fluid``).
 
-    ``payload["ok"]`` is the gate verdict; the sub-blocks name every
-    check so a red CI run says *which* property broke.
+    Every hybrid cell goes through ``report.replay`` (claim 3, with
+    ``manifest["fluid"]`` in the digest); the packet-mode reference runs
+    and the checks for claims 1 and 2 are this gate's own.
     """
-    say = progress if progress is not None else (lambda _msg: None)
-    payload: Dict = {"schema": FIDELITY_SCHEMA, "ok": True}
-
-    # -- claim 1: bit-identical no-op on shared-path / short-flow cells --
-    noop = []
     cells = dict(smoke_cells())
     fx = FixedKConfig(duration_s=0.1, drain_s=0.1)
     for name, cfg in (("red-default", cells["red-default"]),
                       ("marking", cells["marking"]), (fx.label(), fx)):
-        say(f"no-op gate: {name} (packet vs hybrid)")
-        fp_p = fingerprint(run_cell(cfg))
-        hy = run_cell(_hybrid(cfg))
-        fl = hy.manifest["fluid"]
-        entry = {
-            "cell": name,
-            "identical": fingerprint(hy) == fp_p,
-            "promotions": fl["promotions"],
-        }
-        noop.append(entry)
-        payload["ok"] &= entry["identical"] and fl["promotions"] == 0
-    payload["noop"] = noop
+        packet_fp = fingerprint(run_cell(cfg))
+        hybrid_cell = report.replay(name, _hybrid(cfg), block="fluid")
+        promotions = hybrid_cell.manifest["fluid"]["promotions"]
+        report.note(promotions=promotions)
+        report.check(f"noop_identical_{name}",
+                     fingerprint(hybrid_cell) == packet_fp and promotions == 0)
 
-    # -- claim 2: pinned tolerances on the bulk pairs cell ---------------
     bulk = BulkConfig()
-    say(f"tolerance gate: {bulk.label()} (packet vs hybrid)")
     packet_cell = run_cell(bulk)
-    hybrid_cell = run_cell(_hybrid(bulk))
+    hybrid_cell = report.replay(bulk.label(), _hybrid(bulk), block="fluid")
     fl = hybrid_cell.manifest["fluid"]
     comparison = compare_metrics(packet_cell, hybrid_cell)
-    engaged = (fl["promotions"] > 0 and fl["fluid_bytes"]
-               > 0.5 * hybrid_cell.metrics.bytes_transferred)
-    payload["bulk"] = {
-        "cell": bulk.label(),
-        "fluid": fl,
-        "engaged": engaged,
-        "comparison": comparison,
-    }
-    payload["ok"] &= comparison["ok"] and engaged
-
-    # -- claim 3: hybrid determinism + armed checkers --------------------
-    say("determinism gate: repeated hybrid runs + armed checkers")
-    hybrid_cfg = _hybrid(bulk)
-    rerun = run_cell(hybrid_cfg)
-    deterministic = (fingerprint(rerun) == fingerprint(hybrid_cell)
-                     and rerun.manifest["fluid"] == fl)
-    suite = build_suite(hybrid_cfg)
-    armed = run_cell(hybrid_cfg, checks=suite)
-    validation = armed.manifest["validation"]
-    armed_identical = fingerprint(armed) == fingerprint(hybrid_cell)
-    payload["determinism"] = {
-        "repeat_identical": deterministic,
-        "armed_identical": armed_identical,
-        "validation_ok": validation["ok"],
-        "violations": validation["violation_count"],
-    }
-    payload["ok"] &= deterministic and armed_identical and validation["ok"]
-    return payload
+    report.note(promotions=fl["promotions"], fluid_bytes=fl["fluid_bytes"],
+                comparison=comparison)
+    report.check("bulk_fluid_engaged",
+                 fl["promotions"] > 0 and fl["fluid_bytes"]
+                 > 0.5 * hybrid_cell.metrics.bytes_transferred)
+    report.check("bulk_within_tolerances", comparison["ok"])

@@ -387,7 +387,7 @@ def fixedk_grid(
 
 
 def fixedk_smoke_cells(seed: int = 42) -> List[Tuple[str, FixedKConfig]]:
-    """The pinned mini-grid ``repro fixedk --smoke`` replays.
+    """The pinned mini-grid ``repro smoke fixedk`` replays.
 
     2 K values × 2 fan-ins × 2 protection modes on a small 3-leaf /
     2-spine fabric with a short horizon — 8 cells, each cheap enough to

@@ -21,7 +21,7 @@ where the flaws diverge from the faithful algorithm.
 Every run is a ``"probe"`` cell through
 :func:`~repro.experiments.runner.run_cell`, so results carry full
 manifests, land in the shared result cache, and fingerprint
-bit-identically for the determinism gate (``repro flaws --smoke``).
+bit-identically for the determinism gate (``repro smoke flaws``).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "FLAWS_PROFILES",
     "flaws_cell",
     "flaws_grid",
+    "flaws_row",
     "run_flaws",
     "render_flaws_table",
 ]
@@ -78,7 +79,8 @@ def flaws_grid(seed: int = 42,
             for p in FLAWS_PROFILES]
 
 
-def _row(profile: Optional[str], cell: CellResult) -> Dict[str, object]:
+def flaws_row(profile: Optional[str], cell: CellResult) -> Dict[str, object]:
+    """One comparison-table row: the α estimates and effort counters of a cell."""
     m = cell.metrics
     return {
         "profile": profile or "fixed",
@@ -101,8 +103,7 @@ def run_flaws(
 ) -> Tuple[List[CellResult], List[Dict[str, object]]]:
     """Run the whole pack; returns (cell results, comparison rows).
 
-    ``checks`` arms the validation suite on *every* run (the smoke gate
-    does this once per profile to prove armed runs stay bit-identical).
+    ``checks`` arms the validation suite on *every* run.
     """
     cells: List[CellResult] = []
     rows: List[Dict[str, object]] = []
@@ -110,7 +111,7 @@ def run_flaws(
         cfg = flaws_cell(profile, seed=seed, duration_s=duration_s)
         cell = run_cell(cfg, checks=checks)
         cells.append(cell)
-        rows.append(_row(profile, cell))
+        rows.append(flaws_row(profile, cell))
     return cells, rows
 
 

@@ -241,11 +241,12 @@ end of the run), queue counter equations, TCP sequence-space
 monotonicity, and the event kernel's own self-audit. The checkers are
 pure trace-bus observers, so an armed run is bit-identical to an
 unarmed one — `repro-hadoop-ecn check` runs each representative cell
-twice and fails unless the two run fingerprints match exactly.
+plain, plain again and armed, and fails unless the three run
+fingerprints match exactly.
 
 ```bash
 repro-hadoop-ecn check            # figure cells + 50 randomized fuzz scenarios
-repro-hadoop-ecn check --smoke    # the CI check-smoke job
+repro-hadoop-ecn smoke check      # the pinned CI gate (5 cells + 10 scenarios)
 ```
 
 The randomized scenario fuzzer behind the second half of `check`

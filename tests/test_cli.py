@@ -46,6 +46,41 @@ class TestParser:
         assert args.jobs == 2
 
 
+class TestUnwritableOutput:
+    """Every file-writing verb shares one guard: exit 1 and
+    ``error: cannot write``, never a traceback after the work is done."""
+
+    def test_fig1_svg(self, tmp_path, capsys):
+        dest = str(tmp_path / "no" / "such" / "dir" / "x.svg")
+        assert main(["fig1", "--scale", "0.03125", "--svg", dest]) == 1
+        assert f"error: cannot write {dest}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["fig2", "fig3", "fig4"])
+    def test_sweep_figure_svg(self, verb, tmp_path, capsys, monkeypatch):
+        import repro.cli
+        import repro.plotting
+
+        # The sweep itself is not under test: stub it out.
+        monkeypatch.setattr(repro.cli, "fig2_runtime", lambda *a, **k: None)
+        monkeypatch.setattr(repro.cli, "fig3_throughput", lambda *a, **k: None)
+        monkeypatch.setattr(repro.cli, "fig4_latency", lambda *a, **k: None)
+        monkeypatch.setattr(repro.cli, "render_figure", lambda fig: "(figure)")
+        monkeypatch.setattr(repro.plotting, "figure_to_svg",
+                            lambda fig: "<svg/>")
+        dest = str(tmp_path / "no" / "such" / "dir" / "x.svg")
+        assert main([verb, "--quiet", "--svg", dest]) == 1
+        assert f"error: cannot write {dest}" in capsys.readouterr().err
+        ok = tmp_path / "x.svg"
+        assert main([verb, "--quiet", "--svg", str(ok)]) == 0
+        assert ok.read_text() == "<svg/>"
+        assert f"wrote {ok}" in capsys.readouterr().err
+
+    def test_json_manifest(self, tmp_path, capsys):
+        dest = str(tmp_path / "no" / "such" / "dir" / "cell.json")
+        assert main(["cell", "--scale", "0.03125", "--json", dest]) == 1
+        assert f"error: cannot write {dest}" in capsys.readouterr().err
+
+
 class TestSweepErrors:
     def test_resume_requires_cache_dir(self, capsys):
         assert main(["sweep", "--resume"]) == 2
@@ -249,8 +284,8 @@ class TestCheckVerb:
     def test_check_parses_defaults(self):
         args = build_parser().parse_args(["check"])
         assert args.command == "check"
-        assert not args.smoke
-        assert args.fuzz is None and args.seed == 42
+        assert not hasattr(args, "smoke")  # the CI mode is `smoke check`
+        assert args.fuzz == 50 and args.seed == 42
         assert args.checkers == "conservation,queues,tcp,engine"
 
     def test_unknown_checker_rejected(self, capsys):
@@ -273,26 +308,42 @@ class TestCheckVerb:
     def test_smoke_json_summary(self, tmp_path, capsys):
         import json
 
+        from repro.validate.smoke import cell_ok
+
+        # The pinned CI gate: `check --smoke` is now `smoke check`.
+        path = tmp_path / "smoke.json"
+        rc = main(["smoke", "check", "--quiet", "--json", str(path)])
+        assert rc == 0
+        capsys.readouterr()
+        (doc,) = json.loads(path.read_text())["gates"]
+        assert doc["ok"] is True
+        labels = {c["label"] for c in doc["cells"]}
+        assert len(labels) == 5  # the CI subset
+        assert all(cell_ok(c) and c["identical_armed_rerun"]
+                   for c in doc["cells"])
+        assert doc["detail"]["fuzz"]["scenarios_run"] == 10
+        assert doc["detail"]["fuzz"]["ok"] is True
+
+        # Full mode keeps --fuzz/--checkers/--json and the same body.
         path = tmp_path / "check.json"
-        rc = main(["check", "--smoke", "--fuzz", "2", "--quiet",
+        rc = main(["check", "--fuzz", "2", "--scale", "0.015625", "--quiet",
                    "--json", str(path)])
         assert rc == 0
         capsys.readouterr()
         doc = json.loads(path.read_text())
         assert doc["ok"] is True
         assert doc["checkers"] == ["conservation", "queues", "tcp", "engine"]
-        labels = {c["label"] for c in doc["cells"]}
-        assert len(labels) == 5  # the CI subset
-        assert all(c["ok"] and c["identical"] for c in doc["cells"])
-        assert doc["fuzz"]["scenarios_run"] == 2
-        assert doc["fuzz"]["ok"] is True
+        assert len({c["label"] for c in doc["cells"]}) == 6
+        assert all(cell_ok(c) for c in doc["cells"])
+        assert doc["detail"]["fuzz"]["scenarios_run"] == 2
+        assert doc["detail"]["fuzz"]["ok"] is True
 
 
 class TestFixedKVerb:
     def test_parses_defaults(self):
         args = build_parser().parse_args(["fixedk"])
         assert args.command == "fixedk"
-        assert not args.smoke
+        assert not hasattr(args, "smoke")  # the CI mode is `smoke fixedk`
         assert args.svg == "fixedk_regime"
 
     def test_parses_axes_and_sweep_options(self):

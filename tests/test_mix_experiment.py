@@ -152,15 +152,17 @@ class TestMixCli:
         from repro.cli import main
 
         monkeypatch.chdir(tmp_path)
-        rc = main(["mix", "--smoke"])
+        rc = main(["smoke", "mix", "--json", "mix_smoke.json"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "plain identical" in out and "armed identical" in out
-        payload = json.loads((tmp_path / "mix_smoke_manifest.json").read_text())
-        assert set(payload["workloads"]) == {"shuffle", "rpc", "background"}
-        assert payload["smoke"]["identical_plain_rerun"]
-        assert payload["smoke"]["identical_armed_rerun"]
-        assert payload["smoke"]["validation_ok"]
+        doc = json.loads((tmp_path / "mix_smoke.json").read_text())
+        (cell,) = doc["gates"][0]["cells"]
+        assert set(cell["detail"]["workloads"]) == {"shuffle", "rpc",
+                                                    "background"}
+        assert cell["identical_plain_rerun"]
+        assert cell["identical_armed_rerun"]
+        assert cell["validation_ok"]
 
     def test_mix_grid_cli_with_cache(self, tmp_path, capsys):
         from repro.cli import main

@@ -522,10 +522,12 @@ class TestBenchCli:
         args = build_parser().parse_args(
             ["bench", "--compare", "a.json", "b.json"])
         assert args.compare == ["a.json", "b.json"]
+        # The fluid verb's only mode was its gate: now `smoke fluid`.
         args = build_parser().parse_args(
-            ["fluid", "--smoke", "--manifest", "out.json", "--quiet"])
-        assert args.command == "fluid"
-        assert args.smoke and args.quiet and args.manifest == "out.json"
+            ["smoke", "fluid", "--json", "out.json", "--quiet"])
+        assert args.command == "smoke"
+        assert args.names == ["fluid"] and args.quiet
+        assert args.json == "out.json"
 
     def test_cli_compare_reports(self, tmp_path, capsys):
         from repro.cli import main

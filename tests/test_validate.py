@@ -276,11 +276,11 @@ class TestScenarioFuzzer:
 
 class TestArmedBitIdentity:
     def test_armed_cell_is_bit_identical_and_clean(self):
-        from repro.validate.smoke import check_cell, smoke_cells
+        from repro.validate.smoke import cell_ok, replay, smoke_cells
         label, config = smoke_cells(scale=0.03125)[0]  # red-default
         assert label == "red-default"
-        result = check_cell(config)
-        assert result["identical"], (result["fingerprint"],
-                                     result["fingerprint_armed"])
-        assert result["validation"]["violation_count"] == 0
-        assert result["ok"]
+        result, _first = replay(config)
+        assert result["identical_armed_rerun"], result["fingerprint"]
+        assert result["identical_plain_rerun"]
+        assert result["violation_count"] == 0
+        assert cell_ok(result)
