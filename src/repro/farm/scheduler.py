@@ -36,6 +36,14 @@ record. On startup the scheduler replays the journal — tolerating a
 torn final line — and re-checks the cache at dispatch time, so a killed
 scheduler resumes with at most the in-flight cells re-executed and a
 killed worker costs exactly the cell it was running.
+
+Each selector wake-up runs **drain → dispatch → persist**: worker
+reports are received and their slots freed, one ``_pump()`` hands every
+freed worker its next unit, and only then are the reports settled
+(cache put → journal ``done`` → ticks, in arrival order). The writes
+and their order are those of a report-at-a-time loop; the fsyncs just
+overlap worker compute. A crash between dispatch and persist is a crash
+before persist: the finished-but-unrecorded cell re-runs after resume.
 """
 
 from __future__ import annotations
@@ -212,6 +220,13 @@ class FarmScheduler:
         self._job_seq = 0
         self.preemptions = 0
         self.worker_crashes = 0
+        #: Loop accounting (the ``loop`` block of ``stats``): reports
+        #: settled, ``run`` messages sent while a report still awaited
+        #: persistence, total seconds in the persist phase.
+        self.reports = 0
+        self.dispatched_ahead = 0
+        self.persist_s = 0.0
+        self._unsettled: List[Dict[str, Any]] = []
         self._consecutive_crashes = 0
         self._shutdown = False
         self._selector: Optional[selectors.BaseSelector] = None
@@ -467,6 +482,8 @@ class FarmScheduler:
                             "kind": unit.kind, "config": unit.config})
             slot.busy = unit.key
             unit.state = "running"
+            if self._unsettled:
+                self.dispatched_ahead += 1
         # Priority inversion? Preempt the lowest-priority running unit
         # when a pending one outranks it and no worker is idle.
         top = self._peek_priority()
@@ -484,24 +501,58 @@ class FarmScheduler:
         if victim is not None:
             self._preempt_key(victim.busy)
 
-    def _on_worker_message(self, slot: _WorkerSlot, msg: Dict[str, Any]) -> None:
-        ev = msg.get("ev")
-        if ev == "ready":
+    def _release(self, slot: _WorkerSlot, msg: Dict[str, Any]) -> None:
+        """Drain half of a worker report: free the slot, queue the rest.
+
+        Nothing here touches the disk, so the ``_pump()`` that follows
+        restarts the worker before :meth:`_persist` pays the fsyncs. The
+        unit stays ``running`` until settled, so a submit arriving in
+        between joins it as a waiter.
+        """
+        if msg.get("ev") == "ready":
             return
-        key = msg.get("key", "")
-        unit = self.units.get(key)
-        if slot.busy == key:
+        if slot.busy == msg.get("key", ""):
             slot.busy = None
             slot.preempting = False
+        self._unsettled.append(msg)
+
+    def _persist(self) -> None:
+        """Settle every queued report, in arrival order."""
+        if not self._unsettled:
+            return
+        t0 = time.perf_counter()
+        reports, self._unsettled = self._unsettled, []
+        for msg in reports:
+            self._settle(msg)
+        self.reports += len(reports)
+        self.persist_s += time.perf_counter() - t0
+
+    def _settle(self, msg: Dict[str, Any]) -> None:
+        """Persist half of a worker report: cache, journal, then ticks.
+
+        A cache write that fails with ``OSError`` (ENOSPC, EACCES, …)
+        fails that one unit — resubmission is the retry path — and the
+        farm keeps serving. A journal write failure stays fatal: the
+        scheduler cannot keep its ack promise without the journal.
+        """
+        ev = msg.get("ev")
+        key = msg.get("key", "")
+        unit = self.units.get(key)
+        live = unit is not None and unit.state == "running"
+        err: Optional[str] = None
         if ev == "done":
             self._consecutive_crashes = 0
-            # Result becomes durable *before* the journal says so.
-            self.cache.put_entry(msg["entry"])
-            self.journal.append({"ev": "done", "key": key})
-            if unit is not None and unit.state == "running":
-                self._unit_finished(unit, "executed")
+            try:
+                # Result becomes durable *before* the journal says so.
+                self.cache.put_entry(msg["entry"])
+            except OSError as exc:
+                err = f"cache write failed: {exc}"
+            else:
+                self.journal.append({"ev": "done", "key": key})
+                if live:
+                    self._unit_finished(unit, "executed")
         elif ev == "preempted":
-            if unit is not None and unit.state == "running":
+            if live:
                 if unit.waiters:
                     unit.state = "pending"
                     self._push(unit)
@@ -509,8 +560,9 @@ class FarmScheduler:
                     unit.state = "cancelled"
         elif ev == "error":
             err = str(msg.get("error", "?"))[-2000:]
+        if err is not None:
             self.journal.append({"ev": "failed", "key": key, "error": err})
-            if unit is not None and unit.state == "running":
+            if live:
                 unit.error = err
                 self._unit_finished(unit, "failed")
 
@@ -595,6 +647,9 @@ class FarmScheduler:
             "busy": sum(1 for s in self._slots if s.busy is not None),
             "preemptions": self.preemptions,
             "worker_crashes": self.worker_crashes,
+            "loop": {"reports": self.reports,
+                     "dispatched_ahead": self.dispatched_ahead,
+                     "persist_s": self.persist_s},
             "resumed_jobs": self.resumed_jobs,
             "resumed_truncated_lines": self.resumed_truncated,
             "cache": self.cache.stats(),
@@ -798,6 +853,7 @@ class FarmScheduler:
         self._shutdown = True
 
     def _loop_once(self, poll_s: float) -> None:
+        # Drain: take every report off the pipes, freeing its slot.
         for sel_key, _mask in self._selector.select(timeout=poll_s):
             tag, obj = sel_key.data
             if tag == "listen":
@@ -805,19 +861,25 @@ class FarmScheduler:
             elif tag == "client":
                 self._read_client(sel_key.fileobj)
             elif tag == "worker":
-                slot = obj
-                try:
-                    msg = slot.conn.recv()
-                except (EOFError, OSError):
-                    self._on_worker_death(slot)
-                else:
-                    self._on_worker_message(slot, msg)
+                self._recv_report(obj)
+        # Dispatch: freed workers get their next unit ahead of any
+        # disk write. Persist: the fsyncs overlap their compute.
+        self._pump()
+        self._persist()
         # Reap workers that died without a readable EOF (rare but
         # possible under SIGKILL between selector wakeups).
         for slot in list(self._slots):
             if not slot.proc.is_alive():
                 self._on_worker_death(slot)
         self._pump()
+
+    def _recv_report(self, slot: _WorkerSlot) -> None:
+        try:
+            msg = slot.conn.recv()
+        except (EOFError, OSError):
+            self._on_worker_death(slot)
+        else:
+            self._release(slot, msg)
 
     def _accept(self) -> None:
         try:
@@ -883,14 +945,9 @@ class FarmScheduler:
                and time.time() < deadline):
             for sel_key, _mask in self._selector.select(timeout=0.2):
                 tag, obj = sel_key.data
-                if tag != "worker":
-                    continue
-                try:
-                    msg = obj.conn.recv()
-                except (EOFError, OSError):
-                    self._on_worker_death(obj)
-                else:
-                    self._on_worker_message(obj, msg)
+                if tag == "worker":
+                    self._recv_report(obj)
+            self._persist()
             for slot in list(self._slots):
                 if not slot.proc.is_alive():
                     self._on_worker_death(slot)

@@ -10,10 +10,12 @@ fixtures put sockets in their own short ``tempfile.mkdtemp`` dirs
 rather than under pytest's deeply nested ``tmp_path``.
 """
 
+import errno
 import json
 import os
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -21,11 +23,17 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import FarmError
-from repro.experiments.cache import ResultCache, config_cache_key
+from repro.experiments.cache import (
+    CACHE_SCHEMA,
+    ResultCache,
+    config_cache_key,
+    result_to_entry,
+)
 from repro.experiments.config import ExperimentConfig, QueueSetup
 from repro.experiments.runner import run_cell
 from repro.farm.client import FarmClient
@@ -35,8 +43,10 @@ from repro.farm.protocol import (
     config_from_wire,
     config_to_wire,
     parse_lines,
+    recv_json_lines,
+    send_json,
 )
-from repro.farm.scheduler import FarmScheduler
+from repro.farm.scheduler import FarmScheduler, _ClientState, _WorkerSlot
 from repro.farm.store import ArtifactStore
 from repro.farm.worker import install_checkpoints, spawn_worker
 from repro.sim.engine import Simulator
@@ -430,6 +440,257 @@ class TestFarmService:
                 client._call("frobnicate")
             assert client.ping()["ok"] is True  # still alive
 
+    def test_cache_write_failure_fails_one_cell_not_the_farm(self):
+        """ENOSPC on one ``put_entry`` must cost that cell, nothing else."""
+        bad = tiny(QueueSetup(kind="droptail"), seed=31)
+        good = [("ok/%d" % i, tiny(QueueSetup(kind="droptail"), seed=32 + i))
+                for i in range(2)]
+        theirs = tiny(QueueSetup(kind="marking", target_delay_s=us(100)))
+        bad_key = config_cache_key(bad)
+        with farm(workers=1) as (sched, client):
+            real_put = sched.cache.put_entry
+
+            def put_entry(entry):
+                if entry["key"] == bad_key:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return real_put(entry)
+
+            sched.cache.put_entry = put_entry
+            other = FarmClient(sched.socket_path, client="other")
+            sub = client.submit([("bad", bad)] + good)
+            sub2 = other.submit([("theirs", theirs)])
+            assert client.wait(sub["id"], timeout=120)["state"] == "failed"
+            assert other.wait(sub2["id"], timeout=120)["state"] == "done"
+            assert client.status(sub["id"])["labels"] == {
+                "bad": "failed", "ok/0": "executed", "ok/1": "executed"}
+            assert (other.status(sub2["id"])["labels"]
+                    == {"theirs": "executed"})
+            assert os.strerror(errno.ENOSPC) in sched.units[bad_key].error
+            assert client.ping()["ok"] is True  # still serving
+            records, _torn = Journal(sched.journal.path).replay()
+            failed = [r for r in records if r["ev"] == "failed"]
+            assert [r["key"] for r in failed] == [bad_key]
+            assert os.strerror(errno.ENOSPC) in failed[0]["error"]
+            assert bad_key not in {r.get("key") for r in records
+                                   if r["ev"] == "done"}
+
+
+class _FakeProc:
+    """A worker process that never dies and cannot be signalled."""
+
+    pid = None  # os.kill(None, …) raises TypeError, which _preempt_key eats
+
+    def is_alive(self):
+        return True
+
+
+class _FakeConn:
+    """A worker pipe whose traffic lands in the rig's shared call list."""
+
+    def __init__(self, calls):
+        self.calls = calls
+        self.inbox = []
+
+    def send(self, msg):
+        self.calls.append(("send", msg["op"], msg.get("key")))
+
+    def recv(self):
+        msg = self.inbox.pop(0)
+        self.calls.append(("recv", msg["ev"], msg["key"]))
+        return msg
+
+
+class _PhaseRig:
+    """An in-process scheduler on a stub selector and fake workers.
+
+    Each :meth:`wake` is one scripted selector wake-up through the real
+    ``_loop_once``; worker sends/recvs, ``cache.put_entry``,
+    ``journal.append``, heap pushes and job ticks all record into
+    ``calls`` in the order they happen. Requests go through a socketpair
+    and the real ``_read_client``/``_op_*`` path.
+    """
+
+    def __init__(self, farm_dir, n_slots):
+        self.calls = []
+        self._ready = []
+        self.sched = sched = FarmScheduler(
+            farm_dir, workers=n_slots,
+            socket_path=os.path.join(farm_dir, "s.sock"))
+        sched._selector = self
+        sched._slots = [_WorkerSlot(_FakeProc(), _FakeConn(self.calls))
+                        for _ in range(n_slots)]
+        self._record(sched.cache, "put_entry",
+                     lambda entry: ("put_entry", entry["key"]))
+        self._record(sched.journal, "append",
+                     lambda rec: ("journal", rec["ev"],
+                                  rec.get("key", rec.get("id"))))
+        self._record(sched, "_push", lambda unit: ("push", unit.key))
+        self._record(sched, "_tick",
+                     lambda job, label, suffix="": ("tick", job.id,
+                                                    label + suffix))
+
+    def _record(self, owner, name, describe):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            self.calls.append(describe(*args))
+            return real(*args)
+
+        setattr(owner, name, wrapper)
+
+    # The selectors.BaseSelector surface _loop_once/_close_client use.
+    def select(self, timeout=None):
+        ready, self._ready = self._ready, []
+        return ready
+
+    def unregister(self, fileobj):
+        pass
+
+    def wake(self, *events):
+        """One ``_loop_once`` over ``events``, in order: ``(slot_index,
+        report)`` or a request dict. Returns the replies to the requests.
+        """
+        peers = []
+        for event in events:
+            if isinstance(event, dict):
+                ours, theirs = socket.socketpair()
+                theirs.settimeout(5.0)
+                self.sched._clients[theirs] = _ClientState()
+                send_json(ours, event)
+                peers.append((ours, theirs))
+                data, fileobj = ("client", None), theirs
+            else:
+                index, report = event
+                slot = self.sched._slots[index]
+                slot.conn.inbox.append(report)
+                data, fileobj = ("worker", slot), slot.conn
+            self._ready.append(
+                (SimpleNamespace(data=data, fileobj=fileobj), 1))
+        try:
+            self.sched._loop_once(0)
+            return [next(recv_json_lines(ours)) for ours, _ in peers]
+        finally:
+            for pair in peers:
+                for sock in pair:
+                    sock.close()
+
+    def submit(self, cells, priority=0, before=()):
+        """Submit through the wire path (after the ``before`` events)."""
+        wire = [{"label": label, **config_to_wire(cfg)}
+                for label, cfg in cells]
+        reply = self.wake(*before, {"op": "submit", "cells": wire,
+                                    "priority": priority, "client": "rig"})[-1]
+        assert reply["ok"] is True
+        return reply
+
+    def close(self):
+        self.sched.journal.close()
+
+
+def _done(key, entry=None):
+    """A worker's ``done`` report (a bare entry unless one is given)."""
+    return {"ev": "done", "key": key,
+            "entry": entry or {"schema": CACHE_SCHEMA, "key": key}}
+
+
+@contextmanager
+def phase_rig(n_slots, farm_dir=None):
+    with short_dir() as d:
+        rig = _PhaseRig(farm_dir or d, n_slots)
+        try:
+            yield rig
+        finally:
+            rig.close()
+
+
+class TestLoopPhases:
+    """``_loop_once`` is drain → dispatch → persist (DESIGN §8)."""
+
+    CELLS = [("c/%d" % i, tiny(QueueSetup(kind="droptail"), seed=500 + i))
+             for i in range(4)]
+    KEYS = [config_cache_key(cfg) for _label, cfg in CELLS]
+
+    def test_next_run_is_sent_before_the_finished_cell_is_persisted(self):
+        k1, k2 = self.KEYS[:2]
+        with phase_rig(1) as rig:
+            job = rig.submit(self.CELLS[:2])["id"]
+            assert rig.calls[-1] == ("send", "run", k1)
+            del rig.calls[:]
+            rig.wake((0, _done(k1)))
+            assert rig.calls == [
+                ("recv", "done", k1),
+                ("send", "run", k2),       # dispatch …
+                ("put_entry", k1),         # … then persist, in DESIGN §8's
+                ("journal", "done", k1),   # write order
+                ("tick", job, "c/0"),
+            ]
+
+    def test_two_reports_in_one_wakeup_dispatch_both_then_settle_in_order(self):
+        k1, k2, k3, k4 = self.KEYS
+        with phase_rig(2) as rig:
+            job = rig.submit(self.CELLS)["id"]
+            del rig.calls[:]
+            rig.wake((1, _done(k2)), (0, _done(k1)))
+            assert rig.calls == [
+                ("recv", "done", k2), ("recv", "done", k1),
+                ("send", "run", k3), ("send", "run", k4),
+                # Arrival order (k2 first), each report's sequence unbroken.
+                ("put_entry", k2), ("journal", "done", k2),
+                ("tick", job, "c/1"),
+                ("put_entry", k1), ("journal", "done", k1),
+                ("tick", job, "c/0"),
+            ]
+
+    def test_preempted_slot_goes_to_the_high_priority_unit_first(self):
+        low, high = self.CELLS[0], self.CELLS[1]
+        k_low, k_high = self.KEYS[:2]
+        with phase_rig(1) as rig:
+            sched = rig.sched
+            rig.submit([low], priority=0)
+            rig.submit([high], priority=10)
+            assert sched._slots[0].preempting and sched.preemptions == 1
+            del rig.calls[:]
+            rig.wake((0, {"ev": "preempted", "key": k_low}))
+            assert rig.calls == [
+                ("recv", "preempted", k_low),
+                ("send", "run", k_high),   # dispatch phase
+                ("push", k_low),           # persist phase: re-queued
+            ]
+            assert sched.units[k_low].state == "pending"
+            assert sched._slots[0].busy == k_high
+            assert not sched._slots[0].preempting
+            rig.wake((0, _done(k_high)))
+            assert ("send", "run", k_low) in rig.calls
+
+    def test_loop_stats_count_reports_and_dispatches_ahead(self):
+        with phase_rig(1) as rig:
+            rig.submit(self.CELLS)
+            for key in self.KEYS:
+                rig.wake((0, _done(key)))
+            stats, = rig.wake({"op": "stats"})
+            assert stats["loop"]["reports"] == 4
+            assert stats["loop"]["dispatched_ahead"] == 3
+            assert stats["loop"]["persist_s"] > 0.0
+            assert stats["jobs"]["job-000001"]["cells"]["executed"] == 4
+
+    def test_submit_between_drain_and_persist_joins_the_unit(self):
+        label, cfg = self.CELLS[0]
+        k1 = self.KEYS[0]
+        with phase_rig(1) as rig:
+            first = rig.submit([(label, cfg)])["id"]
+            del rig.calls[:]
+            # Same wake-up: the done report is drained, then the submit
+            # for the same key is served while it is still unsettled.
+            second = rig.submit([("again", cfg)], before=[(0, _done(k1))])
+            assert second["state"] == "running"
+            assert second["cells"]["cached"] == 0
+            assert second["deduped_pending"] == 1
+            jobs = rig.sched.jobs
+            assert jobs[first].done == {label: "executed"}
+            assert jobs[second["id"]].done == {"again": "dedup"}
+            assert [c for c in rig.calls if c[0] == "send"] == []
+            assert rig.calls.count(("put_entry", k1)) == 1
+
 
 class TestCrashResume:
     def test_sigkilled_worker_is_replaced_and_cell_rerun(self):
@@ -562,6 +823,51 @@ class TestCrashResume:
                 assert client.status("job-000001")["state"] == "done"
                 again = client.submit([("t2", cfg)])
                 assert again["cells"]["cached"] == 1
+
+    def test_death_between_dispatch_and_persist_reruns_the_cell(self):
+        """The window the drain → dispatch → persist loop adds: the next
+        ``run`` is out, the finished cell's result is not yet on disk."""
+
+        class SchedulerDied(BaseException):
+            pass
+
+        cells = [("w/%d" % i, tiny(QueueSetup(kind="droptail"), seed=600 + i))
+                 for i in range(2)]
+        k1, k2 = [config_cache_key(cfg) for _label, cfg in cells]
+        local = {label: run_cell(cfg) for label, cfg in cells}
+        with short_dir() as d:
+            with phase_rig(1, farm_dir=d) as rig:
+                cache = rig.sched.cache
+
+                def dying_put(entry):
+                    # Dies mid-write: a torn temp file, never renamed.
+                    torn = os.path.join(cache.root,
+                                        entry["key"] + ".json.1.1.tmp")
+                    with open(torn, "w") as fh:
+                        fh.write(json.dumps(entry)[:40])
+                    raise SchedulerDied()
+
+                cache.put_entry = dying_put
+                job_id = rig.submit(cells)["id"]
+                with pytest.raises(SchedulerDied):
+                    rig.wake((0, _done(k1, result_to_entry(local["w/0"]))))
+                assert ("send", "run", k2) in rig.calls  # dispatched ahead
+
+            records, torn = Journal(os.path.join(d, "journal.jsonl")).replay()
+            assert torn == 0
+            assert [r["ev"] for r in records] == ["header", "job"]
+            assert ResultCache(os.path.join(d, "cache")).keys() == []
+
+            with farm(farm_dir=d, workers=1) as (sched, client):
+                assert sched.resumed_jobs == 1
+                assert client.stats()["cache"]["stale_tmp_files"] == 1
+                assert client.wait(job_id, timeout=120)["state"] == "done"
+                # Both cells were pending again and really re-ran.
+                assert client.status(job_id)["labels"] == {
+                    "w/0": "executed", "w/1": "executed"}
+                got = client.fetch(job_id)
+                for label, _cfg in cells:
+                    assert got[label].metrics == local[label].metrics
 
 
 class TestProgressFanout:
