@@ -280,7 +280,7 @@ class QueueDisc:
 
     def _admit(self, pkt: "Packet", now: float) -> bool:
         """Decide the packet's fate. Base class: pure tail drop."""
-        if self.is_full:
+        if len(self._q) >= self.limit_packets:  # is_full, minus the property call
             self.stats.drops_tail += 1
             return VERDICT_DROPPED
         return VERDICT_ENQUEUED

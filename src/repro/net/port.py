@@ -11,9 +11,18 @@ closures. The packet being serialized sits in the ``_pending_tx`` slot
 (there is at most one — the transmitter is half-duplex by construction),
 and packets in flight on the wire sit in the ``_wire`` FIFO (propagation
 delay is constant per port, so deliveries complete in append order).
-This removes the two per-packet lambda allocations the transmit path
-used to pay, and gives the loop profiler stable ``Port._tx_done`` /
+This gives the loop profiler stable ``Port._tx_done`` /
 ``Port._deliver_head`` categories for free.
+
+Wired once: everything that is constant for the port's lifetime is
+resolved when the port is built, not per packet. ``__init__`` binds
+``sim.schedule``, the qdisc's ``enqueue`` / ``dequeue`` and the two
+callbacks the transmit loop schedules (``_tx_done``, ``_deliver_head``);
+:meth:`connect` binds the peer's ``receive``. Two consequences: patch
+*classes* before building a network (a class-level wrapper on
+``Port._tx_done`` or ``RedQueue.enqueue`` is what the bound slot then
+holds), never instances after; and ``port.qdisc`` is fixed after
+construction — build a new port to change the discipline.
 
 Tracer ownership: **the port owns its qdisc's tracer.** ``Port.__init__``
 installs the port's tracer on the qdisc so queue events ("mark",
@@ -62,7 +71,8 @@ class Port:
 
     __slots__ = ("sim", "name", "port_id", "rate_bps", "delay_s", "qdisc",
                  "tracer", "_peer", "_busy", "_up", "_pending_tx", "_wire",
-                 "_ser_s_per_byte", "_schedule",
+                 "_ser_s_per_byte", "_schedule", "_enqueue", "_dequeue",
+                 "_on_tx_done", "_on_deliver", "_peer_receive",
                  "tx_packets", "tx_bytes", "failed_tx_packets")
 
     def __init__(
@@ -109,9 +119,17 @@ class Port:
         self._busy = False
         self._up = True
         #: Serialization seconds per byte — one multiply per packet instead
-        #: of a division, and ``sim.schedule`` resolved once per port.
+        #: of a division.
         self._ser_s_per_byte = 8.0 / rate_bps
+        # Wired once (see module doc): the per-packet path calls these
+        # slots instead of re-resolving attribute chains and re-building
+        # bound methods for every packet.
         self._schedule = sim.schedule
+        self._enqueue = qdisc.enqueue
+        self._dequeue = qdisc.dequeue
+        self._on_tx_done = self._tx_done
+        self._on_deliver = self._deliver_head
+        self._peer_receive = None  # bound by connect()
         #: The packet currently being serialized (at most one).
         self._pending_tx: Optional[Packet] = None
         #: Packets propagating on the wire, FIFO — constant per-port delay
@@ -131,6 +149,7 @@ class Port:
         if self._peer is not None:
             raise TopologyError(f"port {self.name} is already connected")
         self._peer = peer
+        self._peer_receive = peer.receive
 
     @property
     def busy(self) -> bool:
@@ -162,26 +181,36 @@ class Port:
         if self._peer is None:
             raise TopologyError(f"port {self.name} is not connected")
         now = self.sim.now
-        accepted = self.qdisc.enqueue(pkt, now)
-        if not accepted:
+        if not self._enqueue(pkt, now):
             tr = self.tracer
             if tr is not None and tr.active:
                 tr.emit(now, "drop", self.name, pkt)
             return
-        if not self._busy:
-            self._start_tx()
+        if not self._busy and self._up:
+            # Inlined _start_tx: one frame less for every packet that
+            # finds the transmitter free.
+            nxt = self._dequeue(now)
+            if nxt is not None:
+                self._busy = True
+                self._pending_tx = nxt
+                self._schedule(nxt.size * self._ser_s_per_byte,
+                               self._on_tx_done)
 
     def _start_tx(self) -> None:
-        if not self._up:
-            self._busy = False
-            return
-        pkt = self.qdisc.dequeue(self.sim.now)
-        if pkt is None:
-            self._busy = False
-            return
-        self._busy = True
-        self._pending_tx = pkt
-        self._schedule(pkt.size * self._ser_s_per_byte, self._tx_done)
+        """Serialize the next queued packet, or go idle.
+
+        :meth:`send` (idle port) and :meth:`_tx_done` (next packet) inline
+        this body — keep in sync; :meth:`set_up` calls it.
+        """
+        if self._up:
+            pkt = self._dequeue(self.sim.now)
+            if pkt is not None:
+                self._busy = True
+                self._pending_tx = pkt
+                self._schedule(pkt.size * self._ser_s_per_byte,
+                               self._on_tx_done)
+                return
+        self._busy = False
 
     def _tx_done(self) -> None:
         pkt = self._pending_tx
@@ -200,28 +229,27 @@ class Port:
         tr = self.tracer
         if tr is not None and tr.active:
             tr.emit(self.sim.now, "tx", self.name, pkt)
-        if self.delay_s > 0:
+        delay_s = self.delay_s
+        if delay_s > 0:
             self._wire.append(pkt)
-            self._schedule(self.delay_s, self._deliver_head)
+            self._schedule(delay_s, self._on_deliver)
         else:
-            self._peer.receive(pkt)
-        # Inlined _start_tx (keep in sync) — this tail runs once per
-        # transmitted packet. The link-state re-check is not redundant:
-        # a trace subscriber above may have called set_down().
-        if not self._up:
-            self._busy = False
-            return
-        nxt = self.qdisc.dequeue(self.sim.now)
-        if nxt is None:
-            self._busy = False
-            return
-        self._busy = True
-        self._pending_tx = nxt
-        self._schedule(nxt.size * self._ser_s_per_byte, self._tx_done)
+            self._peer_receive(pkt)
+        # Inlined _start_tx; _busy is already True here. The link-state
+        # re-check is not redundant: a trace subscriber above may have
+        # called set_down().
+        if self._up:
+            nxt = self._dequeue(self.sim.now)
+            if nxt is not None:
+                self._pending_tx = nxt
+                self._schedule(nxt.size * self._ser_s_per_byte,
+                               self._on_tx_done)
+                return
+        self._busy = False
 
     def _deliver_head(self) -> None:
         """Propagation done for the oldest in-flight packet: hand it over."""
-        self._peer.receive(self._wire.popleft())
+        self._peer_receive(self._wire.popleft())
 
     def register_metrics(self, registry) -> None:
         """Bind this port's transmit counters (and its queue) into ``registry``."""

@@ -46,7 +46,7 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from itertools import count
 from time import perf_counter
 from typing import Callable, List, Optional
@@ -179,7 +179,7 @@ class Simulator:
             self._seq = seq = self._seq + 1
             handle = [self.now + delay, seq, callback]
             heap = self._heap
-            heapq.heappush(heap, handle)
+            heappush(heap, handle)
             n = len(heap)
             if n > self._heap_high_water:
                 self._heap_high_water = n
@@ -203,7 +203,7 @@ class Simulator:
         self._seq = seq = self._seq + 1
         handle = [self.now, seq, callback]
         heap = self._heap
-        heapq.heappush(heap, handle)
+        heappush(heap, handle)
         n = len(heap)
         if n > self._heap_high_water:
             self._heap_high_water = n
@@ -219,7 +219,7 @@ class Simulator:
         self._seq = seq = self._seq + 1
         handle = [time, seq, callback]
         heap = self._heap
-        heapq.heappush(heap, handle)
+        heappush(heap, handle)
         n = len(heap)
         if n > self._heap_high_water:
             self._heap_high_water = n
@@ -259,7 +259,7 @@ class Simulator:
         """
         heap = self._heap
         heap[:] = [h for h in heap if h[2] is not None]
-        heapq.heapify(heap)
+        heapify(heap)
         self._cancelled_pending = 0
 
     # -- run loop -----------------------------------------------------------
@@ -295,7 +295,7 @@ class Simulator:
             return False
         heap = self._heap
         while heap:
-            handle = heapq.heappop(heap)
+            handle = heappop(heap)
             if handle[2] is None:
                 self._cancelled_pending -= 1
                 continue
@@ -381,21 +381,25 @@ class Simulator:
         # compaction mutates it in place, so the binding stays valid. The
         # profiler is sampled once per run: attach it before calling run().
         heap = self._heap
-        heappop = heapq.heappop
+        pop = heappop
         timer = perf_counter
         prof = self.profiler
+        horizon = _INF if until is None else until
         try:
             while heap and not self._stopped:
-                handle = heap[0]
+                # Pop first: one heap operation per event instead of a
+                # peek plus a pop. Only the single entry found beyond the
+                # horizon goes back, under its own (time, seq) key, so the
+                # order of live events is untouched.
+                handle = pop(heap)
                 callback = handle[2]
                 if callback is None:
-                    heappop(heap)
                     self._cancelled_pending -= 1
                     continue
                 time = handle[0]
-                if until is not None and time > until:
+                if time > horizon:
+                    heappush(heap, handle)
                     break
-                heappop(heap)
                 self.now = time
                 # Inlined _dispatch body (see _dispatch): one callback, no
                 # extra frame on the hottest loop in the repository.

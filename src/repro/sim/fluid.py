@@ -68,6 +68,7 @@ acted on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from inspect import unwrap
 from typing import Dict, Optional
 
 from repro.errors import ConfigError
@@ -304,7 +305,12 @@ class FluidManager:
             dst=src_id, dport=sender.sport))
         if rev is None:
             return None
-        receiver = dst_host._receivers.get(sender.dport)
+        # The receiver may have been registered through a wrapped
+        # Host.bind (a tracer, a test): follow the functools.wraps
+        # convention down to the first bound method before asking whose
+        # method it is.
+        receiver = unwrap(dst_host._receivers.get(sender.dport),
+                          stop=lambda f: hasattr(f, "__self__"))
         listener = getattr(receiver, "__self__", None)
         if not isinstance(listener, TcpListener):
             return None

@@ -248,6 +248,13 @@ class TcpSender:
         self._precise_ece = config.precise_ece_accounting
         self._mark_retransmits = config.mark_retransmits
         self._cc_ecn_per_ack = self.cc.ecn_per_ack
+        # Wired once: constants of the flow's lifetime are resolved here,
+        # not per segment (the host's id and send entry point, the run's
+        # packet-id counter, the one callback the RTO timer schedules).
+        self._src = host.node_id
+        self._host_send = host.send
+        self._pkt_ids = sim.pkt_ids
+        self._rto_cb = self._on_rto
 
         self.state = "closed"  # closed -> syn_sent -> established -> done/failed
         self.snd_una = 0
@@ -289,7 +296,7 @@ class TcpSender:
     @property
     def flow(self) -> FlowKey:
         """Forward-direction flow key."""
-        return FlowKey(self.host.node_id, self.sport, self.dst, self.dport)
+        return FlowKey(self._src, self.sport, self.dst, self.dport)
 
     @property
     def flight_bytes(self) -> int:
@@ -363,22 +370,16 @@ class TcpSender:
             flags |= FLAG_ECE | FLAG_CWR  # RFC 3168 ECN-setup SYN
             if self.config.ect_syn:
                 ecn = ECN_ECT0  # ECN+: let AQMs mark the SYN, not drop it
-        self._emit(Packet(
-            src=self.host.node_id, sport=self.sport,
+        self._host_send(Packet(
+            src=self._src, sport=self.sport,
             dst=self.dst, dport=self.dport,
             seq=0, ack=0, payload=0, flags=flags,
             ecn=ecn, created_at=self.sim.now,
-            pkt_id=next(self.sim.pkt_ids),
+            pkt_id=next(self._pkt_ids),
         ))
         self._arm_rto()
 
     # -- transmit path ---------------------------------------------------------
-
-    def _emit(self, pkt: Packet) -> None:
-        self.host.send(pkt)
-
-    def _usable_window(self) -> int:
-        return int(min(self.cc.cwnd, self._rwnd)) - self.flight_bytes
 
     def _send_segment(self, seq: int, retransmit: bool) -> int:
         """Send one data segment starting at ``seq``; returns its length."""
@@ -390,18 +391,19 @@ class TcpSender:
             flags |= FLAG_CWR
             self._need_cwr = False
         now = self.sim.now
-        pkt = Packet(
-            src=self.host.node_id, sport=self.sport,
-            dst=self.dst, dport=self.dport,
-            seq=seq, ack=0, payload=seglen, flags=flags,
-            # RFC 3168 §6.1.5: retransmissions MUST NOT be ECT. The
-            # mark_retransmits toggle reproduces the legacy flaw where
-            # retransmits go out ECT(0) and their marks feed DCTCP's α.
-            ecn=ECN_ECT0
+        # RFC 3168 §6.1.5: retransmissions MUST NOT be ECT. The
+        # mark_retransmits toggle reproduces the legacy flaw where
+        # retransmits go out ECT(0) and their marks feed DCTCP's α.
+        ecn = (
+            ECN_ECT0
             if self._ecn_negotiated and (not retransmit or self._mark_retransmits)
-            else ECN_NOT_ECT,
-            created_at=now,
-            pkt_id=next(self.sim.pkt_ids),
+            else ECN_NOT_ECT
+        )
+        # Positional (matching 12 keywords per segment is measurable).
+        pkt = Packet(
+            self._src, self.sport, self.dst, self.dport,
+            seq, 0, seglen, flags,  # seq, ack, payload, flags
+            ecn, None, now, next(self._pkt_ids),  # ecn, size, created_at, pkt_id
         )
         end = seq + seglen
         if retransmit:
@@ -416,7 +418,7 @@ class TcpSender:
         elif end > self._no_sample_below:
             self._tx_time[end] = now
         self.stats.data_packets_sent += 1
-        self.host.send(pkt)  # one frame less than _emit on the data path
+        self._host_send(pkt)
         return seglen
 
     def _try_send(self) -> None:
@@ -451,14 +453,14 @@ class TcpSender:
     # -- receive path -------------------------------------------------------------
 
     def _on_packet(self, pkt: Packet) -> None:
-        if self.state in ("done", "failed", "closed"):
-            return
-        if self.state == "syn_sent":
+        state = self.state
+        if state == "established":  # first: every ACK of a transfer
+            if pkt.flags & FLAG_ACK:
+                self._on_ack(pkt)
+        elif state == "syn_sent":
             if pkt.is_syn and (pkt.flags & FLAG_ACK):
                 self._on_syn_ack(pkt)
-            return
-        if pkt.flags & FLAG_ACK:
-            self._on_ack(pkt)
+        # closed / done / failed: nothing to receive.
 
     def _on_syn_ack(self, pkt: Packet) -> None:
         self._cancel_rto()
@@ -469,12 +471,12 @@ class TcpSender:
         if self.start_time is not None:
             self.rtt.sample(self.sim.now - self.start_time)
         # Handshake-completing pure ACK (non-ECT, like every pure ACK).
-        self._emit(Packet(
-            src=self.host.node_id, sport=self.sport,
+        self._host_send(Packet(
+            src=self._src, sport=self.sport,
             dst=self.dst, dport=self.dport,
             seq=0, ack=0, payload=0, flags=FLAG_ACK,
             ecn=ECN_NOT_ECT, created_at=self.sim.now,
-            pkt_id=next(self.sim.pkt_ids),
+            pkt_id=next(self._pkt_ids),
         ))
         self._try_send()
 
@@ -490,7 +492,7 @@ class TcpSender:
 
         if ack > self.snd_una:
             self._on_ack_advance(ack, ece, pkt.marked_bytes)
-        elif ack == self.snd_una and self.flight_bytes > 0:
+        elif ack == self.snd_una and self.snd_nxt > ack:  # bytes in flight
             self._on_dup_ack(ece)
         # ACKs below snd_una are stale; ignore.
 
@@ -545,9 +547,9 @@ class TcpSender:
 
         # ECN reactions (order matters: DCTCP bookkeeping sees every ACK).
         if self.cc.on_ack_info(
-            acked, ece, self.snd_una, self.snd_nxt,
-            marked_bytes=marked_bytes if self._precise_ece else None,
-            in_recovery=self.in_recovery,
+            acked, ece, ack, self.snd_nxt,  # ack is the new snd_una
+            marked_bytes if self._precise_ece else None,  # marked_bytes
+            self.in_recovery,  # in_recovery
         ):
             self.stats.cwnd_cuts += 1
             self._need_cwr = True
@@ -563,9 +565,8 @@ class TcpSender:
                 # Partial ACK (NewReno): retransmit the next hole, stay in
                 # recovery, deflate by the amount acked.
                 self._send_segment(self.snd_una, retransmit=True)
-                self.cc.cwnd = max(
-                    self.cc.cwnd - acked + self.config.mss, float(self.config.mss)
-                )
+                mss = self._mss
+                self.cc.cwnd = max(self.cc.cwnd - acked + mss, float(mss))
         else:
             self.cc.on_ack_progress(acked)
 
@@ -587,7 +588,7 @@ class TcpSender:
             and self.dup_acks in (1, 2)
             and self.snd_nxt < self.nbytes
             and self.flight_bytes
-            <= min(self.cc.cwnd, self.config.rwnd_bytes) + 2 * self.config.mss
+            <= min(self.cc.cwnd, self._rwnd) + 2 * self._mss
         ):
             # RFC 3042: each of the first two dup ACKs may clock out one
             # new segment without touching cwnd.
@@ -603,12 +604,12 @@ class TcpSender:
             self.stats.cwnd_cuts += 1
             self.stats.fast_retransmits += 1
             self._send_segment(self.snd_una, retransmit=True)
-            self.cc.cwnd = self.cc.ssthresh + 3.0 * self.config.mss
+            self.cc.cwnd = self.cc.ssthresh + 3.0 * self._mss
             if self._tracer is not None:
                 self._trace_cwnd("fast_retransmit")
             self._arm_rto()
         elif self.in_recovery:
-            self.cc.cwnd += self.config.mss  # window inflation
+            self.cc.cwnd += self._mss  # window inflation
 
     # -- timers -----------------------------------------------------------------
 
@@ -618,7 +619,7 @@ class TcpSender:
         h = self._rto_handle
         if h is not None:
             sim.cancel(h)
-        self._rto_handle = sim.schedule(self.rtt.rto, self._on_rto)
+        self._rto_handle = sim.schedule(self.rtt.rto, self._rto_cb)
 
     def _cancel_rto(self) -> None:
         if self._rto_handle is not None:
@@ -658,7 +659,7 @@ class TcpSender:
         self._no_sample_below = max(self._no_sample_below, self.snd_nxt)
         self.snd_nxt = self.snd_una
         self._send_segment(self.snd_una, retransmit=True)
-        self.snd_nxt = min(self.snd_una + self.config.mss, self.nbytes)
+        self.snd_nxt = min(self.snd_una + self._mss, self.nbytes)
         if self._tracer is not None:
             self._trace_cwnd("rto")
         self._arm_rto()
@@ -771,6 +772,10 @@ class TcpListener:
         self._delack_segments = config.delack_segments
         self._delack_timeout = config.delack_timeout
         self._precise_echo = config.precise_ece_accounting
+        # Wired once, as in TcpSender.
+        self._src = host.node_id
+        self._host_send = host.send
+        self._pkt_ids = sim.pkt_ids
         host.bind(port, self._on_packet)
 
     def close(self) -> None:
@@ -798,7 +803,7 @@ class TcpListener:
         if st is None:
             ecn_ok = self.config.ecn_enabled and pkt.has_ece and pkt.has_cwr
             st = _ReceiverState(peer=pkt.src, peer_port=pkt.sport, ecn_ok=ecn_ok)
-            st.key = FlowKey(pkt.src, pkt.sport, self.host.node_id, self.port)
+            st.key = FlowKey(pkt.src, pkt.sport, self._src, self.port)
             st.delack_cb = lambda st=st: self._delack_fire(st)
             self.flows[(pkt.src, pkt.sport)] = st
         # Reply (or re-reply on retransmitted SYN) with a SYN-ACK; ECN-setup
@@ -809,12 +814,12 @@ class TcpListener:
             flags |= FLAG_ECE
             if self.config.ect_syn:
                 ecn = ECN_ECT0  # ECN+ applies to the SYN-ACK as well
-        self.host.send(Packet(
-            src=self.host.node_id, sport=self.port,
+        self._host_send(Packet(
+            src=self._src, sport=self.port,
             dst=st.peer, dport=st.peer_port,
             seq=0, ack=0, payload=0, flags=flags,
             ecn=ecn, created_at=self.sim.now,
-            pkt_id=next(self.sim.pkt_ids),
+            pkt_id=next(self._pkt_ids),
         ))
 
     # -- data path ------------------------------------------------------------------
@@ -915,13 +920,6 @@ class TcpListener:
 
     # -- ACK generation -----------------------------------------------------------
 
-    def _echo_flag(self, st: _ReceiverState) -> bool:
-        if not st.ecn_ok:
-            return False
-        if self._variant is TcpVariant.DCTCP:
-            return st.ce_state if self._precise_echo else st.ce_seen
-        return st.ece_latch
-
     def _send_ack(self, st: _ReceiverState, ece: Optional[bool] = None) -> None:
         h = st.delack_handle
         if h is not None:
@@ -940,18 +938,25 @@ class TcpListener:
                 marked = pending if pending < newly else newly
                 st.ce_bytes_pending = pending - marked
         flags = FLAG_ACK
-        if (self._echo_flag(st) if ece is None else (ece and st.ecn_ok)):
-            flags |= FLAG_ECE
+        if st.ecn_ok:
+            # The echo discipline: an explicit ``ece`` (DCTCP state-change
+            # ACK) wins; otherwise DCTCP echoes its CE state (or the
+            # coalesced latch), classic ECN its latch-until-CWR.
+            if ece is None:
+                if self._variant is TcpVariant.DCTCP:
+                    ece = st.ce_state if self._precise_echo else st.ce_seen
+                else:
+                    ece = st.ece_latch
+            if ece:
+                flags |= FLAG_ECE
         st.ce_seen = False  # the coalesced latch is consumed by this ACK
-        sim = self.sim
-        self.host.send(Packet(
-            src=self.host.node_id, sport=self.port,
-            dst=st.peer, dport=st.peer_port,
-            seq=0, ack=st.rcv_nxt, payload=0, flags=flags,
-            ecn=ECN_NOT_ECT,  # pure ACKs are never ECT — the paper's crux
-            created_at=sim.now,
-            pkt_id=next(sim.pkt_ids),
-            marked_bytes=marked,
+        # Positional, as in TcpSender._send_segment.
+        self._host_send(Packet(
+            self._src, self.port, st.peer, st.peer_port,
+            0, st.rcv_nxt, 0, flags,  # seq, ack, payload, flags
+            ECN_NOT_ECT,  # pure ACKs are never ECT — the paper's crux
+            None, self.sim.now, next(self._pkt_ids),  # size, created_at, pkt_id
+            marked,  # marked_bytes
         ))
 
     def _arm_delack(self, st: _ReceiverState) -> None:

@@ -25,7 +25,8 @@ class RttEstimator:
         Clamp bounds for the computed RTO.
     """
 
-    __slots__ = ("srtt", "rttvar", "_rto", "min_rto", "max_rto", "_backoff", "samples")
+    __slots__ = ("srtt", "rttvar", "_rto", "min_rto", "max_rto", "_backoff",
+                 "samples", "rto")
 
     ALPHA = 0.125
     BETA = 0.25
@@ -43,11 +44,11 @@ class RttEstimator:
         self.max_rto = max_rto
         self._backoff = 1
         self.samples = 0
-
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout, including backoff."""
-        return min(self._rto * self._backoff, self.max_rto)
+        #: Current retransmission timeout, including backoff. A plain
+        #: attribute recomputed where its inputs change (sample, backoff,
+        #: reset), not where it is read: the sender re-arms its timer from
+        #: it on every ACK. Treat it as read-only.
+        self.rto = init_rto  # <= max_rto, checked above
 
     def sample(self, rtt: float) -> None:
         """Feed one RTT measurement (never from a retransmitted segment)."""
@@ -60,7 +61,8 @@ class RttEstimator:
         else:
             self.rttvar = (1 - self.BETA) * self.rttvar + self.BETA * abs(self.srtt - rtt)
             self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
-        self._rto = max(self.min_rto, min(self.srtt + 4.0 * self.rttvar, self.max_rto))
+        self.rto = self._rto = max(
+            self.min_rto, min(self.srtt + 4.0 * self.rttvar, self.max_rto))
         self._backoff = 1  # fresh sample resets backoff (RFC 6298 §5.7)
 
     def backoff(self) -> None:
@@ -76,7 +78,10 @@ class RttEstimator:
         """
         if self._rto * self._backoff < self.max_rto:
             self._backoff *= 2
+            self.rto = min(self._rto * self._backoff, self.max_rto)
 
     def reset_backoff(self) -> None:
         """Clear exponential backoff (new data acknowledged)."""
-        self._backoff = 1
+        if self._backoff != 1:
+            self._backoff = 1
+            self.rto = self._rto

@@ -6,6 +6,7 @@ fixtures; individual tests assert one property each.
 """
 
 import dataclasses
+import functools
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +16,9 @@ from repro.experiments.bulkcell import BulkConfig
 from repro.experiments.config import ExperimentConfig, QueueSetup
 from repro.experiments.fidelity import BULK_TOLERANCES, compare_metrics
 from repro.experiments.runner import run_cell
+from repro.net.host import Host
+from repro.tcp.endpoint import TcpListener
+from repro.units import mb
 from repro.validate.smoke import build_suite, fingerprint, smoke_cells
 
 
@@ -120,6 +124,36 @@ class TestBulkHybrid:
 
         with pytest.raises(ExperimentError):
             run_cell(BulkConfig(sim_horizon_s=0.001))
+
+
+class TestWrappedReceiver:
+    def test_functools_wraps_receiver_still_promotes(self, monkeypatch):
+        """A listener registered through a wrapped ``Host.bind`` whose
+        wrapper follows ``functools.wraps`` (``__wrapped__``, no
+        ``__self__``) is still found by the fluid tier's path resolver."""
+        cfg = BulkConfig(n_hosts=2, flow_bytes=mb(4), fidelity="hybrid")
+        plain = run_cell(cfg)
+        bind = Host.bind
+        wrapped = []
+
+        def wrapping_bind(host, port, receiver):
+            if isinstance(getattr(receiver, "__self__", None), TcpListener):
+                inner = receiver
+
+                @functools.wraps(inner)
+                def receiver(pkt):
+                    return inner(pkt)
+
+                assert not hasattr(receiver, "__self__")
+                wrapped.append(port)
+            return bind(host, port, receiver)
+
+        monkeypatch.setattr(Host, "bind", wrapping_bind)
+        result = run_cell(cfg)
+        assert wrapped
+        assert result.manifest["fluid"]["promotions"] > 0
+        assert result.manifest["fluid"] == plain.manifest["fluid"]
+        assert result.metrics == plain.metrics
 
 
 class TestHybridNoOp:

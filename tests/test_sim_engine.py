@@ -1,5 +1,9 @@
 """Tests for the discrete-event kernel."""
 
+import math
+import random
+from bisect import insort
+
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
@@ -309,3 +313,181 @@ class TestRunControl:
         cats = report["categories"]
         key = next(iter(cats))
         assert cats[key]["events"] == 2
+
+
+class TestRunHorizon:
+    """``run(until=...)`` pops first and pushes the one not-yet-due entry
+    back; nothing an outside reader can see may tell the difference."""
+
+    def test_event_just_past_horizon_stays_pending(self):
+        sim = Simulator()
+        fired = []
+        horizon = 2.0
+        late = math.nextafter(horizon, math.inf)
+        sim.schedule_at(1.0, lambda: fired.append(sim.now))
+        sim.run(until=1.5)
+        sim.schedule_at(late, lambda: fired.append(sim.now))
+        before = (sim.pending_events, sim.cancelled_pending,
+                  sim.heap_high_water)
+        sim.run(until=horizon)
+        assert fired == [1.0]
+        assert sim.now == horizon
+        assert (sim.pending_events, sim.cancelled_pending,
+                sim.heap_high_water) == before == (1, 0, 1)
+        assert sim.check_invariants() == []
+        sim.run()
+        assert fired == [1.0, late]
+        assert sim.now == late
+        assert sim.pending_events == 0
+
+    def test_event_at_the_horizon_fires(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(2.0, lambda: fired.append(sim.now))
+        sim.run(until=2.0)
+        assert fired == [2.0]
+
+    def test_cancelled_entry_beyond_horizon_is_accounted_once(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(3.0, lambda: fired.append(3))
+        dead = sim.schedule_at(4.0, lambda: fired.append(4))
+        sim.cancel(dead)
+        sim.run(until=2.0)  # 3.0 goes back; the dead 4.0 is never reached
+        assert fired == []
+        assert (sim.pending_events, sim.cancelled_pending) == (2, 1)
+        assert sim.check_invariants() == []
+        sim.run(until=2.5)  # and again: still one dead entry, not two
+        assert (sim.pending_events, sim.cancelled_pending) == (2, 1)
+        sim.run()
+        assert fired == [3]
+        assert (sim.pending_events, sim.cancelled_pending) == (0, 0)
+        assert sim.check_invariants() == []
+
+    def test_cancelled_entry_ahead_of_the_horizon_entry_is_discarded(self):
+        sim = Simulator()
+        fired = []
+        dead = sim.schedule_at(3.0, lambda: fired.append(3))
+        sim.schedule_at(4.0, lambda: fired.append(4))
+        sim.cancel(dead)
+        sim.run(until=2.0)  # surfaces the dead 3.0, pushes the live 4.0 back
+        assert fired == []
+        assert (sim.pending_events, sim.cancelled_pending) == (1, 0)
+        assert sim.check_invariants() == []
+        sim.run()
+        assert fired == [4]
+
+    def test_stop_inside_the_last_due_event_keeps_the_rest(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, lambda: (fired.append(1), sim.stop()))
+        sim.schedule_at(1.5, lambda: fired.append(2))
+        sim.run(until=2.0)
+        assert fired == [1]
+        assert sim.now == 1.0  # a stopped run does not jump to the horizon
+        assert sim.pending_events == 1
+        sim.run(until=2.0)
+        assert fired == [1, 2]
+
+
+class _SortedListModel:
+    """Reference kernel: live events in one sorted list of
+    ``(time, seq, child_delay)``; the head is always the next to fire."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.live = []
+        self.fired = []
+
+    def add(self, time, child_delay=None):
+        self.seq += 1
+        insort(self.live, (time, self.seq, child_delay))
+
+    def cancel(self, seq):
+        self.live = [e for e in self.live if e[1] != seq]
+
+    def _fire_head(self):
+        time, seq, child_delay = self.live.pop(0)
+        self.now = time
+        self.fired.append((time, seq))
+        if child_delay is not None:
+            self.add(time + child_delay)
+
+    def run(self, until):
+        while self.live and self.live[0][0] <= until:
+            self._fire_head()
+        if self.now < until:
+            self.now = until
+
+    def step(self):
+        if not self.live:
+            return False
+        self._fire_head()
+        return True
+
+
+class TestAgainstSortedListModel:
+    @pytest.mark.parametrize("seed", [1, 20261002])
+    def test_random_operation_sequence_fires_in_model_order(self, seed,
+                                                            monkeypatch):
+        rng = random.Random(seed)
+        sim, model = Simulator(), _SortedListModel()
+        fired, handles, compactions = [], [], []
+        compact = Simulator._compact
+
+        def counted_compact(sim):
+            compactions.append(sim.now)
+            compact(sim)
+
+        monkeypatch.setattr(Simulator, "_compact", counted_compact)
+
+        def arm(schedule, value, child_delay):
+            def fire():
+                fired.append((sim.now, handle[1]))
+                if child_delay is not None:
+                    arm(sim.schedule, child_delay, None)
+
+            handle = schedule(value, fire)
+            handles.append(handle)
+
+        def cancel(handle):
+            # Already fired or cancelled: a no-op on both sides.
+            sim.cancel(handle)
+            model.cancel(handle[1])
+
+        delays = (0.0, 0.25, 0.5, 1.0)  # a small set, so ties are common
+        for i in range(1500):
+            op = rng.random()
+            if op < 0.50:
+                delay = (rng.choice(delays) if rng.random() < 0.5
+                         else rng.uniform(0, 20))
+                child = rng.choice(delays) if rng.random() < 0.3 else None
+                arm(sim.schedule, delay, child)
+                model.add(model.now + delay, child)
+            elif op < 0.62:
+                time = sim.now + rng.choice(delays)
+                arm(sim.schedule_at, time, None)
+                model.add(time)
+            elif op < 0.88 and handles:
+                # Mostly recent handles (likely still pending), some stale.
+                cancel(rng.choice(handles[-40:] if rng.random() < 0.8
+                                  else handles))
+            elif op < 0.95:
+                until = sim.now + rng.choice((0.0, 0.25, 0.5, rng.uniform(0, 2)))
+                sim.run(until=until)
+                model.run(until)
+            else:
+                assert sim.step() is model.step()
+            if i % 500 == 499:  # a timer storm: most of the heap goes dead
+                for handle in handles[-300:]:
+                    if rng.random() < 0.9:
+                        cancel(handle)
+            assert sim.now == model.now
+            assert fired == model.fired
+            assert sim.check_invariants() == []
+        sim.run()
+        model.run(math.inf)
+        assert fired == model.fired
+        assert len(fired) > 100
+        assert compactions  # the sequence was deep and dead enough
