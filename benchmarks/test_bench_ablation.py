@@ -63,7 +63,13 @@ class TestPerPacketVsPerByte:
 class TestInstantaneousVsEwma:
     """A2 — Wu et al. recommend the instantaneous queue length over the
     EWMA: the slow average lets bursts overflow the buffer before the
-    AQM reacts, so EWMA shows more tail drops under bursty traffic."""
+    AQM reacts, so EWMA shows more tail drops under bursty traffic.
+
+    It does not follow that the instantaneous marker marks *more*: it
+    marks each excursion as it starts, the senders back off before the
+    queue builds, and fewer packets ever arrive above ``min_th`` (105
+    marks against the EWMA's 438 here). What the early reaction buys is a
+    shorter standing queue, so that is what is asserted."""
 
     def test_instantaneous_reduces_tail_drops(self, benchmark):
         def ablation():
@@ -76,8 +82,7 @@ class TestInstantaneousVsEwma:
 
         st_ewma, st_inst = run_once(benchmark, ablation)
         assert st_inst.drops_tail <= st_ewma.drops_tail
-        # the instantaneous marker reacts to every excursion -> more marks
-        assert st_inst.marks >= st_ewma.marks
+        assert st_inst.mean_queue_delay < st_ewma.mean_queue_delay
 
 
 class TestDelayedAcks:

@@ -16,11 +16,10 @@ Subcommands regenerate each paper artifact:
   report events/sec, heap high-water mark, and the sim/wall ratio
 * ``trace`` — run one configuration and export a JSONL packet/queue/tcp
   trace (``--kinds drop,mark,deliver --out trace.jsonl``)
-* ``bench`` — run the reproducible benchmark suite (micro primitives +
-  pinned-seed canonical cells) and write ``BENCH_<stamp>.json``;
-  ``--baseline PATH`` gates regressions (``--quick`` is the CI smoke
-  mode); ``--compare A B`` renders a side-by-side table of two
-  committed reports' normalized macro times without running anything
+* ``bench`` — run the layered benchmark suite (``benchmarks/suite/run.py``,
+  whose options it passes on) and write its result as a
+  ``benchmarks/BENCH_<stamp>.json`` trajectory point; ``--compare A B``
+  judges two such files with the suite's ``compare.py``
 * ``smoke`` — run the pinned CI smoke gates (``repro smoke [NAME…]``; no
   names = all seven; ``--json PATH`` writes the ``repro.smoke/v1``
   reports): every gate replays its cells plain, plain again and with the
@@ -70,6 +69,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 from typing import Optional
 
 from repro.core.protection import ProtectionMode
@@ -379,31 +379,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     pbench = sub.add_parser(
         "bench",
-        help="run the reproducible benchmark suite and write BENCH_<stamp>.json")
-    pbench.add_argument("--quick", action="store_true",
-                        help="smoke mode: fig2-smoke macro cell only "
-                             "(what CI runs)")
-    pbench.add_argument("--repeats", type=int, default=None, metavar="N",
-                        help="timing samples per workload "
-                             "(default: 3 with --quick, else 5)")
-    pbench.add_argument("--out", metavar="PATH", default=None,
-                        help="report path (default BENCH_<stamp>.json in "
-                             "the current directory; '-' prints the JSON "
-                             "to stdout without writing a file)")
-    pbench.add_argument("--baseline", metavar="PATH",
-                        help="compare against this committed report "
-                             "(e.g. benchmarks/BENCH_baseline.json) and "
-                             "fail on regression")
-    pbench.add_argument("--tolerance", type=float, default=0.25,
-                        metavar="FRAC",
-                        help="allowed normalized-time regression vs the "
-                             "baseline (default 0.25 = 25%%)")
-    pbench.add_argument("--compare", nargs=2, metavar=("A", "B"),
-                        help="compare two existing BENCH_*.json reports "
-                             "side by side (A = reference, B = candidate) "
-                             "instead of running the suite; exit 1 when B "
-                             "regresses past --tolerance on any shared "
-                             "macro cell")
+        help="run the layered benchmark suite (benchmarks/suite/run.py) "
+             "and write benchmarks/BENCH_<stamp>.json",
+        epilog="Every other argument is the suite's own and is passed on "
+               "verbatim (--workload --seed --repeat --seconds: see "
+               "benchmarks/suite/README.md); the exit code is the suite's.")
+    bench_mode = pbench.add_mutually_exclusive_group()
+    bench_mode.add_argument("--out", metavar="PATH",
+                            help="result file (default: benchmarks/"
+                                 "BENCH_<YYYYMMDD-HHMMSS>.json)")
+    bench_mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                            help="run nothing: judge result file B against "
+                                 "A with benchmarks/suite/compare.py")
     pbench.set_defaults(handler=_cmd_bench)
 
     pserve = sub.add_parser(
@@ -895,94 +882,23 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        compare_to_baseline,
-        render_report,
-        run_bench,
-        write_bench,
-    )
+    import subprocess
 
-    if args.repeats is not None and args.repeats < 1:
-        print(f"bench: --repeats must be >= 1 (got {args.repeats})",
-              file=sys.stderr)
+    suite = Path(__file__).resolve().parents[2] / "benchmarks" / "suite"
+    if not (suite / "run.py").is_file():
+        print(f"bench: needs a source checkout: no {suite / 'run.py'} (the "
+              "suite is not part of the installed package)", file=sys.stderr)
         return 2
-    if not (0.0 <= args.tolerance):
-        print(f"bench: --tolerance must be >= 0 (got {args.tolerance})",
-              file=sys.stderr)
-        return 2
-
     if args.compare:
-        # Pure report-vs-report mode: nothing is executed, so it shares
-        # the baseline failure classes — 3 for unreadable artifacts, 1
-        # for a genuine regression.
-        from repro.perf.bench import render_compare
-
-        reports = []
-        for path in args.compare:
-            try:
-                with open(path) as fh:
-                    reports.append(json.load(fh))
-            except OSError as exc:
-                print(f"bench: cannot read {path}: {exc.strerror or exc}",
-                      file=sys.stderr)
-                return 3
-            except ValueError as exc:
-                print(f"bench: {path} is not valid JSON: {exc}",
-                      file=sys.stderr)
-                return 3
-        ok, lines = render_compare(reports[0], reports[1],
-                                   tolerance=args.tolerance)
-        print(f"compare: A={args.compare[0]}  B={args.compare[1]}")
-        for line in lines:
-            print(f"  {line}")
-        return 0 if ok else 1
-
-    baseline = None
-    if args.baseline:
-        # A missing/corrupt baseline is its own failure class: exit 3, so
-        # CI and scripts can tell "the gate itself is broken" (fix the
-        # baseline artifact) apart from usage errors (2) and genuine
-        # regressions (1).
-        try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-        except OSError as exc:
-            print(f"bench: cannot read baseline {args.baseline}: "
-                  f"{exc.strerror or exc} — pass an existing report "
-                  "(e.g. benchmarks/BENCH_baseline.json)", file=sys.stderr)
-            return 3
-        except ValueError as exc:
-            print(f"bench: baseline {args.baseline} is not valid JSON: "
-                  f"{exc} — regenerate it with `bench --out`",
-                  file=sys.stderr)
-            return 3
-
-    report = run_bench(quick=args.quick, repeats=args.repeats)
-
-    rc = 0
-    if args.out == "-":
-        print(json.dumps(report, indent=2))
+        script, argv = "compare.py", args.compare
     else:
-        print(render_report(report))
-        path = write_bench(report, args.out)
-        print(f"wrote {path}", file=sys.stderr)
-
-    broken = [name for name, row in report["macro"].items()
-              if not row["deterministic"]]
-    if broken:
-        print(f"bench: NON-DETERMINISTIC macro cell(s): {', '.join(broken)} "
-              "— repeated runs must be bit-identical", file=sys.stderr)
-        rc = 1
-
-    if baseline is not None:
-        ok, lines = compare_to_baseline(report, baseline,
-                                        tolerance=args.tolerance)
-        print(f"baseline     : {args.baseline}", file=sys.stderr)
-        for line in lines:
-            print(f"  {line}", file=sys.stderr)
-        if not ok:
-            rc = 1
-    return rc
+        # Absolute, against the caller's directory: run.py changes to the
+        # checkout before it resolves --out.
+        out = args.out or suite.parent / time.strftime(
+            "BENCH_%Y%m%d-%H%M%S.json", time.gmtime())
+        script, argv = "run.py", ["--out", str(Path(out).absolute())]
+    return subprocess.run([sys.executable, str(suite / script), *argv,
+                           *args.suite_args]).returncode
 
 
 def _cmd_gates(args: argparse.Namespace) -> int:
@@ -1203,14 +1119,14 @@ def _cmd_farm(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.errors import ExperimentError
     from repro.experiments.cache import ResultCache, config_cache_key
 
-    try:
-        cache = ResultCache(args.cache_dir)
-    except ExperimentError as exc:
-        print(f"cache: {exc}", file=sys.stderr)
+    # An inspection verb creates nothing: ResultCache() would mkdir.
+    if not Path(args.cache_dir).is_dir():
+        print(f"cache: no such cache directory {args.cache_dir}",
+              file=sys.stderr)
         return 2
+    cache = ResultCache(args.cache_dir)
     if args.prune_age is not None and args.prune_age < 0:
         print(f"cache: --prune-age must be >= 0 (got {args.prune_age})",
               file=sys.stderr)
@@ -1268,7 +1184,12 @@ def main(argv: Optional[list] = None) -> int:
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     except (ImportError, ValueError, AttributeError):  # pragma: no cover
         pass  # non-POSIX platform or non-main thread
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra and args.handler is not _cmd_bench:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    # Only `bench` takes arguments not declared here: the suite's own.
+    args.suite_args = extra
     return args.handler(args)
 
 

@@ -184,50 +184,32 @@ key, so stale-config collisions cannot happen.
 _BENCHMARKS_SECTION = """\
 ## Performance benchmarks
 
-`repro-hadoop-ecn bench` measures the simulation core itself and writes
-a machine-readable `BENCH_<stamp>.json` (schema `repro.bench/v1`):
+One measuring device: the layered suite under `benchmarks/suite/`
+(workloads, metrics and bounds declared in `BENCHMARK.json`, measurement
+method in `benchmarks/suite/README.md`), driven through `repro bench`. A
+performance number counts when it is a committed
+`benchmarks/BENCH_<stamp>.json` trajectory point:
 
 ```bash
-repro-hadoop-ecn bench                      # full suite, writes BENCH_<stamp>.json
-repro-hadoop-ecn bench --quick              # CI smoke: fig2-smoke cell only
-repro-hadoop-ecn bench --baseline benchmarks/BENCH_baseline.json   # regression gate
+repro-hadoop-ecn bench --seed 42 --repeat 4                     # all five workloads → benchmarks/BENCH_<stamp>.json
+repro-hadoop-ecn bench --workload shuffle-bulk --seed 1 --seconds 3 --out b.json   # what CI runs per workload
+repro-hadoop-ecn bench --compare benchmarks/BENCH_A.json benchmarks/BENCH_B.json   # B judged against A
 ```
 
-Three layers, all deterministic in what they execute:
+Every argument but `--out` and `--compare` is `benchmarks/suite/run.py`'s.
+The `repro.suite_result/v1` file holds, per workload and seed, the
+end-to-end metrics of an untraced run, the per-layer metrics of one traced
+run, each run's `sim_digest`, failures and the host record, in
+reference-host seconds; `--compare` judges each metric against its bound
+and exits 1 on a `worse` row or a rise in failures.
 
-* **calibration** — a pure-stdlib heapq probe that measures the machine,
-  so reports from different hardware compare through *normalized* times
-  (`macro wall / calibration wall`) instead of raw seconds;
-* **micro** — best-of-N rates for the hot primitives (event-heap
-  schedule/cancel/fire churn, packet construction, RED enqueue/dequeue);
-* **macro** — pinned-seed canonical cells (`fig2-smoke` = RED default @
-  500 µs, shallow buffers, ECN, seed 42, 1/16-scale Terasort; the full
-  suite adds droptail and CoDel cells), reporting wall time, events/s
-  and delivered packets/s.
-
-Reading a `BENCH_*.json`: `macro.<cell>.wall_s_best` is the best-of-N
-wall time, `normalized` divides it by the calibration probe (compare
-*this* across machines), `events_per_s`/`packets_per_s` are throughput
-at the best repeat, and `deterministic` records that every repeat
-reproduced identical simulated results — the bench doubles as a
-determinism check and the CLI exits non-zero if any repeat diverges.
-`compare_to_baseline` (and `--baseline`) flags any cell whose
-normalized time regresses more than `--tolerance` (default 25%) vs a
-committed report; CI runs exactly that against
-`benchmarks/BENCH_baseline.json` on every push.
-
-Determinism guarantees the harness leans on (and re-verifies): event
-ties break FIFO via per-simulator sequence numbers, every random draw
-comes from named seeded streams, packet ids are a per-run counter (two
-back-to-back cells in one process yield identical traces), and lazy
-cancellation + heap compaction never reorder live events
-(`tests/test_perf_and_determinism.py` pins all four).
-
-The committed `benchmarks/BENCH_pre_optimization.json` snapshots the
-tree before the event-core overhaul; against it the overhaul measures
-**1.5x on the fig2-smoke cell** (normalized best-of-7, same machine:
-2.57 -> 1.70, i.e. ~101k -> ~165k events/s), with droptail and CoDel
-cells at 1.4x.
+Determinism guarantees the suite leans on (and re-verifies through
+`sim_digest` and its repeat-cell checks): event ties break FIFO via
+per-simulator sequence numbers, every random draw comes from named seeded
+streams, packet ids are a per-run counter (two back-to-back cells in one
+process yield identical traces), and lazy cancellation + heap compaction
+never reorder live events (`tests/test_perf_and_determinism.py` pins all
+four).
 """
 
 

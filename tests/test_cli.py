@@ -188,6 +188,16 @@ class TestCacheVerb:
                      "--prune-age", "1"]) == 0
         assert "pruned 2 of 2 entries" in capsys.readouterr().out
 
+    def test_missing_cache_dir_is_an_error_and_is_not_created(
+            self, tmp_path, capsys):
+        """Regression: an inspection verb must not create state — a typo'd
+        --cache-dir used to be created and reported as empty, exit 0."""
+        typo = tmp_path / "nope"
+        for extra in ([], ["--stats"], ["--prune-age", "1"]):
+            assert main(["cache", "--cache-dir", str(typo)] + extra) == 2
+            assert "no such cache directory" in capsys.readouterr().err
+        assert not typo.exists()
+
 
 class TestTelemetryVerbs:
     def test_trace_parses_defaults(self):
@@ -257,27 +267,107 @@ class TestTelemetryVerbs:
         assert "at least one event kind" in capsys.readouterr().err
 
 
-class TestBenchBaselineErrors:
-    """A broken baseline artifact is exit 3 — distinct from usage (2)
-    and genuine regressions (1)."""
+class TestBenchVerb:
+    """``bench`` is a thin verb over ``benchmarks/suite``: it declares
+    ``--out`` and ``--compare`` and passes everything else on."""
 
-    def test_missing_baseline_exit_3(self, tmp_path, capsys):
-        rc = main(["bench", "--quick",
-                   "--baseline", str(tmp_path / "absent.json")])
-        assert rc == 3
-        assert "cannot read baseline" in capsys.readouterr().err
+    SUITE_ARGS = ["--workload", "shuffle-bulk", "--seed", "1",
+                  "--seconds", "3"]
 
-    def test_corrupt_baseline_exit_3(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{this is not json")
-        rc = main(["bench", "--quick", "--baseline", str(bad)])
-        assert rc == 3
-        assert "not valid JSON" in capsys.readouterr().err
+    @staticmethod
+    def _captured(monkeypatch, code=0):
+        """Stub ``subprocess.run(argv)``; returns the list of argvs seen."""
+        import subprocess
+        import types
 
-    def test_negative_tolerance_still_usage_error(self, capsys):
-        rc = main(["bench", "--tolerance", "-0.5"])
-        assert rc == 2
-        assert "--tolerance" in capsys.readouterr().err
+        calls = []
+        done = types.SimpleNamespace(returncode=code)
+        monkeypatch.setattr(subprocess, "run",
+                            lambda argv: calls.append(argv) or done)
+        return calls
+
+    def test_parser_declares_only_out_and_compare(self):
+        parser = build_parser()
+        args = parser.parse_args(["bench"])
+        assert set(vars(args)) == {"command", "handler", "out", "compare"}
+        assert args.out is None and args.compare is None
+        assert parser.parse_args(["bench", "--out", "X"]).out == "X"
+        assert parser.parse_args(
+            ["bench", "--compare", "a.json", "b.json"]
+        ).compare == ["a.json", "b.json"]
+        # The suite's options are not this parser's: left over, in order.
+        args, extra = parser.parse_known_args(["bench"] + self.SUITE_ARGS)
+        assert extra == self.SUITE_ARGS and args.out is None
+
+    def test_other_verbs_still_reject_unknown_arguments(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--seconds", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seconds 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("code", [0, 1])
+    def test_runs_the_suite_and_returns_its_exit_code(self, code, monkeypatch):
+        import pathlib
+        import re
+        import sys
+
+        import repro.cli
+
+        calls = self._captured(monkeypatch, code)
+        assert main(["bench"] + self.SUITE_ARGS) == code
+        (argv,) = calls
+        root = pathlib.Path(repro.cli.__file__).resolve().parents[2]
+        assert argv[:3] == [sys.executable,
+                            str(root / "benchmarks" / "suite" / "run.py"),
+                            "--out"]
+        assert re.fullmatch(
+            re.escape(str(root / "benchmarks")) + r"/BENCH_\d{8}-\d{6}\.json",
+            argv[3])
+        assert argv[4:] == self.SUITE_ARGS
+
+    def test_relative_out_is_resolved_against_the_callers_cwd(
+            self, tmp_path, monkeypatch):
+        calls = self._captured(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--seed", "7", "--out", "sub/b.json"]) == 0
+        assert calls[0][2:] == ["--out", str(tmp_path / "sub" / "b.json"),
+                                "--seed", "7"]
+
+    def test_without_a_checkout_exits_2_naming_what_is_missing(
+            self, tmp_path, monkeypatch, capsys):
+        import repro.cli
+
+        # What an installed wheel looks like: no benchmarks/ two levels up.
+        monkeypatch.setattr(repro.cli, "__file__",
+                            str(tmp_path / "src" / "repro" / "cli.py"))
+        assert main(["bench"]) == 2
+        assert main(["bench", "--compare", "a.json", "b.json"]) == 2
+        err = capsys.readouterr().err
+        assert "needs a source checkout" in err
+        assert str(tmp_path / "benchmarks" / "suite" / "run.py") in err
+
+    def test_compare_goes_through_the_suites_compare(self, tmp_path, capfd):
+        import json
+
+        def result(events_per_s):
+            run = {"workload": "shuffle-bulk", "seed": 1, "trace": 0,
+                   "metrics": {"setup_s": 0.4, "events_per_s": events_per_s,
+                               "cpu_us_per_event": 4.0,
+                               "warm_cells_per_s": 6000.0,
+                               "peak_rss_mb": 44.0},
+                   "attempted": 9, "failed": 0, "sim_digest": "8c20"}
+            return {"schema": "repro.suite_result/v1", "seconds": 3.0,
+                    "runs": [run]}
+
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(result(200000.0)))
+        b.write_text(json.dumps(result(100000.0)))
+        assert main(["bench", "--compare", str(a), str(a)]) == 0
+        assert "worse" not in capfd.readouterr().out
+        assert main(["bench", "--compare", str(a), str(b)]) == 1
+        out = capfd.readouterr().out
+        assert "events_per_s" in out and "worse" in out
+        assert "identical on 1 of 1 shared seeds" in out
 
 
 class TestCheckVerb:

@@ -1,22 +1,19 @@
-"""Hot-path overhaul guarantees: heap equivalence, determinism, bench.
+"""Hot-path overhaul guarantees: heap equivalence, determinism.
 
 The event-core optimizations (plain-list heap entries, lazy-cancel
 compaction, bound-method transmit path, fused RED enqueue/dequeue) are
 only admissible because they are *observationally invisible*: not a
 single event may fire in a different order, and back-to-back runs in one
 process must produce byte-identical traces. These tests pin those
-guarantees down, alongside the ``repro.perf`` bench harness that
-measures the speedups.
+guarantees down.
 """
 
-import json
 import random
 from functools import partial
 
 import pytest
 
 from repro.core.droptail import DropTail
-from repro.core.protection import ProtectionMode
 from repro.errors import TopologyError
 from repro.experiments.config import (
     SHALLOW_BUFFER_PACKETS,
@@ -25,16 +22,6 @@ from repro.experiments.config import (
 )
 from repro.experiments.runner import run_cell
 from repro.net.port import Port
-from repro.perf.bench import (
-    SCHEMA,
-    canonical_cells,
-    compare_to_baseline,
-    default_bench_path,
-    render_compare,
-    render_report,
-    run_bench,
-    write_bench,
-)
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 from repro.tcp.endpoint import TcpVariant
@@ -371,178 +358,3 @@ class TestProfilerLabels:
         # lambda accounts to the (test) function that ultimately made it.
         expected = self.test_closure_buckets_under_enclosing_method.__qualname__
         assert callback_category(outer()) == expected
-
-
-# ---------------------------------------------------------------------------
-# Bench harness.
-# ---------------------------------------------------------------------------
-
-def _tiny_cells():
-    config = ExperimentConfig(
-        queue=QueueSetup(kind="red",
-                         buffer_packets=SHALLOW_BUFFER_PACKETS,
-                         target_delay_s=us(500.0)),
-        variant=TcpVariant.ECN,
-        seed=42,
-    ).scaled(0.01)
-    return [("tiny", config)]
-
-
-class TestBenchHarness:
-    def test_report_schema_and_determinism(self, tmp_path):
-        report = run_bench(quick=True, repeats=2, cells=_tiny_cells())
-        assert report["schema"] == SCHEMA
-        assert set(report) >= {"schema", "created", "host", "calibration",
-                               "micro", "macro", "repeats", "quick"}
-        assert set(report["micro"]) == {"event_churn", "packet_construct",
-                                        "red_cycle"}
-        for row in report["micro"].values():
-            assert row["rate_per_s"] > 0
-            assert len(row["samples_s"]) == 2
-        cell = report["macro"]["tiny"]
-        assert cell["deterministic"] is True
-        assert cell["events"] > 0
-        assert cell["events_per_s"] > 0
-        assert cell["packets_per_s"] > 0
-        assert cell["normalized"] > 0
-        # Round-trips through JSON unchanged.
-        path = write_bench(report, str(tmp_path / "BENCH_test.json"))
-        with open(path) as fh:
-            assert json.load(fh) == json.loads(json.dumps(report))
-
-    def test_compare_detects_regressions(self):
-        report = run_bench(quick=True, repeats=1, cells=_tiny_cells())
-        ok, lines = compare_to_baseline(report, report)
-        assert ok and any("tiny" in line for line in lines)
-
-        slower = json.loads(json.dumps(report))
-        slower["macro"]["tiny"]["normalized"] *= 2.0
-        ok, lines = compare_to_baseline(slower, report, tolerance=0.25)
-        assert not ok
-        assert any("REGRESSION" in line for line in lines)
-        # ...but a generous tolerance lets the same delta through.
-        ok, _ = compare_to_baseline(slower, report, tolerance=1.5)
-        assert ok
-
-    def test_compare_rejects_foreign_schema(self):
-        report = run_bench(quick=True, repeats=1, cells=_tiny_cells())
-        ok, lines = compare_to_baseline(report, {"schema": "other/v0"})
-        assert not ok and "schema" in lines[0]
-
-    def test_render_report_mentions_all_workloads(self):
-        report = run_bench(quick=True, repeats=1, cells=_tiny_cells())
-        text = render_report(report)
-        assert "tiny" in text and "event_churn" in text
-        assert "deterministic" in text
-
-    def test_canonical_cells_pin_the_smoke_configuration(self):
-        cells = dict(canonical_cells(quick=True))
-        assert set(cells) == {"fig2-smoke"}
-        smoke = cells["fig2-smoke"]
-        assert smoke.seed == 42
-        assert smoke.queue.kind == "red"
-        assert smoke.queue.protection is ProtectionMode.DEFAULT
-        assert smoke.queue.target_delay_s == pytest.approx(us(500.0))
-        full = dict(canonical_cells(quick=False))
-        assert set(full) == {"fig2-smoke", "droptail-shallow",
-                             "codel-default", "mix-smoke",
-                             "bulk-packet", "bulk-hybrid"}
-        from repro.experiments.mix import MixConfig
-        assert isinstance(full["mix-smoke"], MixConfig)
-        assert full["mix-smoke"].seed == 42
-        # The bulk pair differs ONLY in fidelity: their normalized-time
-        # ratio is the fluid tier's speedup measurement.
-        from dataclasses import replace
-        assert full["bulk-packet"].fidelity == "packet"
-        assert full["bulk-hybrid"] == replace(full["bulk-packet"],
-                                              fidelity="hybrid")
-
-    def test_default_bench_path_stamp(self):
-        assert default_bench_path(0.0) == "BENCH_19700101-000000.json"
-
-    def test_calibration_warmup_recorded_and_excluded(self):
-        """The warmup prefix is discarded: it is recorded in the report
-        for inspection but never enters the calibration minimum."""
-        report = run_bench(quick=True, repeats=1, cells=[])
-        calib = report["calibration"]
-        assert calib["warmup"] == 2
-        assert len(calib["warmup_s"]) == 2
-        assert all(s > 0 for s in calib["warmup_s"])
-        # best_s comes from the kept samples alone, even when a warmup
-        # sample happened to be the fastest of the whole batch.
-        assert calib["best_s"] == min(calib["samples_s"])
-
-    def test_render_compare_table(self):
-        report = run_bench(quick=True, repeats=1, cells=_tiny_cells())
-        ok, lines = render_compare(report, report)
-        assert ok
-        assert any("tiny" in line and "+0.0%" in line for line in lines)
-
-        candidate = json.loads(json.dumps(report))
-        candidate["macro"]["tiny"]["normalized"] *= 2.0
-        candidate["macro"]["extra"] = dict(candidate["macro"]["tiny"])
-        ok, lines = render_compare(report, candidate, tolerance=0.25)
-        assert not ok
-        assert any("REGRESSION" in line for line in lines)
-        assert any("extra" in line and "only in B" in line for line in lines)
-        # An improvement (A slower than B) never gates.
-        ok, lines = render_compare(candidate, report, tolerance=0.25)
-        assert ok
-        assert any("improved" in line for line in lines)
-
-    def test_render_compare_rejects_foreign_schema(self):
-        report = run_bench(quick=True, repeats=1, cells=[])
-        ok, lines = render_compare({"schema": "other/v0"}, report)
-        assert not ok and "schema" in lines[0]
-
-    def test_committed_baseline_is_loadable(self):
-        with open("benchmarks/BENCH_baseline.json") as fh:
-            baseline = json.load(fh)
-        assert baseline["schema"] == SCHEMA
-        assert "fig2-smoke" in baseline["macro"]
-        assert baseline["macro"]["fig2-smoke"]["normalized"] > 0
-
-
-class TestBenchCli:
-    def test_parser_wires_the_bench_verb(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["bench", "--quick", "--repeats", "2",
-             "--baseline", "benchmarks/BENCH_baseline.json",
-             "--tolerance", "0.3", "--out", "-"])
-        assert args.command == "bench"
-        assert args.quick and args.repeats == 2
-        assert args.tolerance == pytest.approx(0.3)
-        assert args.out == "-"
-
-    def test_parser_wires_compare_and_fluid(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["bench", "--compare", "a.json", "b.json"])
-        assert args.compare == ["a.json", "b.json"]
-        # The fluid verb's only mode was its gate: now `smoke fluid`.
-        args = build_parser().parse_args(
-            ["smoke", "fluid", "--json", "out.json", "--quiet"])
-        assert args.command == "smoke"
-        assert args.names == ["fluid"] and args.quiet
-        assert args.json == "out.json"
-
-    def test_cli_compare_reports(self, tmp_path, capsys):
-        from repro.cli import main
-
-        report = run_bench(quick=True, repeats=1, cells=_tiny_cells())
-        a = tmp_path / "a.json"
-        a.write_text(json.dumps(report))
-        worse = json.loads(json.dumps(report))
-        worse["macro"]["tiny"]["normalized"] *= 2.0
-        b = tmp_path / "b.json"
-        b.write_text(json.dumps(worse))
-
-        assert main(["bench", "--compare", str(a), str(a)]) == 0
-        assert main(["bench", "--compare", str(a), str(b)]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        assert main(["bench", "--compare", str(a),
-                     str(tmp_path / "missing.json")]) == 3
