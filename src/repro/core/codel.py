@@ -145,13 +145,11 @@ class CodelQueue(QueueDisc):
         only the drop-side counters move here — departures must NOT be
         credited (the packet never leaves on the wire).
         """
-        # Advance the occupancy integral BEFORE the pop (same order as the
-        # base-class dequeue): the elapsed interval was spent at the
-        # pre-drop occupancy, so advancing afterwards under-credits the
-        # time-averaged queue length by one packet per drop interval.
-        self._advance_occupancy(now)
         pkt = self._q.popleft()
         self._bytes -= pkt.size
+        # The packet never departs, so queue_delay_sum will not see its
+        # residence time; mean_queue_packets() needs it from here.
+        self._head_drop_sojourn_s += now - pkt.enqueued_at
         st = self.stats
         st.drops_early += 1
         if pkt.is_pure_ack:

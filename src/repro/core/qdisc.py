@@ -5,6 +5,12 @@ port calls :meth:`QueueDisc.enqueue` for every arriving packet (the qdisc
 may drop it, mark it, or queue it) and :meth:`QueueDisc.dequeue` whenever
 the transmitter goes idle.
 
+Those two calls advance only what a run reads while it runs or what
+cannot be rebuilt afterwards: the counters. Time-averaged occupancy is
+*counted when read* — :meth:`QueueDisc.mean_queue_packets` derives it on
+demand from the residence times the departure path already sums, so no
+occupancy integral is advanced per packet.
+
 Every qdisc maintains a :class:`QueueStats` block with per-class arrival,
 drop and mark counters. The per-class split (ECT data vs non-ECT pure ACKs
 vs SYN) is exactly the bookkeeping the paper's Section II argument rests
@@ -65,7 +71,11 @@ class QueueStats:
     fluid_packets: int = 0
     fluid_bytes: int = 0
 
-    # occupancy integral for time-averaged queue length
+    # Inert, always 0.0. Nothing advances or reads these (time-averaged
+    # occupancy is QueueDisc.mean_queue_packets); they stay because this
+    # field list is serialised into every cache entry and hashed into
+    # every benchmark sim_digest -- removing one orphans every cache and
+    # moves every digest (tests/test_schema_pin.py).
     _occ_integral_pkts: float = field(default=0.0, repr=False)
     _occ_integral_bytes: float = field(default=0.0, repr=False)
     _occ_last_t: float = field(default=0.0, repr=False)
@@ -89,12 +99,6 @@ class QueueStats:
     def ect_drop_rate(self) -> float:
         """Fraction of arriving ECT packets that were dropped."""
         return self.ect_drops / self.ect_arrivals if self.ect_arrivals else 0.0
-
-    def mean_queue_packets(self, now: float) -> float:
-        """Time-averaged queue length in packets up to ``now``."""
-        if now <= 0:
-            return 0.0
-        return self._occ_integral_pkts / now
 
 
 class QueueDisc:
@@ -131,6 +135,12 @@ class QueueDisc:
         #: otherwise the check is one compare against +inf per enqueue.
         self._pressure_th = float("inf")
         self._pressure_cb = None
+        #: The two terms of the occupancy integral (packet-seconds) that
+        #: ``stats.queue_delay_sum`` does not already hold; see
+        #: :meth:`mean_queue_packets`. Cold path only (head drops, fluid
+        #: rounds), and deliberately not :class:`QueueStats` fields.
+        self._head_drop_sojourn_s = 0.0
+        self._fluid_occupancy_adjust_s = 0.0
 
     # -- introspection -------------------------------------------------------
 
@@ -156,6 +166,27 @@ class QueueDisc:
         """Iterate over queued packets head-first (monitor/snapshot use)."""
         return iter(self._q)
 
+    def mean_queue_packets(self, now: float) -> float:
+        """Time-averaged queue length in packets over ``[0, now]``.
+
+        Computed when read, from Little's identity: the integral of the
+        queue length over time is the summed residence time of every
+        packet that was ever queued — departed packets
+        (``stats.queue_delay_sum``), CoDel head drops, and
+        ``now - enqueued_at`` for the packets still here. Fluid rounds
+        credit a closed-form residence time into ``queue_delay_sum``
+        without occupying the queue; the adjust term swaps that credit
+        for the standing queue's ``occupancy_pkt_s``. O(queue length),
+        nothing per packet (DESIGN §3 "Counted when read").
+        """
+        if now <= 0:
+            return 0.0
+        queued = 0.0
+        for pkt in self._q:
+            queued += now - pkt.enqueued_at
+        return (self.stats.queue_delay_sum + self._head_drop_sojourn_s
+                + self._fluid_occupancy_adjust_s + queued) / now
+
     # -- the port-facing API -------------------------------------------------
 
     def enqueue(self, pkt: "Packet", now: float) -> bool:
@@ -165,17 +196,11 @@ class QueueDisc:
         ``VERDICT_DROPPED`` (False) if it was dropped. Marking mutates the
         packet in place (CE codepoint).
 
-        This runs once per packet per hop — the occupancy-integral advance
-        is inlined (see :meth:`_advance_occupancy`) and the per-class
-        counters read the packet's precomputed classification attributes.
+        This runs once per packet per hop — the per-class counters read
+        the packet's precomputed classification attributes, and nothing
+        here feeds a statistic that is only read when the run ends.
         """
         st = self.stats
-        # Inlined _advance_occupancy (keep in sync).
-        dt = now - st._occ_last_t
-        if dt > 0:
-            st._occ_integral_pkts += dt * len(self._q)
-            st._occ_integral_bytes += dt * self._bytes
-            st._occ_last_t = now
         size = pkt.size
         st.arrivals += 1
         st.arrival_bytes += size
@@ -214,12 +239,6 @@ class QueueDisc:
         if not q:
             return None
         st = self.stats
-        # Inlined _advance_occupancy (keep in sync).
-        dt = now - st._occ_last_t
-        if dt > 0:
-            st._occ_integral_pkts += dt * len(q)
-            st._occ_integral_bytes += dt * self._bytes
-            st._occ_last_t = now
         pkt = q.popleft()
         size = pkt.size
         self._bytes -= size
@@ -245,7 +264,6 @@ class QueueDisc:
 
     def credit_fluid(self, packets: int, bytes_: int, delay_s: float = 0.0,
                      occupancy_pkt_s: float = 0.0,
-                     occupancy_byte_s: float = 0.0,
                      ect: bool = False, ack: bool = False) -> None:
         """Account for analytically-advanced traffic that transited this queue.
 
@@ -255,10 +273,8 @@ class QueueDisc:
         (occupancy = arrivals − drops − departures, byte conservation,
         per-class bounds) remains valid. ``delay_s`` is the summed
         closed-form residence time of the credited packets;
-        ``occupancy_*_s`` are the standing queue's contributions to the
-        occupancy integrals (added directly — the wall-clock bracket
-        ``_occ_last_t`` is untouched, so real-packet accounting around a
-        fluid interval stays exact).
+        ``occupancy_pkt_s`` is the standing queue's contribution to the
+        occupancy integral behind :meth:`mean_queue_packets`.
         """
         st = self.stats
         st.arrivals += packets
@@ -273,8 +289,7 @@ class QueueDisc:
             st.ect_arrivals += packets
         if ack:
             st.ack_arrivals += packets
-        st._occ_integral_pkts += occupancy_pkt_s
-        st._occ_integral_bytes += occupancy_byte_s
+        self._fluid_occupancy_adjust_s += occupancy_pkt_s - delay_s
 
     # -- policy hooks ----------------------------------------------------------
 
@@ -325,14 +340,6 @@ class QueueDisc:
             queue=self.name)
 
     # -- internals ---------------------------------------------------------------
-
-    def _advance_occupancy(self, now: float) -> None:
-        st = self.stats
-        dt = now - st._occ_last_t
-        if dt > 0:
-            st._occ_integral_pkts += dt * len(self._q)
-            st._occ_integral_bytes += dt * self._bytes
-            st._occ_last_t = now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

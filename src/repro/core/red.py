@@ -178,27 +178,6 @@ class RedQueue(QueueDisc):
 
     # -- policy -----------------------------------------------------------------
 
-    def _queue_measure(self) -> float:
-        """Queue size in threshold units (packets, or mean-packets in byte mode)."""
-        if self._byte_mode:
-            return self._bytes / self._mean_pktsize
-        return float(len(self._q))
-
-    def _update_avg(self, now: float) -> None:
-        q = self._bytes / self._mean_pktsize if self._byte_mode else float(len(self._q))
-        if self._use_inst:
-            self.avg = q
-            return
-        if not self._q and self._idle_since is not None:
-            # Decay the average over the idle period as if empty-queue
-            # samples had arrived once per typical transmission time.
-            if self._idle_pkt_time:
-                m = (now - self._idle_since) / self._idle_pkt_time
-                if m > 0:
-                    self.avg *= (1.0 - self._wq) ** m
-            self._idle_since = None
-        self.avg += self._wq * (q - self.avg)
-
     def _early_action(self, pkt: "Packet", now: float) -> bool:
         """Apply the AQM's early action to ``pkt``.
 
@@ -223,12 +202,14 @@ class RedQueue(QueueDisc):
         # tail-drop: the EWMA tracks offered load, not just admitted load.
         # Updating only on admission makes the average lag reality exactly
         # during the full-buffer bursts the drop statistics measure.
-        # Inlined _update_avg (keep in sync) — this runs once per arrival.
+        # The EWMA update (mirrored in the fused enqueue() below).
         q = self._bytes / self._mean_pktsize if self._byte_mode else float(len(self._q))
         if self._use_inst:
             self.avg = q
         else:
             if not self._q and self._idle_since is not None:
+                # Decay the average over the idle period as if empty-queue
+                # samples had arrived once per typical transmission time.
                 if self._idle_pkt_time:
                     m = (now - self._idle_since) / self._idle_pkt_time
                     if m > 0:
@@ -303,12 +284,6 @@ class RedQueue(QueueDisc):
         """Fused :meth:`QueueDisc.enqueue` + :meth:`_admit` (keep in sync)."""
         st = self.stats
         q = self._q
-        # Inlined _advance_occupancy (keep in sync).
-        dt = now - st._occ_last_t
-        if dt > 0:
-            st._occ_integral_pkts += dt * len(q)
-            st._occ_integral_bytes += dt * self._bytes
-            st._occ_last_t = now
         size = pkt.size
         st.arrivals += 1
         st.arrival_bytes += size
@@ -322,7 +297,7 @@ class RedQueue(QueueDisc):
         if is_syn:
             st.syn_arrivals += 1
 
-        # Inlined _admit body, including _update_avg (keep in sync).
+        # Inlined _admit body, EWMA update first (keep in sync).
         qm = self._bytes / self._mean_pktsize if self._byte_mode else float(len(q))
         if self._use_inst:
             self.avg = qm
@@ -398,12 +373,6 @@ class RedQueue(QueueDisc):
         if not q:
             return None
         st = self.stats
-        # Inlined _advance_occupancy (keep in sync).
-        dt = now - st._occ_last_t
-        if dt > 0:
-            st._occ_integral_pkts += dt * len(q)
-            st._occ_integral_bytes += dt * self._bytes
-            st._occ_last_t = now
         pkt = q.popleft()
         size = pkt.size
         self._bytes -= size

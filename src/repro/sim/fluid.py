@@ -540,14 +540,11 @@ class FluidManager:
         wire_bytes = w + segs * IP_TCP_HEADER_BYTES
         ect = sender._ecn_negotiated
         bq = path.bottleneck_queue
-        seg_wire = path.seg_wire
         for q in path.fwd_ports:
             qd = q.qdisc
             if qd is bq:
                 qd.credit_fluid(segs, wire_bytes, delay_s=q_delay * segs,
-                                occupancy_pkt_s=q_pkts * rtt,
-                                occupancy_byte_s=q_pkts * seg_wire * rtt,
-                                ect=ect)
+                                occupancy_pkt_s=q_pkts * rtt, ect=ect)
             else:
                 qd.credit_fluid(segs, wire_bytes, ect=ect)
         ack_bytes = acks * PURE_ACK_BYTES

@@ -3,7 +3,8 @@
 :class:`LatencyCollector` hooks every host's delivery path and accumulates
 end-to-end per-packet latency (the paper's third metric) without retaining
 per-packet records: a running sum plus a fixed log-spaced histogram gives
-mean and approximate percentiles at O(1) memory.
+mean and approximate percentiles, behind a bounded 4,096-sample buffer
+that keeps the binning off the per-packet path.
 
 :class:`RunMetrics` is the record one experiment cell produces — runtime,
 throughput per node, latency, and the per-class queue counters the paper's
@@ -23,6 +24,10 @@ from repro.net.network import Network
 
 __all__ = ["LatencyCollector", "RunMetrics"]
 
+#: Buffered latency samples that trigger a drain. A module global, not a
+#: class attribute: the delivery hook compares against it once per packet.
+DRAIN_AT = 4096
+
 
 class LatencyCollector:
     """Streaming end-to-end latency statistics over delivered packets.
@@ -30,6 +35,12 @@ class LatencyCollector:
     Latencies are binned into log-spaced buckets between ``lo`` and ``hi``
     seconds (default 100 ns .. 10 s), which bounds percentile error to the
     bin ratio (~5% with 400 bins) at constant memory.
+
+    The statistics are read once, when a run ends, so the delivery hook
+    only buffers the sample; :meth:`_drain` folds the buffer into the sum,
+    the maximum and the bins — in arrival order, with the same float
+    operations a per-packet update would perform, so the results are
+    bit-identical to eager accumulation. Every read drains first.
 
     Parameters
     ----------
@@ -44,14 +55,15 @@ class LatencyCollector:
 
     def __init__(self, data_only: bool = False):
         self.data_only = data_only
-        self.count = 0
-        self.total = 0.0
+        self._pending: list = []
+        self._count = 0
+        self._total = 0.0
         # Plain Python list: a single-element numpy int64 increment costs
         # several hundred ns of boxing per packet; list[int] += 1 does not.
         self._bins = [0] * (self.N_BINS + 2)
         self._log_lo = math.log(self.LO)
         self._log_ratio = (math.log(self.HI) - self._log_lo) / self.N_BINS
-        self.max_latency = 0.0
+        self._max_latency = 0.0
 
     # -- ingestion (hot path) ---------------------------------------------------
 
@@ -59,18 +71,42 @@ class LatencyCollector:
         """Host delivery hook: record one packet's end-to-end latency."""
         if self.data_only and pkt.payload == 0:
             return
-        lat = now - pkt.created_at
-        self.count += 1
-        self.total += lat
-        if lat > self.max_latency:
-            self.max_latency = lat
-        if lat <= self.LO:
-            idx = 0
-        elif lat >= self.HI:
-            idx = self.N_BINS + 1
-        else:
-            idx = 1 + int((math.log(lat) - self._log_lo) / self._log_ratio)
-        self._bins[idx] += 1
+        pending = self._pending
+        pending.append(now - pkt.created_at)
+        if len(pending) >= DRAIN_AT:
+            self._drain()
+
+    def _drain(self) -> None:
+        """Fold the buffered samples into the statistics, oldest first.
+
+        A plain ``total += lat`` loop and ``math.log`` per sample: ``sum()``
+        is Neumaier-compensated from Python 3.12 and ``np.log``'s SIMD
+        paths differ from libm in the last ulp, and either would move
+        ``mean_latency`` / ``p99_latency`` between interpreters.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        total = self._total
+        peak = self._max_latency
+        bins = self._bins
+        lo, hi, top = self.LO, self.HI, self.N_BINS + 1
+        log, log_lo, log_ratio = math.log, self._log_lo, self._log_ratio
+        for lat in pending:
+            total += lat
+            if lat > peak:
+                peak = lat
+            if lat <= lo:
+                idx = 0
+            elif lat >= hi:
+                idx = top
+            else:
+                idx = 1 + int((log(lat) - log_lo) / log_ratio)
+            bins[idx] += 1
+        self._count += len(pending)
+        self._total = total
+        self._max_latency = peak
+        pending.clear()
 
     def attach(self, network: Network) -> "LatencyCollector":
         """Register this collector on every host of ``network``."""
@@ -87,10 +123,11 @@ class LatencyCollector:
         """
         if n <= 0 or (self.data_only and not data):
             return
-        self.count += n
-        self.total += lat * n
-        if lat > self.max_latency:
-            self.max_latency = lat
+        self._drain()  # buffered deliveries came first: keep the sum's order
+        self._count += n
+        self._total += lat * n
+        if lat > self._max_latency:
+            self._max_latency = lat
         if lat <= self.LO:
             idx = 0
         elif lat >= self.HI:
@@ -99,24 +136,44 @@ class LatencyCollector:
             idx = 1 + int((math.log(lat) - self._log_lo) / self._log_ratio)
         self._bins[idx] += n
 
-    # -- results -------------------------------------------------------------------
+    # -- results (each read drains the buffer first) ---------------------------------
+
+    @property
+    def count(self) -> int:
+        """Packets recorded."""
+        self._drain()
+        return self._count
+
+    @property
+    def total(self) -> float:
+        """Summed latency of the recorded packets (seconds)."""
+        self._drain()
+        return self._total
+
+    @property
+    def max_latency(self) -> float:
+        """Largest latency recorded (seconds)."""
+        self._drain()
+        return self._max_latency
 
     @property
     def mean(self) -> float:
         """Mean end-to-end latency (seconds)."""
-        return self.total / self.count if self.count else 0.0
+        count = self.count
+        return self._total / count if count else 0.0
 
     def percentile(self, q: float) -> float:
         """Approximate percentile (q in [0, 100]) from the histogram."""
-        if self.count == 0:
+        count = self.count
+        if count == 0:
             return 0.0
-        target = self.count * q / 100.0
+        target = count * q / 100.0
         cum = np.cumsum(np.asarray(self._bins, dtype=np.int64))
         idx = int(np.searchsorted(cum, target))
         if idx <= 0:
             return self.LO
         if idx >= self.N_BINS + 1:
-            return self.max_latency
+            return self._max_latency
         # bin idx covers [lo*r^(idx-1), lo*r^idx); return its geometric centre
         lo_edge = math.exp(self._log_lo + (idx - 1) * self._log_ratio)
         hi_edge = math.exp(self._log_lo + idx * self._log_ratio)

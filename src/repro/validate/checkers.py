@@ -368,7 +368,10 @@ class QueueAccountingChecker(Checker):
     consistent (``protected ≤ arrivals``, ``marks ≤ ect_arrivals``, class
     drops ≤ class arrivals). RED's ``avg`` must stay finite and
     non-negative. At :meth:`finish`, an exhaustive sweep additionally
-    re-sums queued bytes against ``qlen_bytes`` for every queue.
+    re-sums queued bytes against ``qlen_bytes`` for every queue, and
+    audits what :meth:`~repro.core.qdisc.QueueDisc.mean_queue_packets`
+    rests on: no queued packet was enqueued in the future, and the mean
+    itself lies in ``[0, limit_packets]``.
     """
 
     name = "queues"
@@ -440,10 +443,6 @@ class QueueAccountingChecker(Checker):
                        f"drops+departures exceed arrivals "
                        f"({st.drops_tail}+{st.drops_early}+{st.departures} "
                        f"> {st.arrivals})")
-        if st._occ_last_t > now + 1e-12:
-            self._flag(now, q.name,
-                       f"occupancy integral advanced to t={st._occ_last_t} "
-                       f"which is in the future")
         avg = getattr(q, "avg", None)
         if avg is not None and not (math.isfinite(avg) and avg >= 0.0):
             self._flag(now, q.name, f"RED avg is {avg!r}")
@@ -462,6 +461,18 @@ class QueueAccountingChecker(Checker):
                            f"byte conservation broken: arrival_bytes "
                            f"{st.arrival_bytes} < departure_bytes "
                            f"{st.departure_bytes} + queued {q.qlen_bytes}")
+            # What the derived time-averaged occupancy rests on: no
+            # residence time is negative, and the mean is a queue length.
+            for pkt in q.packets():
+                if pkt.enqueued_at > now + 1e-12:
+                    self._flag(now, q.name,
+                               f"queued packet {pkt.pkt_id} has enqueued_at="
+                               f"{pkt.enqueued_at} which is in the future")
+            mean = q.mean_queue_packets(now)
+            if not -1e-9 <= mean <= q.limit_packets + 1e-9:
+                self._flag(now, q.name,
+                           f"time-averaged occupancy {mean!r} outside "
+                           f"[0, limit {q.limit_packets}]")
 
     def stats(self) -> Dict[str, int]:
         return {"queues": len(self._queues),

@@ -137,6 +137,7 @@ class TestStats:
         q.enqueue(data(), 0.0)   # 1 pkt from t=0
         q.enqueue(data(), 1.0)   # 2 pkts from t=1
         q.dequeue(2.0)           # 1 pkt from t=2
-        q._advance_occupancy(4.0)
-        # integral = 1*1 + 2*1 + 1*2 = 5 over 4s
-        assert q.stats.mean_queue_packets(4.0) == pytest.approx(5 / 4)
+        # integral = 1*1 + 2*1 + 1*2 = 5 over 4s: the departed packet
+        # stayed 2 s, the one still queued has been there 3 s.
+        assert q.mean_queue_packets(4.0) == 5 / 4
+        assert q.mean_queue_packets(0.0) == 0.0

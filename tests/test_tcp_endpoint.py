@@ -189,7 +189,7 @@ class TestEcnReaction:
         # The congested ToR downlink queue should have stayed shallow:
         # DCTCP holds occupancy near K, far below the 500-packet buffer.
         hot = spec.hot_ports[1].qdisc  # downlink toward hosts[1]
-        mean_q = hot.stats.mean_queue_packets(results[-1].end_time)
+        mean_q = hot.mean_queue_packets(results[-1].end_time)
         assert mean_q < 5 * K
 
     def test_dctcp_no_drops_with_marking_queue(self):

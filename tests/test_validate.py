@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.droptail import DropTail
 from repro.errors import ValidationError
+from repro.net.packet import Packet
 from repro.net.topology import build_single_rack
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
@@ -91,6 +92,35 @@ class TestConservationLedger:
                       flow_bytes=40_000, buffer_packets=10, seed=5)
         res = run_scenario(sc)
         assert res.ok, res.violations
+
+
+class TestQueueOccupancyAudit:
+    """What ``mean_queue_packets`` rests on, audited at ``finish``."""
+
+    def _armed(self):
+        sim = Simulator()
+        tracer = Tracer()
+        spec = rack(sim, tracer)
+        checker = QueueAccountingChecker()
+        checker.attach(sim, spec.network, tracer)
+        return spec.hot_ports[0].qdisc, checker
+
+    def test_clean_queue_passes(self):
+        q, checker = self._armed()
+        q.enqueue(Packet(src=0, sport=1, dst=1, dport=2, payload=100), 0.5)
+        checker.finish(1.0)
+        assert checker.violations == []
+
+    def test_flags_future_enqueued_at(self):
+        q, checker = self._armed()
+        pkt = Packet(src=0, sport=1, dst=1, dport=2, payload=100)
+        q.enqueue(pkt, 0.5)
+        pkt.enqueued_at = 2.0
+        checker.finish(1.0)
+        assert [v.where for v in checker.violations] == [q.name, q.name]
+        future, mean = checker.violations
+        assert "enqueued_at=2.0 which is in the future" in future.message
+        assert "time-averaged occupancy -1.0" in mean.message
 
 
 class TestTcpChecker:
