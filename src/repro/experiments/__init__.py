@@ -59,6 +59,7 @@ from repro.experiments.multirack import MultiRackConfig
 from repro.experiments.parallel import SweepReport, run_cells
 from repro.experiments.probe import StabilityProbeConfig
 from repro.experiments.runner import apply_analyses, run_cell
+from repro.experiments.scenario import Scenario
 from repro.experiments.report import check_claims, render_claims, write_experiments_md
 
 __all__ = [
@@ -76,6 +77,7 @@ __all__ = [
     "kind_names",
     "BulkConfig",
     "MultiRackConfig",
+    "Scenario",
     "FixedKConfig",
     "fixedk_grid",
     "fixedk_smoke_cells",

@@ -232,8 +232,8 @@ repro-hadoop-ecn smoke check      # the pinned CI gate (5 cells + 10 scenarios)
 ```
 
 The randomized scenario fuzzer behind the second half of `check`
-sweeps topologies x {DropTail, RED, CoDel} x protection modes x TCP
-variants x seeds (incast fan-in, link-flap blackouts, shallow buffers)
+sweeps topologies x five qdiscs x protection modes x TCP variants x CC
+overrides x seeds (incast fan-in, link-flap blackouts, shallow buffers)
 from one master seed and shrinks any failure to a minimal repro dict;
 `tests/test_validate.py` pins a 50-scenario sweep at seed 42 with zero
 violations.

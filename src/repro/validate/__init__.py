@@ -18,6 +18,7 @@ from repro.validate.checkers import (
     QueueAccountingChecker,
     TcpChecker,
     ValidationSuite,
+    build_suite,
     checkers_from_names,
 )
 from repro.validate.fuzz import (
@@ -38,6 +39,7 @@ __all__ = [
     "TcpChecker",
     "ValidationSuite",
     "checkers_from_names",
+    "build_suite",
     "FuzzReport",
     "Scenario",
     "fuzz",

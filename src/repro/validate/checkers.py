@@ -61,6 +61,7 @@ __all__ = [
     "ValidationSuite",
     "CHECKER_NAMES",
     "checkers_from_names",
+    "build_suite",
 ]
 
 
@@ -621,7 +622,9 @@ class EngineChecker(Checker):
 # -- the suite ----------------------------------------------------------------
 
 #: CLI-facing checker registry (``repro check --checkers ...``).
-CHECKER_NAMES = ("conservation", "queues", "tcp", "engine")
+_CHECKERS = {c.name: c for c in (ConservationChecker, QueueAccountingChecker,
+                                  TcpChecker, EngineChecker)}
+CHECKER_NAMES = tuple(_CHECKERS)
 
 
 def checkers_from_names(names: Iterable[str]) -> List[Checker]:
@@ -630,20 +633,26 @@ def checkers_from_names(names: Iterable[str]) -> List[Checker]:
     Raises :class:`ValidationError` on an unknown name so CLI typos fail
     loudly instead of silently validating nothing.
     """
-    table = {
-        "conservation": ConservationChecker,
-        "queues": QueueAccountingChecker,
-        "tcp": TcpChecker,
-        "engine": EngineChecker,
-    }
     out: List[Checker] = []
     for n in names:
-        cls = table.get(n)
-        if cls is None:
+        if n not in _CHECKERS:
             raise ValidationError(
                 f"unknown checker {n!r}; available: {', '.join(CHECKER_NAMES)}")
-        out.append(cls())
+        out.append(_CHECKERS[n]())
     return out
+
+
+def build_suite(config, checker_names: Optional[List[str]] = None,
+                ) -> "ValidationSuite":
+    """A suite for one cell (default: every checker), with the cell's
+    ``tcp_config()`` RTO bounds wired into the TCP checker."""
+    checkers = checkers_from_names(checker_names or CHECKER_NAMES)
+    tcp_cfg = config.tcp_config()
+    for c in checkers:
+        if isinstance(c, TcpChecker):
+            c.min_rto = tcp_cfg.min_rto
+            c.max_rto = tcp_cfg.max_rto
+    return ValidationSuite(checkers)
 
 
 class ValidationSuite:
@@ -663,10 +672,9 @@ class ValidationSuite:
     """
 
     def __init__(self, checkers: Optional[Iterable[Checker]] = None):
-        if checkers is None:
-            checkers = [ConservationChecker(), QueueAccountingChecker(),
-                        TcpChecker(), EngineChecker()]
-        self.checkers: List[Checker] = list(checkers)
+        self.checkers: List[Checker] = list(
+            checkers_from_names(CHECKER_NAMES) if checkers is None
+            else checkers)
         self._sim = None
         self._finished = False
 

@@ -1,115 +1,27 @@
 """Randomized scenario fuzzer for the invariant checkers.
 
-Each :class:`Scenario` is a small, fully-seeded simulation — a topology
-shape × a queue discipline × a protection mode × TCP variant × flow
-pattern — run with every checker armed. The fuzzer sweeps randomized
-scenarios from one master seed (fully deterministic: same seed, same
-scenarios, same verdicts) and, when a scenario breaches an invariant,
-**shrinks** it by greedily reducing flows/bytes/hosts while the failure
-persists, ending with a minimal repro dict that can be replayed with
+Sweeps randomized :class:`~repro.experiments.scenario.Scenario` cells
+from one master seed (same seed, same scenarios, same verdicts), runs
+each through :func:`~repro.experiments.runner.run_cell` with checkers
+armed, and greedily **shrinks** a failing one (fewer flows/bytes/hosts,
+simpler traffic) to a minimal repro dict, replayable with
 ``run_scenario(Scenario(**d))``.
-
-Scenarios deliberately include the ugly corners: incast fan-in onto one
-downlink, link flaps that force long RTO-backoff blackouts, shallow
-buffers that tail-drop, and CoDel's head-drop path — exactly where
-stale-state and conservation bugs hide.
-
-The ``pattern`` field picks the traffic shape: plain ``"bulk"`` flows,
-``"rpc"`` (a partition-aggregate query stream — fan-out/fan-in incast
-with per-query bookkeeping), or ``"mixed"`` (bulk + RPC concurrently on
-separate allocator-assigned ports, the coexistence scenario the mix
-experiments run at scale).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from repro.core.codel import CodelParams, CodelQueue
-from repro.core.curvyred import CurvyRedParams, CurvyRedQueue
-from repro.core.droptail import DropTail
-from repro.core.marking import SimpleMarkingQueue
-from repro.core.protection import ProtectionMode
-from repro.core.red import RedParams, RedQueue
-from repro.core.registry import TINY_BUFFER_PACKETS
 from repro.errors import ValidationError
-from repro.net.topology import build_dumbbell, build_single_rack
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
-from repro.sim.trace import Tracer
-from repro.tcp.endpoint import TcpConfig, TcpListener, TcpVariant
-from repro.tcp.flow import start_bulk_flow
-from repro.units import mbps, us
-from repro.workloads.ports import port_allocator
-from repro.workloads.rpc import PartitionAggregateWorkload
-from repro.validate.checkers import (
-    ConservationChecker,
-    EngineChecker,
-    QueueAccountingChecker,
-    TcpChecker,
-    ValidationSuite,
-)
+from repro.experiments.runner import run_cell
+from repro.experiments.scenario import AXES, Scenario
+from repro.validate.checkers import build_suite
 
 __all__ = ["Scenario", "ScenarioResult", "FuzzReport", "run_scenario",
            "fuzz", "shrink"]
-
-#: Destination TCP port used by bulk fuzzer flows (the sim's first
-#: allocator-assigned port — see :mod:`repro.workloads.ports`).
-FUZZ_PORT = 40000
-
-_TOPOLOGIES = ("rack", "dumbbell")
-_QDISCS = ("droptail", "red", "codel", "curvyred", "tinybuffer")
-_PROTECTIONS = ("default", "ece", "ack+syn")
-_VARIANTS = ("newreno", "tcp-ecn", "dctcp")
-_PATTERNS = ("bulk", "rpc", "mixed")
-#: Congestion-control override axis: "" keeps the variant's default CC,
-#: the rest are registry keys (see :mod:`repro.tcp.cc`).
-_CCS = ("", "cubic", "d2tcp")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One fully-determined fuzz case (every field is serialisable)."""
-
-    topology: str = "rack"        #: "rack" or "dumbbell"
-    n_hosts: int = 4              #: total hosts (dumbbell splits them)
-    qdisc: str = "red"            #: "droptail", "red" or "codel"
-    protection: str = "default"   #: ProtectionMode value string
-    variant: str = "tcp-ecn"      #: TcpVariant value string
-    buffer_packets: int = 50      #: switch buffer depth
-    n_flows: int = 4
-    flow_bytes: int = 30_000
-    incast: bool = True           #: all flows target one host (fan-in)
-    link_flap: bool = False       #: fail a hot port mid-run (blackout)
-    seed: int = 0
-    horizon_s: float = 20.0       #: simulated-time safety cap
-    pattern: str = "bulk"         #: "bulk", "rpc" or "mixed" traffic
-    cc: str = ""                  #: CC registry key ("" = variant default)
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict form (the shrunk repro artifact)."""
-        return asdict(self)
-
-    def validate(self) -> "Scenario":
-        """Raise :class:`ValidationError` on out-of-domain fields."""
-        if self.topology not in _TOPOLOGIES:
-            raise ValidationError(f"unknown topology {self.topology!r}")
-        if self.qdisc not in _QDISCS:
-            raise ValidationError(f"unknown qdisc {self.qdisc!r}")
-        if self.protection not in _PROTECTIONS:
-            raise ValidationError(f"unknown protection {self.protection!r}")
-        if self.variant not in _VARIANTS:
-            raise ValidationError(f"unknown variant {self.variant!r}")
-        if self.pattern not in _PATTERNS:
-            raise ValidationError(f"unknown pattern {self.pattern!r}")
-        if self.cc not in _CCS:
-            raise ValidationError(f"unknown cc {self.cc!r}")
-        if self.n_hosts < 2 or self.n_flows < 1 or self.flow_bytes < 1:
-            raise ValidationError(f"degenerate scenario: {self}")
-        return self
 
 
 class ScenarioResult(NamedTuple):
@@ -123,143 +35,23 @@ class ScenarioResult(NamedTuple):
     events: int
 
 
-def _qdisc_factory(sc: Scenario, rng: RngRegistry) -> Callable:
-    prot = ProtectionMode(sc.protection)
-    buf = sc.buffer_packets
-    if sc.qdisc == "droptail":
-        return lambda name: DropTail(buf, name=name)
-    if sc.qdisc == "red":
-        min_th = max(2.0, 0.15 * buf)
-        params = RedParams(min_th=min_th, max_th=max(min_th + 1.0, 0.45 * buf),
-                           protection=prot)
-        return lambda name: RedQueue(
-            buf, params, rand=rng.uniform_fn(f"red.{name}"), name=name)
-    if sc.qdisc == "codel":
-        params = CodelParams(target_s=200e-6, interval_s=2e-3, protection=prot)
-        return lambda name: CodelQueue(buf, params, name=name)
-    if sc.qdisc == "curvyred":
-        params = CurvyRedParams(range_packets=max(4.0, 0.3 * buf),
-                                protection=prot)
-        return lambda name: CurvyRedQueue(
-            buf, params, rand=rng.uniform_fn(f"curvyred.{name}"), name=name)
-    if sc.qdisc == "tinybuffer":
-        tiny = min(buf, TINY_BUFFER_PACKETS)
-        return lambda name: SimpleMarkingQueue(
-            tiny, max(1, tiny // 2), name=name)
-    raise ValidationError(f"unknown qdisc {sc.qdisc!r}")
-
-
 def run_scenario(sc: Scenario,
-                 suite: Optional[ValidationSuite] = None) -> ScenarioResult:
-    """Build and run one scenario with all checkers armed.
+                 checker_names: Optional[List[str]] = None) -> ScenarioResult:
+    """Run one scenario through :func:`run_cell` with checkers armed.
 
-    A caller may inject a pre-built ``suite`` (the CLI does, to choose a
-    checker subset); by default all four checkers run with the scenario's
-    TCP RTO bounds wired into the TCP checker.
+    ``checker_names`` picks a subset of
+    :data:`~repro.validate.checkers.CHECKER_NAMES` (default: all four,
+    the TCP checker bounded by the scenario's RTO limits).
     """
-    sc.validate()
-    cfg = TcpConfig(variant=TcpVariant(sc.variant), cc=sc.cc or None)
-    sim = Simulator()
-    tracer = Tracer()
-    rng = RngRegistry(sc.seed)
-    factory = _qdisc_factory(sc, rng)
-
-    if sc.topology == "rack":
-        spec = build_single_rack(
-            sim, sc.n_hosts, factory,
-            link_rate_bps=mbps(50), link_delay_s=us(20), tracer=tracer)
-        sources = spec.hosts
-        sinks = spec.hosts
-    else:
-        n_left = max(1, sc.n_hosts // 2)
-        n_right = max(1, sc.n_hosts - n_left)
-        spec = build_dumbbell(
-            sim, n_left, n_right, factory,
-            link_rate_bps=mbps(50), link_delay_s=us(20), tracer=tracer)
-        sources = spec.hosts[:n_left]
-        sinks = spec.hosts[n_left:]
-
-    if suite is None:
-        suite = ValidationSuite([
-            ConservationChecker(), QueueAccountingChecker(),
-            TcpChecker(min_rto=cfg.min_rto, max_rto=cfg.max_rto),
-            EngineChecker(),
-        ])
-    suite.attach(sim, spec.network, tracer)
-
-    # Traffic parts by pattern: bulk flows, an RPC query stream, or both.
-    # The run stops once every part has finished its work.
-    if sc.pattern == "bulk":
-        n_bulk, n_queries = sc.n_flows, 0
-    elif sc.pattern == "rpc":
-        n_bulk, n_queries = 0, sc.n_flows
-    else:  # mixed
-        n_bulk = max(1, sc.n_flows // 2)
-        n_queries = max(1, sc.n_flows - n_bulk)
-    parts = {"open": (1 if n_bulk else 0) + (1 if n_queries else 0)}
-
-    def part_finished():
-        parts["open"] -= 1
-        if parts["open"] == 0:
-            sim.stop()
-
-    # Flow pattern from the scenario's own named streams (reproducible).
-    pick = rng.stream("fuzz.pattern")
-    fixed_sink = sinks[int(pick.integers(len(sinks)))]
-    done: List[bool] = []
-    flows = []
-    bulk_port = port_allocator(sim).allocate()  # == FUZZ_PORT on a fresh sim
-
-    def on_done(result, _done=done):
-        _done.append(result.failed)
-        if len(_done) == n_bulk:
-            part_finished()
-
-    listeners = {}
-    for i in range(n_bulk):
-        if sc.incast:
-            dst = fixed_sink
-        else:
-            dst = sinks[int(pick.integers(len(sinks)))]
-        candidates = [h for h in sources if h is not dst]
-        src = candidates[int(pick.integers(len(candidates)))]
-        if dst.node_id not in listeners:
-            listeners[dst.node_id] = TcpListener(sim, dst, bulk_port, cfg)
-        delay = float(pick.uniform(0.0, 5e-3))
-        flows.append(start_bulk_flow(
-            sim, src, dst, bulk_port, sc.flow_bytes, cfg,
-            on_done=on_done, delay=delay))
-
-    rpc = None
-    if n_queries:
-        rpc = PartitionAggregateWorkload(
-            sim, spec.hosts, cfg, rng=rng.stream("fuzz.rpc"),
-            rate_qps=200.0,
-            fanout=max(1, min(sc.n_hosts - 1, sc.n_flows)),
-            response_bytes=sc.flow_bytes,
-            max_queries=n_queries, name="fuzz-rpc")
-        rpc.on_idle = part_finished
-        rpc.start(first_delay=1e-4)
-
-    if sc.link_flap:
-        # Black out the congested port long enough to force repeated RTO
-        # backoff, then restore it well before the horizon.
-        port = spec.hot_ports[0]
-        sim.schedule(10e-3, port.set_down)
-        sim.schedule(10e-3 + 0.5, port.set_up)
-
-    sim.run(until=sc.horizon_s)
-    suite.finish()
-    rpc_flows = rpc.flow_results if rpc is not None else []
+    suite = build_suite(sc.validate(), checker_names)
+    cell = run_cell(sc, checks=suite)
     return ScenarioResult(
         scenario=sc,
         ok=suite.ok,
         violations=[str(v) for v in suite.violations],
-        completed_flows=(sum(1 for failed in done if not failed)
-                         + sum(1 for f in rpc_flows if not f.failed)),
-        failed_flows=(sum(1 for failed in done if failed)
-                      + sum(1 for f in rpc_flows if f.failed)),
-        events=sim.events_processed,
+        completed_flows=cell.metrics.flows_completed,
+        failed_flows=cell.metrics.flows_failed,
+        events=int(cell.manifest["timings"]["events"]),
     )
 
 
@@ -287,7 +79,8 @@ def _reductions(sc: Scenario):
         yield replace(sc, buffer_packets=max(8, sc.buffer_packets // 2))
 
 
-def shrink(sc: Scenario, max_attempts: int = 48) -> Scenario:
+def shrink(sc: Scenario, max_attempts: int = 48,
+           checker_names: Optional[List[str]] = None) -> Scenario:
     """Greedily reduce ``sc`` while it still violates an invariant.
 
     Returns the smallest still-failing scenario found within
@@ -300,7 +93,7 @@ def shrink(sc: Scenario, max_attempts: int = 48) -> Scenario:
         improved = False
         for cand in _reductions(current):
             attempts += 1
-            if not run_scenario(cand).ok:
+            if not run_scenario(cand, checker_names).ok:
                 current = cand
                 improved = True
                 break
@@ -319,11 +112,7 @@ class FuzzReport:
     scenarios_run: int = 0
     total_events: int = 0
     completed_flows: int = 0
-    failures: List[Dict[str, object]] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.failures is None:
-            self.failures = []
+    failures: List[Dict[str, object]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -331,23 +120,20 @@ class FuzzReport:
         return not self.failures
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "scenarios_run": self.scenarios_run,
-            "total_events": self.total_events,
-            "completed_flows": self.completed_flows,
-            "ok": self.ok,
-            "failures": self.failures,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _random_scenario(gen: np.random.Generator, horizon_s: float) -> Scenario:
+    def pick(axis: str) -> str:
+        return AXES[axis][int(gen.integers(len(AXES[axis])))]
+
+    # Keyword arguments evaluate left to right: this order is the draw order.
     return Scenario(
-        topology=_TOPOLOGIES[int(gen.integers(len(_TOPOLOGIES)))],
+        topology=pick("topology"),
         n_hosts=int(gen.integers(3, 9)),
-        qdisc=_QDISCS[int(gen.integers(len(_QDISCS)))],
-        protection=_PROTECTIONS[int(gen.integers(len(_PROTECTIONS)))],
-        variant=_VARIANTS[int(gen.integers(len(_VARIANTS)))],
+        qdisc=pick("qdisc"),
+        protection=pick("protection"),
+        variant=pick("variant"),
         buffer_packets=int(gen.integers(10, 80)),
         n_flows=int(gen.integers(2, 7)),
         flow_bytes=int(gen.integers(8_000, 60_000)),
@@ -355,8 +141,8 @@ def _random_scenario(gen: np.random.Generator, horizon_s: float) -> Scenario:
         link_flap=bool(gen.random() < 0.25),
         seed=int(gen.integers(2**31)),
         horizon_s=horizon_s,
-        pattern=_PATTERNS[int(gen.integers(len(_PATTERNS)))],
-        cc=_CCS[int(gen.integers(len(_CCS)))],
+        pattern=pick("pattern"),
+        cc=pick("cc"),
     )
 
 
@@ -366,13 +152,15 @@ def fuzz(
     shrink_failures: bool = True,
     horizon_s: float = 20.0,
     progress: Optional[Callable[[int, int, ScenarioResult], None]] = None,
+    checker_names: Optional[List[str]] = None,
 ) -> FuzzReport:
     """Run ``n`` randomized scenarios derived from ``seed``.
 
     Fully deterministic: the same ``(n, seed)`` always produces the same
     scenarios and verdicts. Failing scenarios are shrunk (unless
     ``shrink_failures`` is off) and reported with both the original and
-    the minimal repro dict.
+    the minimal repro dict. ``checker_names`` arms a checker subset
+    (default: all four) for every run, shrink re-runs included.
     """
     if n < 1:
         raise ValidationError(f"need at least one scenario, got {n}")
@@ -380,7 +168,7 @@ def fuzz(
     report = FuzzReport(seed=int(seed))
     for i in range(n):
         sc = _random_scenario(gen, horizon_s)
-        result = run_scenario(sc)
+        result = run_scenario(sc, checker_names)
         report.scenarios_run += 1
         report.total_events += result.events
         report.completed_flows += result.completed_flows
@@ -390,7 +178,8 @@ def fuzz(
                 "violations": result.violations[:20],
             }
             if shrink_failures:
-                entry["shrunk"] = shrink(sc).as_dict()
+                entry["shrunk"] = shrink(
+                    sc, checker_names=checker_names).as_dict()
             report.failures.append(entry)
         if progress is not None:
             progress(i + 1, n, result)

@@ -35,17 +35,12 @@ from repro.experiments.config import (
 from repro.experiments.runner import run_cell
 from repro.tcp.endpoint import TcpVariant
 from repro.units import us
-from repro.validate.checkers import (
-    CHECKER_NAMES,
-    TcpChecker,
-    ValidationSuite,
-    checkers_from_names,
-)
+from repro.validate.checkers import build_suite
 from repro.validate.fuzz import fuzz
 
 __all__ = ["SMOKE_SCHEMA", "SMOKE_SCALE", "SMOKE_SEED", "GATES", "Gate",
            "SmokeReport", "smoke_cells", "stability_smoke_cells",
-           "mix_smoke_cell", "build_suite", "fingerprint", "replay",
+           "mix_smoke_cell", "fingerprint", "replay",
            "cell_ok", "run_check", "run_gate", "render_report"]
 
 SMOKE_SCHEMA = "repro.smoke/v1"
@@ -133,19 +128,6 @@ def mix_smoke_cell():
         bg_rate_fps=20.0,
         seed=SMOKE_SEED,
     ).scaled(1.0 / 16.0)
-
-
-def build_suite(config: ExperimentConfig,
-                checker_names: Optional[List[str]] = None) -> ValidationSuite:
-    """A suite for one cell, with the cell's RTO bounds wired into the
-    TCP checker."""
-    checkers = checkers_from_names(checker_names or list(CHECKER_NAMES))
-    tcp_cfg = config.tcp_config()
-    for c in checkers:
-        if isinstance(c, TcpChecker):
-            c.min_rto = tcp_cfg.min_rto
-            c.max_rto = tcp_cfg.max_rto
-    return ValidationSuite(checkers)
 
 
 def fingerprint(cell: CellResult) -> Dict[str, object]:
@@ -317,7 +299,7 @@ def run_check(report: SmokeReport, cells, *, n_fuzz: int,
             report.say(f"fuzz {i:3d}/{n}: {'ok' if result.ok else 'VIOLATION'}")
 
     fuzzed = fuzz(n=n_fuzz, seed=seed, shrink_failures=shrink_failures,
-                  progress=progress)
+                  progress=progress, checker_names=checker_names)
     report.check("fuzz_clean", fuzzed.ok)
     report.detail["fuzz"] = fuzzed.as_dict()
     if not fuzzed.ok:
@@ -337,6 +319,11 @@ def _gate_check(report: SmokeReport) -> None:
     # hot path at half the wall time of the full `repro check` list.
     cells = [(name, cfg) for name, cfg in smoke_cells() if name != "red-ece"]
     run_check(report, cells, n_fuzz=10)
+    # The sweep's digest is pinned too, so a drift in the fuzzer's harness
+    # fails the gate even when every scenario stays clean.
+    fuzzed = report.detail["fuzz"]
+    report.check("fuzz_digest", (fuzzed["total_events"],
+                                 fuzzed["completed_flows"]) == (17_464, 71))
 
 
 def _gate_mix(report: SmokeReport) -> None:

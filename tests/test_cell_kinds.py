@@ -8,6 +8,13 @@ the shared harness existed, so this file is the bit-identity and
 cache-key-stability contract: a refactor of the harness, the registry or
 the wire codec must leave every literal untouched. (A change that
 *intends* to move simulated results re-records them and says so.)
+
+The ``"scenario"`` row joined when the fuzzer's ``Scenario`` became a
+kind: its ``events`` value is what the fuzzer's own harness counted for
+the same scenario before the move (also pinned in
+``tests/test_validate.py``); the fields that harness never reported —
+latency, delivered packets, queue totals, effort counters — and the cache
+key were recorded once, on the first ``run_cell`` of it.
 """
 
 import dataclasses
@@ -24,6 +31,7 @@ from repro.experiments import (
     MixConfig,
     MultiRackConfig,
     QueueSetup,
+    Scenario,
     StabilityProbeConfig,
     run_cell,
     run_cells,
@@ -39,7 +47,8 @@ from repro.farm.protocol import (
 from repro.tcp import TcpVariant
 from repro.telemetry.manifest import MANIFEST_SCHEMA, config_to_dict
 from repro.units import gbps, mb, us
-from repro.validate.smoke import build_suite, fingerprint
+from repro.validate.checkers import build_suite
+from repro.validate.smoke import fingerprint
 
 RED = QueueSetup(kind="red", target_delay_s=us(200))
 BASE = ExperimentConfig(queue=RED, data_bytes=mb(8), block_bytes=mb(1),
@@ -61,6 +70,7 @@ TINY = {
     "multirack": MultiRackConfig(
         base=dataclasses.replace(BASE, queue=QueueSetup(kind="droptail")),
         n_leaves=2, n_spines=2, hosts_per_leaf=2, oversubscription=2.0),
+    "scenario": Scenario(pattern="mixed", n_flows=6, n_hosts=6, seed=3),
 }
 
 #: ``manifest["kind"]`` per registry name; the first five are what cached
@@ -72,6 +82,7 @@ MANIFEST_KINDS = {
     "fixedk": "fixedk-cell",
     "bulk": "bulk-cell",
     "multirack": "multirack-cell",
+    "scenario": "fuzz-scenario",
 }
 
 GOLDEN = {
@@ -225,6 +236,31 @@ GOLDEN = {
             },
         },
     },
+    "scenario": {
+        "key": "98bda37a441790fc2c19e25e7be3ecf5"
+               "4baa562ea9cf01204682d024acf4c93e",
+        "fingerprint": {
+            "runtime": 0.05896671236932934,
+            "mean_latency": 0.004671518236983055,
+            "p99_latency": 0.01479108388168207,
+            "packets_delivered": 755,
+            "retransmits": 36,
+            "rtos": 3,
+            "syn_retries": 1,
+            "events": 3206,
+            "queue": {
+                "arrivals": 773,
+                "departures": 755,
+                "drops_tail": 18,
+                "drops_early": 0,
+                "marks": 0,
+                "protected": 0,
+                "ect_drops": 8,
+                "ack_drops": 8,
+                "syn_drops": 1,
+            },
+        },
+    },
 }
 
 KINDS = sorted(TINY)
@@ -331,6 +367,8 @@ def test_bad_wire_input_raises_farm_error_naming_the_kinds():
         config_from_dict("cell", {**good, "queue": "red"})
     with pytest.raises(FarmError):
         config_from_dict("fixedk", {"uplink_rates_bps": 5})
+    with pytest.raises(FarmError, match="fq_codel"):
+        config_from_dict("scenario", {"qdisc": "fq_codel"})
     with pytest.raises(FarmError) as exc:
         config_kind(object())
     assert "multirack" in str(exc.value)

@@ -192,17 +192,17 @@ class TestFlawsCells:
 
 class TestFuzzerAxes:
     def test_new_axes_registered(self):
-        from repro.validate.fuzz import _CCS, _QDISCS
+        from repro.experiments.scenario import AXES
 
-        assert {"curvyred", "tinybuffer"} <= set(_QDISCS)
-        assert {"", "cubic", "d2tcp"} == set(_CCS)
+        assert {"curvyred", "tinybuffer"} <= set(AXES["qdisc"])
+        assert {"", "cubic", "d2tcp"} == set(AXES["cc"])
 
     def test_scenario_rejects_unknown_cc(self):
         from repro.validate.fuzz import Scenario
-        from repro.errors import ValidationError
+        from repro.errors import ConfigError
 
         Scenario(cc="cubic").validate()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             Scenario(cc="vegas").validate()
 
     def test_zoo_scenario_runs_clean(self):

@@ -19,7 +19,8 @@ from repro.experiments.runner import run_cell
 from repro.net.host import Host
 from repro.tcp.endpoint import TcpListener
 from repro.units import mb
-from repro.validate.smoke import build_suite, fingerprint, smoke_cells
+from repro.validate.checkers import build_suite
+from repro.validate.smoke import fingerprint, smoke_cells
 
 
 @pytest.fixture(scope="module")

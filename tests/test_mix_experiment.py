@@ -71,7 +71,7 @@ class TestMixCell:
         assert strip_wallclock(a.manifest) == strip_wallclock(b.manifest)
 
     def test_armed_run_bit_identical(self):
-        from repro.validate.smoke import build_suite
+        from repro.validate.checkers import build_suite
 
         cfg = tiny_config()
         plain = run_cell(cfg)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.droptail import DropTail
-from repro.errors import ValidationError
+from repro.errors import ConfigError, ValidationError
 from repro.net.packet import Packet
 from repro.net.topology import build_single_rack
 from repro.sim.engine import Simulator
@@ -245,9 +245,9 @@ class TestEngineStepCompaction:
 
 class TestScenarioFuzzer:
     def test_scenario_validation_rejects_junk(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             Scenario(qdisc="fq_codel").validate()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             Scenario(n_hosts=1).validate()
 
     def test_scenario_dict_round_trip(self):
@@ -255,7 +255,7 @@ class TestScenarioFuzzer:
         assert Scenario(**sc.as_dict()) == sc
 
     def test_scenario_rejects_unknown_pattern(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             Scenario(pattern="voip").validate()
 
     def test_rpc_pattern_scenario_clean(self):
@@ -302,6 +302,82 @@ class TestScenarioFuzzer:
         assert rep.scenarios_run == 50
         assert rep.total_events > 0
         assert rep.as_dict()["ok"] is True
+        assert (rep.total_events, rep.completed_flows) == (77_894, 324)
+
+    def test_check_gate_sweep_digest(self):
+        # The 10-scenario sweep the `check` smoke gate pins as fuzz_digest.
+        rep = fuzz(n=10, seed=42, shrink_failures=False)
+        assert rep.ok, rep.failures
+        assert (rep.total_events, rep.completed_flows) == (17_464, 71)
+
+    @pytest.mark.parametrize("sc, expected", [
+        (Scenario(), (True, 4, 0, 568)),
+        (Scenario(pattern="mixed", n_flows=6, n_hosts=6, seed=3),
+         (True, 18, 0, 3206)),
+        (Scenario(topology="dumbbell", qdisc="codel", link_flap=True,
+                  seed=17),
+         (True, 4, 0, 1362)),
+    ])
+    def test_pinned_scenario_results(self, sc, expected):
+        # Recorded on the fuzzer's own harness before scenarios ran
+        # through run_cell; the move must not change a single count.
+        res = run_scenario(sc)
+        assert (res.ok, res.completed_flows, res.failed_flows,
+                res.events) == expected
+        assert res.violations == []
+
+    def test_fuzz_arms_only_the_named_checkers(self, monkeypatch):
+        attached = []
+        for cls in (ConservationChecker, QueueAccountingChecker, TcpChecker,
+                    EngineChecker):
+            def spy(self, sim, network, tracer, _orig=cls.attach):
+                attached.append(self.name)
+                return _orig(self, sim, network, tracer)
+            monkeypatch.setattr(cls, "attach", spy)
+        rep = fuzz(n=2, seed=42, shrink_failures=False,
+                   checker_names=["tcp"])
+        assert rep.ok and rep.scenarios_run == 2
+        assert attached == ["tcp", "tcp"]
+
+    def test_failing_scenario_shrinks_to_the_floor(self, monkeypatch):
+        # A TCP checker that flags every run: the shrinker must take each
+        # reduction, and the violation must reach the report as text.
+        def always(self, now):
+            self._flag(now, "-", "forced")
+        monkeypatch.setattr(TcpChecker, "finish", always)
+        rep = fuzz(n=1, seed=42, checker_names=["tcp"])
+        (failure,) = rep.failures
+        assert "[tcp] -: forced" in failure["violations"][0]
+        original = failure["scenario"]
+        assert failure["shrunk"] == Scenario(
+            n_hosts=2, n_flows=1, flow_bytes=2_000, buffer_packets=8,
+            **{k: original[k]
+               for k in ("qdisc", "protection", "variant", "seed")},
+        ).as_dict()
+
+    def test_scenario_is_a_cell_kind(self):
+        from repro.experiments import run_cell
+        from repro.experiments.kinds import kind_for
+
+        sc = Scenario(pattern="mixed", n_flows=6, n_hosts=6, seed=3)
+        assert kind_for(sc).name == "scenario"
+        cell = run_cell(sc)
+        assert cell.manifest["kind"] == "fuzz-scenario"
+        assert cell.metrics.flows_completed == 18
+        assert cell.manifest["timings"]["events"] == run_scenario(sc).events
+
+    def test_labels_tell_scenarios_apart(self):
+        from dataclasses import fields, replace
+
+        base = Scenario()
+        changed = {"topology": "dumbbell", "n_hosts": 5, "qdisc": "codel",
+                   "protection": "ece", "variant": "dctcp",
+                   "buffer_packets": 51, "n_flows": 5, "flow_bytes": 30_001,
+                   "incast": False, "link_flap": True, "seed": 1,
+                   "horizon_s": 20.5, "pattern": "rpc", "cc": "cubic"}
+        assert set(changed) == {f.name for f in fields(Scenario)}
+        labels = {replace(base, **{k: v}).label() for k, v in changed.items()}
+        assert len(labels | {base.label()}) == len(changed) + 1
 
 
 class TestArmedBitIdentity:
