@@ -1,63 +1,25 @@
 """Command-line interface: ``repro-hadoop-ecn`` / ``python -m repro``.
 
-Subcommands regenerate each paper artifact:
+Each verb's ``--help`` is its reference; in brief:
 
-* ``tables`` — Tables I & II
-* ``fig1``   — the queue snapshot + ACK-drop asymmetry
-* ``fig2|fig3|fig4`` — the normalized sweep figures (``--deep`` for (b))
-* ``claims`` — check the paper's quantitative claims (C1-C6)
-* ``report`` — run everything and write EXPERIMENTS.md
-* ``sweep``  — run the full target-delay grid once (``--jobs N`` fans
-  cells out over worker processes; ``--cache-dir``/``--resume`` persist
-  and reuse per-cell results across interrupted runs)
-* ``cell``   — run one configuration and dump its metrics
-  (``--json [PATH]`` emits the machine-readable run manifest instead)
-* ``profile`` — run one configuration with the event-loop profiler and
-  report events/sec, heap high-water mark, and the sim/wall ratio
-* ``trace`` — run one configuration and export a JSONL packet/queue/tcp
-  trace (``--kinds drop,mark,deliver --out trace.jsonl``)
-* ``bench`` — run the layered benchmark suite (``benchmarks/suite/run.py``,
-  whose options it passes on) and write its result as a
-  ``benchmarks/BENCH_<stamp>.json`` trajectory point; ``--compare A B``
-  judges two such files with the suite's ``compare.py``
-* ``smoke`` — run the pinned CI smoke gates (``repro smoke [NAME…]``; no
-  names = all seven; ``--json PATH`` writes the ``repro.smoke/v1``
-  reports): every gate replays its cells plain, plain again and with the
-  invariant checkers armed, and must stay bit-identical — see DESIGN.md
-  "Smoke gates"
-* ``check`` — arm the simulation invariant checkers (packet
-  conservation, queue accounting, TCP sequence space, event engine) on
-  representative figure cells, verify armed runs are bit-identical to
-  unarmed ones, and fuzz randomized scenarios (failing scenarios are
-  shrunk to a minimal repro dict)
-* ``stability`` — the stability observatory: sweep one control-loop
-  parameter (ECN threshold K via target delay, or the DCTCP gain) with
-  steady-state incast probe cells, classify each point as stable /
-  limit-cycle / chaotic-irregular, automatically refine the grid near
-  regime boundaries, and write the stability map as SVG + JSON
-* ``fixedk`` — the Fixed-K ECN study: single-threshold RED
-  (``min_th == max_th == K``) on the leaf–spine fabric under
-  partition-aggregate incast, swept over K × offered load × fan-in ×
-  protection mode × transport; prints the FCT-slowdown-vs-K table and
-  ASCII K-vs-load regime grids, and writes one regime-map SVG per
-  (variant, protection, fan-in) slice
-* ``serve`` — run the sweep-farm scheduler: a daemonized job-queue
-  service (result cache + crash-safe journal + artifact store + N
-  worker processes) answering submit/status/results/cancel/watch as
-  JSON over a Unix socket; killing and restarting it resumes from the
-  journal with at most the in-flight cells re-executed
-* ``farm`` — sweep-farm client: submit the target-delay grids to a
-  running ``serve`` (``--priority`` jumps the queue, preempting
-  lower-priority cells at their next event-loop checkpoint), stream
-  live progress, fetch results, or cancel jobs
-* ``cache`` — inspect a content-addressed result cache: list entries
-  with label/size/age, ``--stats``, and ``--prune-age HOURS`` /
-  ``--keep-grid`` hygiene (corrupt entries and stale ``*.tmp`` files
-  from killed writers are collected too)
-* ``flaws`` — the Linux-DCTCP flaws pack: re-run one pinned tiny-buffer
-  incast cell with each Misund endpoint flaw (delayed-ACK mark
-  coalescing, ECT retransmits, α-freeze across RTO) re-enabled and print
-  the flawed-vs-corrected comparison table
+* paper artifacts — ``tables``, ``fig1``, ``fig2|fig3|fig4`` (``--deep``
+  for (b)), ``claims`` (C1-C6), ``report`` (writes EXPERIMENTS.md);
+* ``grid NAME`` — run a named grid of cells (``paper``, ``mix``,
+  ``fixedk``; :data:`repro.experiments.grids.GRIDS`) with ``--axis
+  A=v1,v2`` overrides, locally (``--jobs`` / ``--cache-dir`` /
+  ``--resume``) or on a running farm (``--farm SOCKET``); both print the
+  preset's table and the same executed/cached footer;
+* one configuration — ``cell`` (``--json`` for the run manifest),
+  ``profile`` (event-loop profiler), ``trace`` (JSONL event export);
+* validation — ``check`` (armed invariant checkers + scenario fuzzing),
+  ``smoke [NAME…]`` (the pinned CI gates, DESIGN.md §10), ``flaws``
+  (the Linux-DCTCP flaws pack), ``stability`` (auto-refining stability
+  sweeps over probe cells; not a grid, DESIGN.md §9);
+* service — ``serve`` (the sweep-farm scheduler), ``farm`` (its client:
+  status, results, watch, cancel, shutdown), ``cache`` (list, stats and
+  prune a result cache, ``--keep-grid NAME`` by a grid's work list);
+* ``bench`` — run ``benchmarks/suite/run.py`` of the checkout and write
+  a ``benchmarks/BENCH_<stamp>.json`` point (``--compare A B`` judges two).
 
 ``--scale`` shrinks the Terasort dataset for quick looks (1.0 = the 256 MB
 reference configuration; 0.25 runs in roughly a quarter of the time).
@@ -88,20 +50,16 @@ from repro.experiments.figures import (
     render_fig1,
     render_figure,
 )
+from repro.experiments.grids import GRIDS
 from repro.experiments.report import check_claims, render_claims, write_experiments_md
 from repro.experiments.runner import run_cell
 from repro.experiments.tables import render_table1, render_table2
 from repro.tcp.cc import cc_names
 from repro.tcp.endpoint import FLAW_PROFILES, TcpVariant
+from repro.telemetry.profiler import ProgressReporter
 from repro.units import fmt_rate, fmt_time, us
 
 __all__ = ["main"]
-
-
-def _progress(done: int, total: int, label: str) -> None:
-    # Progress callback of fig2-4 / claims / report (unless --quiet); the
-    # grid verbs use a ProgressReporter instead (adds ETA).
-    print(f"  [{done:3d}/{total}] {label}", file=sys.stderr)
 
 
 def _say(msg: str) -> None:
@@ -183,45 +141,48 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--target-delay-us", type=float, default=500.0)
         _add_common(p)
 
-    psweep = sub.add_parser(
-        "sweep",
-        help="run the target-delay grid once, optionally in parallel "
-             "against a resumable on-disk result cache")
-    psweep.add_argument("--deep", action="store_true",
-                        help="deep-buffer grid (default: shallow)")
-    psweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default 1 = serial; "
-                             "parallel results are bit-identical)")
-    psweep.add_argument("--cache-dir", metavar="DIR",
-                        help="persist per-cell results here, keyed by "
-                             "config content")
-    psweep.add_argument("--resume", action="store_true",
-                        help="skip cells already present in --cache-dir "
-                             "(resume an interrupted sweep)")
-    psweep.add_argument("--manifest", metavar="PATH",
-                        help="write the merged sweep manifest as JSON")
-    psweep.add_argument("--limit", type=int, default=None, metavar="N",
-                        help="run only the first N cells (smoke tests)")
-    _add_common(psweep)
-    psweep.set_defaults(handler=_cmd_sweep)
-
-    pmix = sub.add_parser(
-        "mix",
-        help="mixed-cluster coexistence: Terasort shuffle + "
-             "partition-aggregate RPC + background flows per queue scheme")
-    pmix.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="worker processes (default 1 = serial)")
-    pmix.add_argument("--cache-dir", metavar="DIR",
-                      help="persist per-cell results here, keyed by "
-                           "config content")
-    pmix.add_argument("--resume", action="store_true",
-                      help="skip cells already present in --cache-dir")
-    pmix.add_argument("--manifest", metavar="PATH",
-                      help="write the merged sweep manifest as JSON")
-    pmix.add_argument("--limit", type=int, default=None, metavar="N",
-                      help="run only the first N grid cells")
-    _add_common(pmix)
-    pmix.set_defaults(handler=_cmd_mix)
+    pgrid = sub.add_parser(
+        "grid",
+        help="run a named grid of cells (paper, mix, fixedk) locally, in "
+             "parallel against a resumable result cache, or through a "
+             "running `repro serve` farm",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="grids (axes with their defaults):\n" + "\n".join(
+            f"  {name:<7} {g.description}" + "".join(
+                f"\n          --axis {a}={','.join(map(str, ax.default))}"
+                for a, ax in g.axes.items())
+            for name, g in GRIDS.items()))
+    pgrid.add_argument("name", metavar="NAME", help="grid preset (below)")
+    pgrid.add_argument("--axis", action="append", default=[],
+                       metavar="A=V1,V2",
+                       help="override one axis of the preset (repeatable)")
+    pgrid.add_argument("--limit", type=int, default=None, metavar="N",
+                       help="run only the first N cells")
+    pgrid.add_argument("--manifest", metavar="PATH",
+                       help="write the merged sweep manifest as JSON")
+    pgrid.add_argument("--svg", metavar="PREFIX",
+                       help="write the preset's figures as "
+                            "PREFIX_<id>.svg (fixedk: one regime map per "
+                            "variant/protection/fan-in slice)")
+    local = pgrid.add_argument_group("local run")
+    local.add_argument("--jobs", type=int, default=None, metavar="N",
+                       help="worker processes (default 1 = serial; "
+                            "parallel results are bit-identical)")
+    local.add_argument("--cache-dir", metavar="DIR",
+                       help="persist per-cell results here, keyed by "
+                            "config content")
+    local.add_argument("--resume", action="store_true",
+                       help="skip cells already present in --cache-dir")
+    remote = pgrid.add_argument_group("farm run")
+    remote.add_argument("--farm", metavar="SOCKET",
+                        help="submit the cells to the `repro serve` farm "
+                             "on this Unix socket, stream its progress and "
+                             "fetch the results")
+    remote.add_argument("--priority", type=int, default=None, metavar="P",
+                        help="farm job priority (higher runs first and may "
+                             "preempt lower-priority cells; default 0)")
+    _add_common(pgrid)
+    pgrid.set_defaults(handler=_cmd_grid)
 
     pcell = sub.add_parser("cell", help="run one configuration")
     pcell.add_argument("--json", nargs="?", const="-", metavar="PATH",
@@ -325,43 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="suppress progress")
     pstab.set_defaults(handler=_cmd_stability)
 
-    pfk = sub.add_parser(
-        "fixedk",
-        help="Fixed-K ECN study on the leaf-spine fabric: sweep the "
-             "single-threshold RED (min_th == max_th == K) over K x load "
-             "x fan-in x protection mode x transport under "
-             "partition-aggregate incast; report FCT-slowdown tails, "
-             "uplink ACK loss, and K-vs-load regime maps")
-    pfk.add_argument("--k-values", default=None, metavar="K1,K2,...",
-                     help="marking thresholds in packets "
-                          "(default 4,8,16,32,64)")
-    pfk.add_argument("--loads", default=None, metavar="L1,L2,...",
-                     help="offered loads as fractions of the fan-in "
-                          "capacity (default 0.4,0.8)")
-    pfk.add_argument("--fanouts", default=None, metavar="N1,N2,...",
-                     help="incast fan-ins (default 4,8)")
-    pfk.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes (default 1 = serial)")
-    pfk.add_argument("--cache-dir", metavar="DIR",
-                     help="persist per-cell results here, keyed by "
-                          "config content")
-    pfk.add_argument("--resume", action="store_true",
-                     help="skip cells already present in --cache-dir")
-    pfk.add_argument("--limit", type=int, default=None, metavar="N",
-                     help="run only the first N grid cells")
-    pfk.add_argument("--svg", metavar="PREFIX", default="fixedk_regime",
-                     help="write one K-vs-load regime map SVG per "
-                          "(variant, protection, fan-in) slice as "
-                          "PREFIX_<slice>.svg (default fixedk_regime; "
-                          "empty string disables)")
-    pfk.add_argument("--manifest", metavar="PATH",
-                     help="write the merged sweep manifest (plus the "
-                          "regime maps) as JSON")
-    pfk.add_argument("--seed", type=int, default=42, help="cell seed")
-    pfk.add_argument("--quiet", action="store_true",
-                     help="suppress progress")
-    pfk.set_defaults(handler=_cmd_fixedk)
-
     pflaws = sub.add_parser(
         "flaws",
         help="Linux-DCTCP flaws pack: flawed vs corrected endpoint "
@@ -418,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pfarm = sub.add_parser(
         "farm",
-        help="sweep-farm client: submit grids to, and inspect, a running "
-             "`repro serve` instance")
+        help="sweep-farm client: inspect a running `repro serve` instance "
+             "(submit with `repro grid NAME --farm SOCKET`)")
     pfarm.add_argument("--socket", metavar="PATH",
                        help="the farm's Unix socket "
                             "(<farm-dir>/farm.sock)")
@@ -428,18 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     pfarm.add_argument("--stats", action="store_true",
                        help="scheduler counters: jobs, units, workers, "
                             "preemptions, cache")
-    pfarm.add_argument("--submit", choices=["shallow", "deep"],
-                       help="submit the target-delay grid (shallow or "
-                            "deep buffers) as one job")
-    pfarm.add_argument("--priority", type=int, default=0, metavar="P",
-                       help="job priority for --submit (higher runs "
-                            "first; may preempt lower-priority cells at "
-                            "their next checkpoint; default 0)")
-    pfarm.add_argument("--limit", type=int, default=None, metavar="N",
-                       help="submit only the first N grid cells")
-    pfarm.add_argument("--wait", action="store_true",
-                       help="after --submit, stream progress until the "
-                            "job finishes")
     pfarm.add_argument("--status", nargs="?", const="", metavar="JOB",
                        help="one job's per-label status, or all jobs "
                             "when no id is given")
@@ -454,13 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cancel a job (running cells are preempted)")
     pfarm.add_argument("--shutdown", action="store_true",
                        help="drain in-flight cells and stop the farm")
-    _add_common(pfarm)
     pfarm.set_defaults(handler=_cmd_farm)
 
     pcache = sub.add_parser(
         "cache",
         help="inspect and prune a content-addressed result cache "
-             "(the --cache-dir of sweep/mix/fixedk/stability, or a "
+             "(the --cache-dir of grid/stability, or a "
              "farm's <farm-dir>/cache)")
     pcache.add_argument("--cache-dir", required=True, metavar="DIR",
                         help="the cache directory to inspect")
@@ -472,16 +383,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="remove entries older than HOURS (also "
                              "collects corrupt entries and stale *.tmp "
                              "files)")
-    pcache.add_argument("--keep-grid", choices=["shallow", "deep"],
-                        default=None,
-                        help="remove entries NOT in the named "
-                             "target-delay grid (grid-membership prune; "
-                             "uses --scale/--seed to rebuild the grid's "
-                             "keys)")
+    pcache.add_argument("--keep-grid", metavar="NAME", default=None,
+                        help="remove entries NOT in the named `grid` "
+                             "preset's work list (grid-membership prune; "
+                             "--axis/--scale/--seed rebuild its keys)")
+    pcache.add_argument("--axis", action="append", default=[],
+                        metavar="A=V1,V2",
+                        help="axis override of the --keep-grid preset")
     pcache.add_argument("--dry-run", action="store_true",
                         help="report what would be pruned without "
                              "deleting anything")
-    _add_common(pcache)
+    pcache.add_argument("--scale", type=float, default=1.0,
+                        help="dataset scale of the --keep-grid cells")
+    pcache.add_argument("--seed", type=int, default=42,
+                        help="seed of the --keep-grid cells")
     pcache.set_defaults(handler=_cmd_cache)
 
     from repro.validate.smoke import GATES
@@ -545,25 +460,22 @@ def _emit_json(payload, dest: str) -> int:
 
 
 def _open_grid(verb: str, args: argparse.Namespace, build):
-    """Front half every grid verb (sweep / mix / fixedk / stability) shares.
+    """Front half the grid verbs (grid / stability) share.
 
-    Validates ``--jobs`` / ``--resume`` / ``--limit``, calls ``build()``
-    for the verb's work list (``None`` = the verb already printed why
-    not), trims it to ``--limit``, opens the result cache and builds the
-    progress reporter. Returns ``(work, cache, progress)``, or the exit
-    code 2 after printing ``<verb>: <reason>`` to stderr.
+    Validates ``--resume`` / ``--limit``, calls ``build()`` for the
+    verb's work list (``None`` = the verb already printed why not), trims
+    it to ``--limit``, opens the result cache and builds the progress
+    reporter. Returns ``(work, cache, progress)``, or the exit code 2
+    after printing ``<verb>: <reason>`` to stderr.
     """
     from repro.errors import ConfigError, ExperimentError
     from repro.experiments.cache import ResultCache
-    from repro.telemetry.profiler import ProgressReporter
 
     def refuse(reason: str) -> int:
         print(f"{verb}: {reason}", file=sys.stderr)
         return 2
 
     limit = getattr(args, "limit", None)
-    if args.jobs < 1:
-        return refuse(f"--jobs must be >= 1 (got {args.jobs})")
     if args.resume and not args.cache_dir:
         return refuse("--resume needs --cache-dir (nothing to resume from)")
     if limit is not None and limit < 1:
@@ -577,30 +489,13 @@ def _open_grid(verb: str, args: argparse.Namespace, build):
         return refuse(str(exc))
     if limit is not None:
         work = work[:limit]
-    return work, cache, (None if args.quiet else ProgressReporter())
+    return work, cache, _progress(args)
 
 
-def _grid_footer(args: argparse.Namespace, report, cache,
-                 jobs_line: bool = False) -> None:
-    """The "cells … executed, … cached" summary under a grid verb's table."""
-    print(f"cells    : {len(report.results)} total — "
-          f"{len(report.executed)} executed, {len(report.cached)} cached")
-    if jobs_line:
-        print(f"jobs     : {report.jobs}")
-    print(f"wall time: {report.wall_s:.1f}s")
-    if cache is not None:
-        print(f"cache    : {args.cache_dir} ({len(cache)} entries)")
-
-
-def _grid_manifest(report, **fields) -> dict:
-    """Sweep manifest of one finished grid run (``fields`` lead the doc)."""
-    from repro.telemetry.manifest import build_sweep_manifest
-
-    return build_sweep_manifest(
-        {label: res.manifest for label, res in report.results.items()},
-        **fields, jobs=report.jobs, executed=report.executed,
-        cached=report.cached, wall_s=report.wall_s,
-    )
+def _progress(args: argparse.Namespace):
+    """The stderr progress printer of every multi-cell verb (or None
+    under ``--quiet``)."""
+    return None if args.quiet else ProgressReporter()
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -624,12 +519,8 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     fn = {"fig2": fig2_runtime, "fig3": fig3_throughput,
           "fig4": fig4_latency}[args.command]
-    if args.jobs < 1:
-        print(f"{args.command}: --jobs must be >= 1 (got {args.jobs})",
-              file=sys.stderr)
-        return 2
-    fig = fn(args.deep, args.scale, args.seed,
-             progress=None if args.quiet else _progress, jobs=args.jobs)
+    fig = fn(args.deep, args.scale, args.seed, progress=_progress(args),
+             jobs=args.jobs)
     print(render_figure(fig))
     if args.svg:
         from repro.plotting import figure_to_svg
@@ -640,63 +531,112 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _cmd_claims(args: argparse.Namespace) -> int:
     print(render_claims(check_claims(
-        args.scale, args.seed, progress=None if args.quiet else _progress,
-        jobs=args.jobs)))
+        args.scale, args.seed, progress=_progress(args), jobs=args.jobs)))
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     write_experiments_md(args.out, args.scale, args.seed,
-                         progress=None if args.quiet else _progress,
-                         jobs=args.jobs)
+                         progress=_progress(args), jobs=args.jobs)
     print(f"wrote {args.out}")
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.grids import grid_cells
+def _cmd_grid(args: argparse.Namespace) -> int:
+    from repro.experiments.grids import grid_work
     from repro.experiments.parallel import run_cells
 
-    opened = _open_grid(
-        "sweep", args, lambda: grid_cells(args.deep, args.scale, args.seed))
+    def refuse(reason: str) -> int:
+        print(f"grid: {reason}", file=sys.stderr)
+        return 2
+
+    preset = GRIDS.get(args.name)  # None: grid_work names the choices
+    if args.farm and (args.jobs is not None or args.cache_dir
+                      or args.resume):
+        return refuse("--jobs/--cache-dir/--resume run cells locally; "
+                      "they do not combine with --farm")
+    if args.priority is not None and not args.farm:
+        return refuse("--priority orders a farm's queue: it needs --farm")
+    if args.svg and preset and preset.figures is None:
+        return refuse(f"grid {args.name} draws no figures (--svg)")
+
+    axes = {}
+
+    def build():
+        resolved, work = grid_work(args.name, args.axis, args.scale,
+                                   args.seed)
+        axes.update(resolved)
+        return work
+
+    opened = _open_grid("grid", args, build)
     if isinstance(opened, int):
         return opened
     todo, cache, progress = opened
+    if args.farm:
+        report = _farm_run(args.farm, todo, args.priority or 0, progress)
+        if isinstance(report, int):
+            return report
+    else:
+        report = run_cells(todo, jobs=args.jobs or 1, cache=cache,
+                           resume=args.resume, progress=progress)
 
-    report = run_cells(todo, jobs=args.jobs, cache=cache,
-                       resume=args.resume, progress=progress)
-
-    print(f"sweep    : {'deep' if args.deep else 'shallow'} buffers, "
-          f"scale {args.scale}, seed {args.seed}")
-    _grid_footer(args, report, cache, jobs_line=True)
-    if args.manifest:
-        return _emit_json(
-            _grid_manifest(report, deep=args.deep, scale=args.scale,
-                           seed=args.seed), args.manifest)
-    return 0
-
-
-def _cmd_mix(args: argparse.Namespace) -> int:
-    from repro.experiments.mix import mix_grid, render_mix_table
-    from repro.experiments.parallel import run_cells
-
-    opened = _open_grid("mix", args,
-                        lambda: mix_grid(args.scale, args.seed))
-    if isinstance(opened, int):
-        return opened
-    todo, cache, progress = opened
-
-    report = run_cells(todo, jobs=args.jobs, cache=cache,
-                       resume=args.resume, progress=progress)
-
-    print(render_mix_table(report.results))
+    print(preset.render(report.results))
     print()
-    _grid_footer(args, report, cache)
+    print(f"cells    : {len(report.results)} total — "
+          f"{len(report.executed)} executed, {len(report.cached)} cached")
+    print(f"wall time: {report.wall_s:.1f}s")
+    if cache is not None:
+        print(f"cache    : {args.cache_dir} ({len(cache)} entries)")
+    for suffix, svg in (preset.figures(report.results) if args.svg else ()):
+        if _write_text(f"{args.svg}_{suffix}.svg", svg):
+            return 1
     if args.manifest:
-        return _emit_json(
-            _grid_manifest(report, kind_detail="mix", scale=args.scale,
-                           seed=args.seed), args.manifest)
+        from repro.telemetry.manifest import build_sweep_manifest
+
+        doc = build_sweep_manifest(
+            {label: res.manifest for label, res in report.results.items()},
+            kind_detail=args.name, axes=axes, scale=args.scale,
+            seed=args.seed, jobs=report.jobs, executed=report.executed,
+            cached=report.cached, wall_s=report.wall_s)
+        if preset.extras is not None:
+            doc.update(preset.extras(report.results))
+        return _emit_json(doc, args.manifest)
     return 0
+
+
+def _farm_run(socket_path: str, todo, priority: int, progress):
+    """Run ``todo`` as one farm job: submit, stream progress, fetch.
+
+    Returns a :class:`SweepReport` shaped like a local ``run_cells`` one
+    (``jobs`` 0: no local workers; a cell deduplicated onto another
+    waiter's execution counts as executed), or exit code 1.
+    """
+    from repro.errors import FarmError
+    from repro.experiments.parallel import SweepReport
+    from repro.farm.client import FarmClient
+
+    t0 = time.perf_counter()
+    client = FarmClient(socket_path)
+    try:
+        job = client.submit(todo, priority=priority)["id"]
+        ev = {}
+        for ev in client.watch(job, timeout=None):  # ends at job_done
+            if ev.get("ev") == "progress" and progress is not None:
+                progress(ev["done"], ev["total"], ev["label"])
+        if ev.get("ev") != "job_done" or ev["state"] != "done":
+            print(f"grid: farm job {job} {ev.get('state', 'lost')}",
+                  file=sys.stderr)
+            return 1
+        outcomes = client.status(job)["labels"]
+        fetched = client.fetch(job)
+    except FarmError as exc:
+        print(f"grid: {exc}", file=sys.stderr)
+        return 1
+    return SweepReport(
+        results={label: fetched[label] for label, _cfg in todo},
+        executed=[lb for lb, o in outcomes.items() if o != "cached"],
+        cached=[lb for lb, o in outcomes.items() if o == "cached"],
+        jobs=0, wall_s=time.perf_counter() - t0)
 
 
 #: Default bifurcation grids per axis (target-delay values in µs).
@@ -775,75 +715,6 @@ def _cmd_flaws(args: argparse.Namespace) -> int:
         return _emit_json({"schema": "repro.flaws/v1", "seed": args.seed,
                            "duration_s": args.duration_s, "rows": rows},
                           args.json)
-    return 0
-
-
-def _parse_axis(name: str, raw: str, cast):
-    try:
-        return tuple(cast(v) for v in raw.split(",") if v.strip())
-    except ValueError:
-        print(f"fixedk: --{name} must be comma-separated numbers "
-              f"(got {raw!r})", file=sys.stderr)
-        return None
-
-
-def _cmd_fixedk(args: argparse.Namespace) -> int:
-    from repro.experiments.fixedk import (
-        DEFAULT_FANOUTS,
-        DEFAULT_K_VALUES,
-        DEFAULT_LOADS,
-        FixedKConfig,
-        build_regime_maps,
-        fixedk_grid,
-        render_fixedk_table,
-        render_regime_grid,
-    )
-    from repro.experiments.parallel import run_cells
-
-    def validated_grid():
-        k_values = (_parse_axis("k-values", args.k_values, int)
-                    if args.k_values else DEFAULT_K_VALUES)
-        loads = (_parse_axis("loads", args.loads, float)
-                 if args.loads else DEFAULT_LOADS)
-        fanouts = (_parse_axis("fanouts", args.fanouts, int)
-                   if args.fanouts else DEFAULT_FANOUTS)
-        if k_values is None or loads is None or fanouts is None:
-            return None
-        todo = fixedk_grid(k_values=k_values, loads=loads, fanouts=fanouts,
-                           seeds=(args.seed,),
-                           base=FixedKConfig(seed=args.seed))
-        for _label, cfg in todo:
-            cfg.validate()
-        return todo
-
-    opened = _open_grid("fixedk", args, validated_grid)
-    if isinstance(opened, int):
-        return opened
-    todo, cache, progress = opened
-
-    report = run_cells(todo, jobs=args.jobs, cache=cache,
-                       resume=args.resume, progress=progress)
-
-    # Regime maps stamp manifest["stability"] into every cell (cache hits
-    # included), so the table below can show the regime column.
-    maps = build_regime_maps(report.results)
-    print(render_fixedk_table(report.results))
-    for m in maps:
-        print()
-        print(render_regime_grid(m))
-    print()
-    _grid_footer(args, report, cache)
-    if args.svg:
-        from repro.plotting import grid_regime_map_to_svg
-
-        for m in maps:
-            if _write_text(f"{args.svg}_{m.slice_id}.svg",
-                           grid_regime_map_to_svg(m)):
-                return 1
-    if args.manifest:
-        sweep = _grid_manifest(report, kind_detail="fixedk", seed=args.seed)
-        sweep["regime_maps"] = [m.to_dict() for m in maps]
-        return _emit_json(sweep, args.manifest)
     return 0
 
 
@@ -1050,7 +921,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_farm(args: argparse.Namespace) -> int:
     from repro.errors import FarmError
     from repro.farm.client import FarmClient
-    from repro.telemetry.profiler import ProgressReporter
 
     if not args.socket:
         print("farm: --socket is required (the farm's <farm-dir>/farm.sock)",
@@ -1063,29 +933,6 @@ def _cmd_farm(args: argparse.Namespace) -> int:
             return 0
         if args.stats:
             print(json.dumps(client.stats(), indent=2))
-            return 0
-        if args.submit:
-            from repro.experiments.grids import grid_cells
-
-            cells = grid_cells(args.submit == "deep", args.scale, args.seed)
-            if args.limit is not None:
-                cells = cells[: args.limit]
-            resp = client.submit(cells, priority=args.priority)
-            c = resp["cells"]
-            print(f"farm: submitted {resp['id']} — {c['total']} cells "
-                  f"({c['cached']} cached, {resp['deduped_pending']} "
-                  f"deduped) at priority {resp['priority']}")
-            if args.wait and resp["state"] == "running":
-                reporter = None if args.quiet else ProgressReporter()
-                final = None
-                for ev in client.watch(resp["id"], timeout=None):
-                    if ev.get("ev") == "progress" and reporter is not None:
-                        reporter(ev["done"], ev["total"], ev["label"])
-                    elif ev.get("ev") == "job_done":
-                        final = ev
-                print(f"farm: {resp['id']} "
-                      f"{final['state'] if final else 'lost'}")
-                return 0 if final and final["state"] == "done" else 1
             return 0
         if args.status is not None:
             payload = client.status(args.status or None)
@@ -1112,8 +959,9 @@ def _cmd_farm(args: argparse.Namespace) -> int:
     except FarmError as exc:
         print(f"farm: {exc}", file=sys.stderr)
         return 1
-    print("farm: nothing to do — pass one of --ping/--stats/--submit/"
-          "--status/--results/--watch/--cancel/--shutdown",
+    print("farm: nothing to do — pass one of --ping/--stats/--status/"
+          "--results/--watch/--cancel/--shutdown (submit with "
+          "`repro grid NAME --farm SOCKET`)",
           file=sys.stderr)
     return 2
 
@@ -1135,11 +983,16 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.prune_age is not None or args.keep_grid is not None:
         keep_keys = None
         if args.keep_grid is not None:
-            from repro.experiments.grids import grid_cells
+            from repro.errors import ConfigError, ExperimentError
+            from repro.experiments.grids import grid_work
 
-            keep_keys = {config_cache_key(cfg) for _label, cfg in
-                         grid_cells(args.keep_grid == "deep",
-                                    args.scale, args.seed)}
+            try:
+                _axes, work = grid_work(args.keep_grid, args.axis,
+                                        args.scale, args.seed)
+            except (ExperimentError, ConfigError) as exc:
+                print(f"cache: {exc}", file=sys.stderr)
+                return 2
+            keep_keys = {config_cache_key(cfg) for _label, cfg in work}
         # Count before pruning: after a dry run the doomed entries are
         # still on disk, so entries() would double-count them.
         total = len(cache.entries())
@@ -1190,6 +1043,10 @@ def main(argv: Optional[list] = None) -> int:
         parser.error("unrecognized arguments: " + " ".join(extra))
     # Only `bench` takes arguments not declared here: the suite's own.
     args.suite_args = extra
+    if getattr(args, "jobs", None) is not None and args.jobs < 1:
+        print(f"{args.command}: --jobs must be >= 1 (got {args.jobs})",
+              file=sys.stderr)
+        return 2
     return args.handler(args)
 
 

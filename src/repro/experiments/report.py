@@ -157,13 +157,14 @@ def render_claims(claims: List[ClaimResult]) -> str:
 _PARALLEL_SWEEPS_SECTION = """\
 ## Parallel sweeps
 
-The grid behind the figures can be fanned out over worker processes and
-resumed from an on-disk result cache:
+The grid behind the figures (the `paper` preset of `repro grid`) can be
+fanned out over worker processes and resumed from an on-disk result
+cache:
 
 ```bash
-repro-hadoop-ecn sweep --jobs 8 --cache-dir .sweep-cache            # shallow grid
-repro-hadoop-ecn sweep --jobs 8 --cache-dir .sweep-cache --resume   # pick up where an interrupt left off
-repro-hadoop-ecn fig2 --jobs 8 --scale 0.5                          # figures accept --jobs too
+repro-hadoop-ecn grid paper --jobs 8 --cache-dir .sweep-cache            # shallow grid
+repro-hadoop-ecn grid paper --jobs 8 --cache-dir .sweep-cache --resume   # pick up where an interrupt left off
+repro-hadoop-ecn fig2 --jobs 8 --scale 0.5                               # figures accept --jobs too
 ```
 
 Every cell is a pure function of its `ExperimentConfig` (own kernel, own

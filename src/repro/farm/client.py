@@ -11,7 +11,7 @@ from anywhere that can reach the Unix socket.
 from __future__ import annotations
 
 import socket
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import FarmError
 from repro.experiments.config import CellResult
@@ -158,9 +158,3 @@ class FarmClient:
             raise FarmError(f"watch stream for {job_id} ended early "
                             f"(last event: {last})")
         return last
-
-    def labels_seen(self, job_id: str,
-                    timeout: Optional[float] = None) -> List[str]:
-        """Convenience: the streamed progress labels, in arrival order."""
-        return [e["label"] for e in self.watch(job_id, timeout=timeout)
-                if e.get("ev") == "progress"]

@@ -33,13 +33,16 @@ class TestParser:
 
     def test_sweep_options_parse(self):
         args = build_parser().parse_args([
-            "sweep", "--deep", "--jobs", "4", "--cache-dir", "/tmp/c",
-            "--resume", "--limit", "3", "--manifest", "m.json",
+            "grid", "paper", "--axis", "buffer=deep", "--jobs", "4",
+            "--cache-dir", "/tmp/c", "--resume", "--limit", "3",
+            "--manifest", "m.json",
         ])
-        assert args.command == "sweep"
-        assert args.deep and args.jobs == 4 and args.resume
+        assert args.command == "grid" and args.name == "paper"
+        assert args.axis == ["buffer=deep"]
+        assert args.jobs == 4 and args.resume
         assert args.cache_dir == "/tmp/c"
         assert args.limit == 3 and args.manifest == "m.json"
+        assert args.farm is None and args.priority is None
 
     def test_fig_jobs_flag_parses(self):
         args = build_parser().parse_args(["fig3", "--jobs", "2"])
@@ -83,25 +86,31 @@ class TestUnwritableOutput:
 
 class TestSweepErrors:
     def test_resume_requires_cache_dir(self, capsys):
-        assert main(["sweep", "--resume"]) == 2
+        assert main(["grid", "paper", "--resume"]) == 2
         assert "--cache-dir" in capsys.readouterr().err
 
     def test_jobs_must_be_positive(self, capsys):
-        assert main(["sweep", "--jobs", "0"]) == 2
+        assert main(["grid", "paper", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
     def test_limit_must_be_positive(self, capsys):
-        assert main(["sweep", "--limit", "0"]) == 2
+        assert main(["grid", "paper", "--limit", "0"]) == 2
         assert "--limit" in capsys.readouterr().err
 
     def test_fig_jobs_must_be_positive(self, capsys):
         assert main(["fig2", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["claims", "report"])
+    def test_every_jobs_verb_exits_2_not_a_traceback(self, verb, capsys):
+        # Checked before run_cells, whose ExperimentError is a traceback.
+        assert main([verb, "--jobs", "0", "--scale", "0.01"]) == 2
+        assert f"{verb}: --jobs must be >= 1" in capsys.readouterr().err
+
     def test_cache_dir_collision_with_file(self, tmp_path, capsys):
         f = tmp_path / "a-file"
         f.write_text("x")
-        rc = main(["sweep", "--limit", "1", "--cache-dir", str(f)])
+        rc = main(["grid", "paper", "--limit", "1", "--cache-dir", str(f)])
         assert rc == 2
         assert "not a directory" in capsys.readouterr().err
 
@@ -110,7 +119,7 @@ class TestSweepRuns:
     def test_sweep_limit_jobs_and_resume(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         manifest = tmp_path / "sweep.json"
-        base = ["sweep", "--limit", "2", "--jobs", "2",
+        base = ["grid", "paper", "--limit", "2", "--jobs", "2",
                 "--scale", "0.03125", "--quiet",
                 "--cache-dir", cache_dir, "--manifest", str(manifest)]
         assert main(base) == 0
@@ -121,6 +130,9 @@ class TestSweepRuns:
 
         doc = json.loads(manifest.read_text())
         assert doc["kind"] == "sweep"
+        assert doc["kind_detail"] == "paper"
+        assert doc["axes"] == {"buffer": ["shallow"]}
+        assert doc["scale"] == 0.03125 and doc["seed"] == 42
         assert doc["jobs"] == 2
         assert len(doc["cells"]) == 2
         assert len(doc["executed"]) == 2 and doc["cached"] == []
@@ -132,6 +144,25 @@ class TestSweepRuns:
 
 
 class TestCommands:
+    def test_figure_progress_is_the_progress_reporter(
+            self, capsys, monkeypatch):
+        import repro.cli
+        from repro.telemetry.profiler import ProgressReporter
+
+        seen = []
+
+        def fake_fig(deep, scale, seed, progress=None, jobs=1):
+            seen.append(progress)
+            if progress is not None:
+                progress(1, 2, "cell-a")
+
+        monkeypatch.setattr(repro.cli, "fig2_runtime", fake_fig)
+        monkeypatch.setattr(repro.cli, "render_figure", lambda fig: "(fig)")
+        assert main(["fig2"]) == 0
+        assert isinstance(seen[0], ProgressReporter)
+        assert capsys.readouterr().err.startswith("  [  1/2] cell-a")
+        assert main(["fig2", "--quiet"]) == 0 and seen[1] is None
+
     def test_tables_output(self, capsys):
         assert main(["tables"]) == 0
         out = capsys.readouterr().out
@@ -187,6 +218,24 @@ class TestCacheVerb:
         assert main(["cache", "--cache-dir", cache_dir,
                      "--prune-age", "1"]) == 0
         assert "pruned 2 of 2 entries" in capsys.readouterr().out
+
+    def test_keep_grid_prunes_what_the_preset_does_not_list(
+            self, tmp_path, capsys):
+        cache_dir = self._seed(tmp_path, 1)  # one foreign entry
+        assert main(["grid", "mix", "--limit", "1", "--scale", "0.0625",
+                     "--quiet", "--cache-dir", cache_dir]) == 0
+        capsys.readouterr()
+        assert main(["cache", "--cache-dir", cache_dir, "--keep-grid", "mix",
+                     "--scale", "0.0625", "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        assert "would prune 1 of 2 entries (keeping the mix grid)" in out
+        assert f"{0:016x}" in out  # the foreign key, not the mix cell
+        assert main(["cache", "--cache-dir", cache_dir, "--keep-grid",
+                     "paper", "--axis", "buffer=deep", "--dry-run"]) == 0
+        assert "would prune 2 of 2" in capsys.readouterr().out
+        assert main(["cache", "--cache-dir", cache_dir, "--keep-grid",
+                     "bogus"]) == 2
+        assert "cache: unknown grid 'bogus'" in capsys.readouterr().err
 
     def test_missing_cache_dir_is_an_error_and_is_not_created(
             self, tmp_path, capsys):
@@ -431,35 +480,140 @@ class TestCheckVerb:
 
 class TestFixedKVerb:
     def test_parses_defaults(self):
-        args = build_parser().parse_args(["fixedk"])
-        assert args.command == "fixedk"
+        args = build_parser().parse_args(["grid", "fixedk"])
+        assert args.command == "grid" and args.name == "fixedk"
         assert not hasattr(args, "smoke")  # the CI mode is `smoke fixedk`
-        assert args.svg == "fixedk_regime"
+        assert args.svg is None  # figures only when asked for
+        assert args.axis == []
 
     def test_parses_axes_and_sweep_options(self):
         args = build_parser().parse_args([
-            "fixedk", "--k-values", "8,32", "--loads", "0.4,0.8",
-            "--fanouts", "4", "--jobs", "2", "--cache-dir", "/tmp/c",
+            "grid", "fixedk", "--axis", "k=8,32", "--axis", "load=0.4,0.8",
+            "--axis", "fanout=4", "--jobs", "2", "--cache-dir", "/tmp/c",
             "--resume", "--limit", "3", "--manifest", "m.json",
         ])
-        assert args.k_values == "8,32"
-        assert args.loads == "0.4,0.8"
-        assert args.fanouts == "4"
+        assert args.axis == ["k=8,32", "load=0.4,0.8", "fanout=4"]
         assert args.jobs == 2 and args.resume and args.limit == 3
 
     def test_jobs_must_be_positive(self, capsys):
-        assert main(["fixedk", "--jobs", "0"]) == 2
+        assert main(["grid", "fixedk", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
     def test_resume_requires_cache_dir(self, capsys):
-        assert main(["fixedk", "--resume"]) == 2
+        assert main(["grid", "fixedk", "--resume"]) == 2
         assert "--cache-dir" in capsys.readouterr().err
 
     def test_bad_axis_values_rejected(self, capsys):
-        assert main(["fixedk", "--k-values", "8,banana"]) == 2
-        assert "--k-values" in capsys.readouterr().err
+        assert main(["grid", "fixedk", "--axis", "k=8,banana"]) == 2
+        assert "k=8,banana" in capsys.readouterr().err
 
     def test_invalid_grid_cell_rejected(self, capsys):
         # fanout 99 exceeds the default fabric's remote-host pool.
-        assert main(["fixedk", "--fanouts", "99"]) == 2
+        assert main(["grid", "fixedk", "--axis", "fanout=99"]) == 2
         assert "fanout" in capsys.readouterr().err
+
+    def test_svg_only_when_asked_and_regime_maps_in_manifest(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        base = ["grid", "fixedk", "--axis", "k=8", "--axis", "load=0.4",
+                "--axis", "fanout=4", "--limit", "1", "--quiet",
+                "--cache-dir", "c"]
+        assert main(base + ["--manifest", "m.json"]) == 0
+        out = capsys.readouterr().out
+        assert "S=stable" in out and "1 executed, 0 cached" in out
+        assert not list(tmp_path.glob("*.svg"))
+        import json
+
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert doc["kind_detail"] == "fixedk"
+        assert doc["axes"] == {"k": [8], "load": [0.4], "fanout": [4]}
+        assert [m["fanout"] for m in doc["regime_maps"]] == [4]
+        assert main(base + ["--resume", "--svg", "rm"]) == 0
+        assert [p.name for p in tmp_path.glob("*.svg")] == [
+            "rm_tcp-ecn-default-n4.svg"]
+
+
+class TestGridVerb:
+    """`repro grid NAME`: one verb over the GRIDS presets."""
+
+    #: (cells, sha256 of json [[label, cache key], ...]) of each builder's
+    #: default work list, recorded before the presets replaced the
+    #: sweep / mix / fixedk verbs: the presets must not move a label or key.
+    PINNED = {
+        ("paper", "buffer=shallow"): (
+            42, "b7c371d6d3f35ddde6b017a08dc169a93172d069ee8f7676dc5971208f83f264"),
+        ("paper", "buffer=deep"): (
+            42, "400ed89330e649461b4f6f437bd2bd1bc66039b34ab85ae79fa22c268dd65cac"),
+        ("mix", None): (
+            10, "7c0ce9f4570e7819215e677ee179d8d592ce02a863049402f7f5fc8aa832465e"),
+        ("fixedk", None): (
+            120, "abe517e52662687b47b52e4aeb3bd6d0e3e9acd7d58f56b1ca41ecaa20f6d5db"),
+    }
+
+    @staticmethod
+    def _digest(cells):
+        import hashlib
+        import json
+
+        from repro.experiments.cache import config_cache_key
+
+        pairs = [[label, config_cache_key(cfg)] for label, cfg in cells]
+        return len(pairs), hashlib.sha256(
+            json.dumps(pairs).encode()).hexdigest()
+
+    @pytest.mark.parametrize("name,spec", list(PINNED))
+    def test_preset_work_list_is_the_old_builders(self, name, spec):
+        from repro.experiments.grids import grid_work
+
+        _axes, cells = grid_work(name, [spec] if spec else [])
+        assert self._digest(cells) == self.PINNED[(name, spec)]
+
+    def test_paper_default_axis_is_shallow(self):
+        from repro.experiments.grids import grid_work
+
+        axes, cells = grid_work("paper")
+        assert axes == {"buffer": ("shallow",)}
+        assert self._digest(cells) == self.PINNED[("paper", "buffer=shallow")]
+
+    def test_both_buffers_emit_the_baselines_once(self):
+        from repro.experiments.grids import grid_work
+
+        _axes, cells = grid_work("paper", ["buffer=shallow,deep"])
+        labels = [label for label, _cfg in cells]
+        assert len(labels) == len(set(labels)) == 82
+        assert labels[-2:] == ["droptail-shallow", "droptail-deep"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep"], ["mix"], ["fixedk"], ["farm", "--submit", "shallow"]])
+    def test_old_grid_verbs_no_longer_parse(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["bogus"], "unknown grid 'bogus'"),
+        (["paper", "--axis", "k=8"], "no axis 'k'"),
+        (["paper", "--axis", "buffer"], "--axis buffer: needs"),
+        (["paper", "--axis", "buffer=deep", "--axis", "buffer=deep"],
+         "given twice"),
+        (["paper", "--axis", "buffer=medium"], "'medium' is not one of"),
+        (["paper", "--axis", "buffer=deep,deep"], "distinct"),
+        (["mix", "--axis", "buffer=deep"], "axes: none"),
+        (["fixedk", "--scale", "0.5"], "--scale"),
+        (["mix", "--svg", "x"], "draws no figures"),
+        (["mix", "--farm", "/nonexistent/s", "--jobs", "2"], "--farm"),
+        (["mix", "--farm", "/nonexistent/s", "--cache-dir", "c"], "--farm"),
+        (["mix", "--farm", "/nonexistent/s", "--resume"], "--farm"),
+        (["mix", "--priority", "3"], "--priority"),
+        (["paper", "--farm", "/nonexistent/s", "--limit", "-1"], "--limit"),
+    ])
+    def test_errors_exit_2_naming_the_reason(self, argv, reason, capsys):
+        assert main(["grid", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("grid: ") and reason in err
+
+    def test_farm_that_is_not_there_is_exit_1(self, capsys):
+        assert main(["grid", "mix", "--limit", "1", "--quiet",
+                     "--farm", "/nonexistent/s"]) == 1
+        assert "grid: cannot reach farm" in capsys.readouterr().err

@@ -475,6 +475,44 @@ class TestFarmService:
                                    if r["ev"] == "done"}
 
 
+class TestGridThroughFarm:
+    """`repro grid NAME --farm SOCKET` is the local run, served remotely."""
+
+    def test_farm_grid_prints_the_local_table_and_results(
+            self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        argv = ["grid", "mix", "--limit", "2", "--scale", "0.0625",
+                "--quiet"]
+
+        def run(extra, name):
+            manifest = tmp_path / name
+            assert main(argv + extra + ["--manifest", str(manifest)]) == 0
+            out = capsys.readouterr().out
+            return out, json.loads(manifest.read_text())
+
+        local_out, local = run([], "local.json")
+        with farm(workers=2) as (sched, _client):
+            farm_out, remote = run(["--farm", sched.socket_path], "farm.json")
+            again_out, _ = run(["--farm", sched.socket_path,
+                                "--priority", "3"], "again.json")
+
+        def table(out):
+            return out.split("cells    :")[0]
+
+        assert table(farm_out) == table(local_out) == table(again_out)
+        assert "rpc_miss" in table(local_out)
+        assert "2 total — 2 executed, 0 cached" in local_out
+        assert "2 total — 2 executed, 0 cached" in farm_out
+        assert "2 total — 0 executed, 2 cached" in again_out
+        assert list(remote["cells"]) == list(local["cells"])
+        for label, cell in local["cells"].items():
+            assert remote["cells"][label]["metrics"] == cell["metrics"]
+        assert remote["kind_detail"] == "mix" and remote["jobs"] == 0
+
+
 class _FakeProc:
     """A worker process that never dies and cannot be signalled."""
 

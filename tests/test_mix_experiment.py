@@ -1,5 +1,5 @@
 """Tests for the mixed-cluster coexistence experiment layer
-(MixConfig / the "mix" cell kind / mix_grid) and its CLI verb."""
+(MixConfig / the "mix" cell kind / mix_grid) and its `grid mix` preset."""
 
 import dataclasses
 import json
@@ -169,14 +169,15 @@ class TestMixCli:
 
         cache_dir = tmp_path / "cache"
         manifest = tmp_path / "sweep.json"
-        args = ["mix", "--scale", "0.0625", "--limit", "2",
+        args = ["grid", "mix", "--scale", "0.0625", "--limit", "2",
                 "--cache-dir", str(cache_dir), "--quiet",
                 "--manifest", str(manifest)]
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "2 executed" in out
+        assert "2 executed" in out and "rpc_miss" in out
         assert main(args + ["--resume"]) == 0
         out = capsys.readouterr().out
         assert "2 cached" in out
         payload = json.loads(manifest.read_text())
         assert len(payload["cells"]) == 2
+        assert payload["kind_detail"] == "mix" and payload["axes"] == {}
