@@ -5,9 +5,11 @@ dataset scale so the whole suite completes in minutes. Set
 ``REPRO_BENCH_SCALE=1.0`` to run the full 256 MB reference configuration
 (the one EXPERIMENTS.md reports).
 
-The figure benchmarks share one grid sweep per buffer depth through the
-in-process cache in :mod:`repro.experiments.grids`: the first figure
-benchmark of a depth pays the sweep cost, the rest project cached cells.
+Figures 2-4 share one sweep: the session fixture ``paper_results`` runs
+the ``figures`` grid preset's 82 cells (both buffer depths and the
+DropTail baselines) once, and every figure benchmark times the projection
+of its sub-figure from them. Figure 1 runs its own cell: it needs at
+least 1/4 scale (see ``test_bench_fig1.py``).
 Assertions are limited to scale-robust *shape* properties (orderings,
 reduction bands) — absolute numbers are not the reproduction target.
 """
@@ -33,6 +35,17 @@ def bench_scale() -> float:
 def bench_seed() -> int:
     """Seed for this benchmark session."""
     return BENCH_SEED
+
+
+@pytest.fixture(scope="session")
+def paper_results(bench_scale, bench_seed):
+    """``{label: CellResult}`` of the ``figures`` preset at both depths, at
+    this session's scale and seed, run once (serially) for Figures 2-4."""
+    from repro.experiments import grid_work, run_cells
+
+    _axes, work = grid_work("figures", ["buffer=shallow,deep"],
+                            scale=bench_scale, seed=bench_seed)
+    return run_cells(work).results
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -1,7 +1,8 @@
 """Benchmark for Figure 1 (exp id F1): the congested-queue snapshot and
 the ACK-drop asymmetry it illustrates."""
 
-from repro.experiments.figures import fig1_queue_snapshot, render_fig1
+from repro.experiments import run_cell
+from repro.experiments.figures import fig1_config, fig1_data, render_fig1
 
 from conftest import run_once
 
@@ -22,8 +23,8 @@ def test_fig1(benchmark, bench_scale, bench_seed):
     packets and there is not one early drop or mark), so there is no
     congested queue to take a snapshot of.
     """
-    data = run_once(benchmark, fig1_queue_snapshot, max(bench_scale, 0.25),
-                    bench_seed)
+    data = run_once(benchmark, lambda: fig1_data(
+        run_cell(fig1_config(max(bench_scale, 0.25), bench_seed))))
 
     assert data.early_drops > 0
     assert data.marks > 0

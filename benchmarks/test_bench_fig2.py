@@ -1,7 +1,7 @@
 """Benchmarks for Figure 2 (exp ids F2a, F2b): Hadoop runtime vs RED
 target delay, normalized to DropTail-shallow."""
 
-from repro.experiments.figures import fig2_runtime, render_figure
+from repro.experiments.figures import paper_figure, render_figure
 from repro.tcp import TcpVariant
 
 from conftest import run_once
@@ -14,7 +14,7 @@ def _common_checks(fig):
         assert all(v > 0 for v in vals)
 
 
-def test_fig2a(benchmark, bench_scale, bench_seed):
+def test_fig2a(benchmark, paper_results):
     """F2a — shallow buffers.
 
     Shape assertions: the marking scheme is robust (never materially
@@ -22,7 +22,7 @@ def test_fig2a(benchmark, bench_scale, bench_seed):
     best RED-default point; RED-default's worst point is its most
     aggressive setting or it is never better than marking.
     """
-    fig = run_once(benchmark, fig2_runtime, False, bench_scale, bench_seed)
+    fig = run_once(benchmark, paper_figure, paper_results, "fig2", False)
     _common_checks(fig)
     for variant in (TcpVariant.ECN, TcpVariant.DCTCP):
         marking = fig.series[f"{variant}/marking"]
@@ -32,13 +32,13 @@ def test_fig2a(benchmark, bench_scale, bench_seed):
     assert render_figure(fig)
 
 
-def test_fig2b(benchmark, bench_scale, bench_seed):
+def test_fig2b(benchmark, paper_results):
     """F2b — deep buffers, with the DropTail-deep dashed reference.
 
     Shape assertions: protected/marking configurations reach (or beat)
     the DropTail-deep reference runtime, as the paper reports.
     """
-    fig = run_once(benchmark, fig2_runtime, True, bench_scale, bench_seed)
+    fig = run_once(benchmark, paper_figure, paper_results, "fig2", True)
     _common_checks(fig)
     assert "droptail-deep" in fig.references
     ref = fig.references["droptail-deep"]

@@ -1,13 +1,13 @@
 """Benchmarks for Figure 3 (exp ids F3a, F3b): cluster throughput per
 node vs RED target delay, normalized to DropTail-shallow."""
 
-from repro.experiments.figures import fig3_throughput, render_figure
+from repro.experiments.figures import paper_figure, render_figure
 from repro.tcp import TcpVariant
 
 from conftest import run_once
 
 
-def test_fig3a(benchmark, bench_scale, bench_seed):
+def test_fig3a(benchmark, paper_results):
     """F3a — shallow buffers.
 
     Shape assertions: ACK+SYN and marking sustain DropTail-level (or
@@ -15,7 +15,7 @@ def test_fig3a(benchmark, bench_scale, bench_seed):
     the baseline (the paper's ~10% boost); RED-default never beats them
     at the aggressive end.
     """
-    fig = run_once(benchmark, fig3_throughput, False, bench_scale, bench_seed)
+    fig = run_once(benchmark, paper_figure, paper_results, "fig3", False)
     for variant in (TcpVariant.ECN, TcpVariant.DCTCP):
         marking = fig.series[f"{variant}/marking"]
         default = fig.series[f"{variant}/red-default"]
@@ -26,7 +26,7 @@ def test_fig3a(benchmark, bench_scale, bench_seed):
     assert render_figure(fig)
 
 
-def test_fig3b(benchmark, bench_scale, bench_seed):
+def test_fig3b(benchmark, paper_results):
     """F3b — deep buffers.
 
     Shape assertions: with correct marking, deep buffers add nothing —
@@ -34,7 +34,7 @@ def test_fig3b(benchmark, bench_scale, bench_seed):
     commodity-switch claim is asserted cross-figure in the claims
     report; here we check the deep marking series is flat and >= 0.9).
     """
-    fig = run_once(benchmark, fig3_throughput, True, bench_scale, bench_seed)
+    fig = run_once(benchmark, paper_figure, paper_results, "fig3", True)
     assert "droptail-deep" in fig.references
     for variant in (TcpVariant.ECN, TcpVariant.DCTCP):
         marking = fig.series[f"{variant}/marking"]

@@ -2,13 +2,15 @@
 
 Each verb's ``--help`` is its reference; in brief:
 
-* paper artifacts — ``tables``, ``fig1``, ``fig2|fig3|fig4`` (``--deep``
-  for (b)), ``claims`` (C1-C6), ``report`` (writes EXPERIMENTS.md);
-* ``grid NAME`` — run a named grid of cells (``paper``, ``mix``,
-  ``fixedk``; :data:`repro.experiments.grids.GRIDS`) with ``--axis
-  A=v1,v2`` overrides, locally (``--jobs`` / ``--cache-dir`` /
-  ``--resume``) or on a running farm (``--farm SOCKET``); both print the
-  preset's table and the same executed/cached footer;
+* paper artifacts — ``tables``, ``report`` (writes EXPERIMENTS.md) and
+  the ``grid`` presets ``fig1``, ``figures`` (Figures 2-4, ``--axis
+  buffer=shallow,deep``) and ``claims`` (C1-C6);
+* ``grid NAME`` — run a named grid of cells (``paper``, ``fig1``,
+  ``figures``, ``claims``, ``mix``, ``fixedk``;
+  :data:`repro.experiments.grids.GRIDS`) with ``--axis A=v1,v2``
+  overrides, locally (``--jobs`` / ``--cache-dir`` / ``--resume``) or on
+  a running farm (``--farm SOCKET``); both print the preset's table and
+  the same executed/cached footer;
 * one configuration — ``cell`` (``--json`` for the run manifest),
   ``profile`` (event-loop profiler), ``trace`` (JSONL event export);
 * validation — ``check`` (armed invariant checkers + scenario fuzzing),
@@ -42,16 +44,7 @@ from repro.experiments.config import (
     ExperimentConfig,
     QueueSetup,
 )
-from repro.experiments.figures import (
-    fig1_queue_snapshot,
-    fig2_runtime,
-    fig3_throughput,
-    fig4_latency,
-    render_fig1,
-    render_figure,
-)
 from repro.experiments.grids import GRIDS
-from repro.experiments.report import check_claims, render_claims, write_experiments_md
 from repro.experiments.runner import run_cell
 from repro.experiments.tables import render_table1, render_table2
 from repro.tcp.cc import cc_names
@@ -85,35 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("tables", help="print Tables I and II").set_defaults(
         handler=_cmd_tables)
 
-    p1 = sub.add_parser("fig1", help="queue snapshot + ACK drop asymmetry")
-    p1.add_argument("--svg", metavar="PATH",
-                    help="also write the figure as an SVG file")
-    _add_common(p1)
-    p1.set_defaults(handler=_cmd_fig1)
-
-    for name, help_text in (
-        ("fig2", "Hadoop runtime vs target delay"),
-        ("fig3", "cluster throughput vs target delay"),
-        ("fig4", "network latency vs target delay"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--deep", action="store_true",
-                       help="deep-buffer variant (sub-figure b)")
-        p.add_argument("--svg", metavar="PATH",
-                       help="also write the figure as an SVG file")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for the underlying sweep "
-                            "(default 1 = serial; results are identical)")
-        _add_common(p)
-        p.set_defaults(handler=_cmd_figure)
-
-    pc = sub.add_parser("claims", help="check paper claims C1-C6")
-    pc.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="worker processes for the underlying sweeps")
-    _add_common(pc)
-    pc.set_defaults(handler=_cmd_claims)
-
-    pr = sub.add_parser("report", help="write EXPERIMENTS.md")
+    pr = sub.add_parser(
+        "report", help="run the claims grid and write EXPERIMENTS.md")
     pr.add_argument("--out", default="EXPERIMENTS.md", help="output path")
     pr.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="worker processes for the underlying sweeps")
@@ -143,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pgrid = sub.add_parser(
         "grid",
-        help="run a named grid of cells (paper, mix, fixedk) locally, in "
-             "parallel against a resumable result cache, or through a "
-             "running `repro serve` farm",
+        help="run a named grid of cells (paper, fig1, figures, claims, mix, "
+             "fixedk) locally, in parallel against a resumable result "
+             "cache, or through a running `repro serve` farm",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="grids (axes with their defaults):\n" + "\n".join(
             f"  {name:<7} {g.description}" + "".join(
@@ -162,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the merged sweep manifest as JSON")
     pgrid.add_argument("--svg", metavar="PREFIX",
                        help="write the preset's figures as "
-                            "PREFIX_<id>.svg (fixedk: one regime map per "
+                            "PREFIX_<id>.svg (fig1; figures: fig2a..fig4b; "
+                            "fixedk: one regime map per "
                             "variant/protection/fan-in slice)")
     local = pgrid.add_argument_group("local run")
     local.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -505,44 +472,19 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fig1(args: argparse.Namespace) -> int:
-    data = fig1_queue_snapshot(args.scale, args.seed)
-    print(render_fig1(data))
-    if args.svg:
-        from repro.plotting import queue_snapshot_to_svg
-
-        return _write_text(args.svg, queue_snapshot_to_svg(
-            data.snapshot, data.mark_threshold_packets))
-    return 0
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    fn = {"fig2": fig2_runtime, "fig3": fig3_throughput,
-          "fig4": fig4_latency}[args.command]
-    fig = fn(args.deep, args.scale, args.seed, progress=_progress(args),
-             jobs=args.jobs)
-    print(render_figure(fig))
-    if args.svg:
-        from repro.plotting import figure_to_svg
-
-        return _write_text(args.svg, figure_to_svg(fig))
-    return 0
-
-
-def _cmd_claims(args: argparse.Namespace) -> int:
-    print(render_claims(check_claims(
-        args.scale, args.seed, progress=_progress(args), jobs=args.jobs)))
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    write_experiments_md(args.out, args.scale, args.seed,
-                         progress=_progress(args), jobs=args.jobs)
-    print(f"wrote {args.out}")
-    return 0
+    from repro.experiments.grids import grid_work
+    from repro.experiments.parallel import run_cells
+    from repro.experiments.report import render_experiments_md
+
+    _axes, work = grid_work("claims", scale=args.scale, seed=args.seed)
+    results = run_cells(work, jobs=args.jobs, progress=_progress(args)).results
+    return _write_text(args.out, render_experiments_md(
+        results, args.scale, args.seed))
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
+    from repro.errors import ExperimentError
     from repro.experiments.grids import grid_work
     from repro.experiments.parallel import run_cells
 
@@ -580,14 +522,19 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         report = run_cells(todo, jobs=args.jobs or 1, cache=cache,
                            resume=args.resume, progress=progress)
 
-    print(preset.render(report.results))
+    try:  # a render projects the results: it fails on a missing cell
+        table = preset.render(report.results)
+        figures = preset.figures(report.results) if args.svg else ()
+    except ExperimentError as exc:
+        return refuse(str(exc))
+    print(table)
     print()
     print(f"cells    : {len(report.results)} total — "
           f"{len(report.executed)} executed, {len(report.cached)} cached")
     print(f"wall time: {report.wall_s:.1f}s")
     if cache is not None:
         print(f"cache    : {args.cache_dir} ({len(cache)} entries)")
-    for suffix, svg in (preset.figures(report.results) if args.svg else ()):
+    for suffix, svg in figures:
         if _write_text(f"{args.svg}_{suffix}.svg", svg):
             return 1
     if args.manifest:

@@ -30,6 +30,8 @@ from repro.units import gbps, mb, us
 __all__ = [
     "SHALLOW_BUFFER_PACKETS",
     "DEEP_BUFFER_PACKETS",
+    "SHALLOW_TARGET_DELAYS",
+    "DEEP_TARGET_DELAYS",
     "QueueSetup",
     "ExperimentConfig",
     "CellResult",
@@ -45,6 +47,16 @@ SHALLOW_BUFFER_PACKETS = 100
 #: "Deep buffer switch": 10x the shallow density, per the paper's
 #: observation that new products offer "a buffer density per port 10x bigger".
 DEEP_BUFFER_PACKETS = 1000
+
+#: Target-delay sweep of the paper grid for shallow (100-packet ≈ 1.2 ms)
+#: buffers: aggressive 50 µs up to 1 ms. Beyond ~400 µs the RED band
+#: (min=K, max=3K) exceeds the physical buffer and the AQM degenerates
+#: into DropTail — the sweep deliberately includes that regime, as the
+#: paper's "loose settings" do.
+SHALLOW_TARGET_DELAYS = (us(50), us(100), us(200), us(500), us(1000))
+
+#: Target-delay sweep for deep (1000-packet ≈ 12 ms) buffers.
+DEEP_TARGET_DELAYS = (us(100), us(500), us(1000), us(2000), us(5000))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
-"""Figure generators: the same series the paper plots, as data + ASCII.
+"""Figure projections: the same series the paper plots, as data + ASCII.
+
+Every function here is a pure function of a grid's results (``{label:
+CellResult}``, as ``run_cells`` returns them); none runs a cell.
 
 * Figure 1 — a snapshot of a congested switch egress queue during the
-  shuffle under default RED/ECN, plus the drop-asymmetry statistics that
-  the snapshot illustrates.
+  shuffle under default RED/ECN (the ``fig1`` cell, :func:`fig1_config`),
+  plus the drop-asymmetry statistics that the snapshot illustrates.
 * Figure 2 — Hadoop runtime vs target delay (RED), shallow/deep.
 * Figure 3 — cluster throughput per node vs target delay, shallow/deep.
 * Figure 4 — mean per-packet network latency vs target delay, shallow/deep.
@@ -16,24 +19,19 @@ depth. Reference (dashed) lines carry the other baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 from repro.core.monitor import QueueSnapshot
 from repro.core.protection import ProtectionMode
 from repro.errors import ExperimentError
 from repro.experiments.config import (
-    DEEP_BUFFER_PACKETS,
+    DEEP_TARGET_DELAYS,
     SHALLOW_BUFFER_PACKETS,
+    SHALLOW_TARGET_DELAYS,
     CellResult,
     ExperimentConfig,
     QueueSetup,
 )
-from repro.experiments.grids import (
-    DEEP_TARGET_DELAYS,
-    SHALLOW_TARGET_DELAYS,
-    run_grid,
-)
-from repro.experiments.runner import run_cell
 from repro.stats.normalize import normalize_to
 from repro.tcp.endpoint import TcpVariant
 from repro.units import us
@@ -41,10 +39,11 @@ from repro.units import us
 __all__ = [
     "FigureData",
     "Fig1Data",
-    "fig1_queue_snapshot",
-    "fig2_runtime",
-    "fig3_throughput",
-    "fig4_latency",
+    "FIGURE_SPECS",
+    "fig1_config",
+    "fig1_data",
+    "paper_figure",
+    "require_cell",
     "render_figure",
     "render_fig1",
 ]
@@ -86,117 +85,80 @@ class Fig1Data:
     marks: int
 
 
-def _grid_series(
-    results: Dict[str, CellResult],
-    deep: bool,
-    metric,
-) -> Dict[str, List[float]]:
-    """Collect raw metric values for every (variant, queue) series."""
-    delays = DEEP_TARGET_DELAYS if deep else SHALLOW_TARGET_DELAYS
-    out: Dict[str, List[float]] = {}
-    for variant in (TcpVariant.ECN, TcpVariant.DCTCP):
-        for qlabel in SERIES_QUEUES:
-            key = f"{variant}/{qlabel}"
-            vals = []
-            for d in delays:
-                depth = "deep" if deep else "shallow"
-                cell_label = f"{variant}/{qlabel}@{d * 1e6:.0f}us/{depth}"
-                cell = results.get(cell_label)
-                if cell is None:
-                    raise ExperimentError(f"missing grid cell {cell_label}")
-                vals.append(metric(cell))
-            out[key] = vals
-    return out
+class FigureSpec(NamedTuple):
+    """What one of Figures 2-4 plots: the title, the ``CellResult``
+    attribute, how the normalized-against line names it, and whether the
+    base is DropTail at the figure's own depth (else DropTail-shallow)."""
+
+    title: str
+    metric: str
+    metric_name: str
+    same_depth_base: bool
 
 
-def fig2_runtime(deep: bool, scale: float = 1.0, seed: int = 42,
-                 progress=None, jobs: int = 1) -> FigureData:
-    """Figure 2(a/b): normalized Hadoop runtime vs target delay."""
-    results = run_grid(deep, scale, seed, progress=progress, jobs=jobs)
-    base = results["droptail-shallow"].runtime
-    fig = FigureData(
-        name="fig2b" if deep else "fig2a",
-        title=f"Hadoop Runtime - RED ({'Deep' if deep else 'Shallow'} Buffers)",
-        deep=deep,
-        delays=DEEP_TARGET_DELAYS if deep else SHALLOW_TARGET_DELAYS,
-        normalized_against="droptail-shallow runtime",
-    )
-    raw = _grid_series(results, deep, lambda c: c.runtime)
-    fig.series = {k: [normalize_to(v, base) for v in vals] for k, vals in raw.items()}
-    if deep:
-        fig.references["droptail-deep"] = normalize_to(
-            results["droptail-deep"].runtime, base
-        )
-    return fig
+#: Figures 2-4, in the paper's order.
+FIGURE_SPECS: Dict[str, FigureSpec] = {
+    "fig2": FigureSpec("Hadoop Runtime", "runtime", "runtime", False),
+    "fig3": FigureSpec("Cluster Throughput", "throughput_per_node",
+                       "throughput/node", False),
+    "fig4": FigureSpec("Network Latency", "latency", "latency", True),
+}
 
 
-def fig3_throughput(deep: bool, scale: float = 1.0, seed: int = 42,
-                    progress=None, jobs: int = 1) -> FigureData:
-    """Figure 3(a/b): normalized per-node cluster throughput vs target delay."""
-    results = run_grid(deep, scale, seed, progress=progress, jobs=jobs)
-    base = results["droptail-shallow"].throughput_per_node
-    fig = FigureData(
-        name="fig3b" if deep else "fig3a",
-        title=f"Cluster Throughput - RED ({'Deep' if deep else 'Shallow'} Buffers)",
-        deep=deep,
-        delays=DEEP_TARGET_DELAYS if deep else SHALLOW_TARGET_DELAYS,
-        normalized_against="droptail-shallow throughput/node",
-    )
-    raw = _grid_series(results, deep, lambda c: c.throughput_per_node)
-    fig.series = {k: [normalize_to(v, base) for v in vals] for k, vals in raw.items()}
-    if deep:
-        fig.references["droptail-deep"] = normalize_to(
-            results["droptail-deep"].throughput_per_node, base
-        )
-    return fig
+def require_cell(results: Dict[str, CellResult], label: str) -> CellResult:
+    """``results[label]``, or :class:`ExperimentError` naming the cell."""
+    cell = results.get(label)
+    if cell is None:
+        raise ExperimentError(f"missing grid cell {label}")
+    return cell
 
 
-def fig4_latency(deep: bool, scale: float = 1.0, seed: int = 42,
-                 progress=None, jobs: int = 1) -> FigureData:
-    """Figure 4(a/b): normalized mean per-packet latency vs target delay.
+def paper_figure(results: Dict[str, CellResult], fig: str,
+                 deep: bool) -> FigureData:
+    """Figure ``fig`` (``fig2``/``fig3``/``fig4``), sub-figure (b) if
+    ``deep`` else (a), from the paper grid's results.
 
-    Latency is normalized to DropTail *with the same buffer depth*; the
-    deep plot carries the (much lower) shallow-DropTail latency as a
-    reference line, exactly as the paper draws it.
+    The deep sub-figure carries the other DropTail baseline as a dashed
+    reference line, exactly as the paper draws it. Raises
+    :class:`ExperimentError` naming the first missing cell.
     """
-    results = run_grid(deep, scale, seed, progress=progress, jobs=jobs)
-    same_depth_base = results[
-        "droptail-deep" if deep else "droptail-shallow"
-    ].latency
-    fig = FigureData(
-        name="fig4b" if deep else "fig4a",
-        title=f"Network Latency - RED ({'Deep' if deep else 'Shallow'} Buffers)",
-        deep=deep,
-        delays=DEEP_TARGET_DELAYS if deep else SHALLOW_TARGET_DELAYS,
-        normalized_against=(
-            "droptail-deep latency" if deep else "droptail-shallow latency"
-        ),
-    )
-    raw = _grid_series(results, deep, lambda c: c.latency)
-    fig.series = {
-        k: [normalize_to(v, same_depth_base) for v in vals]
-        for k, vals in raw.items()
-    }
+    spec = FIGURE_SPECS[fig]
+    depth = "deep" if deep else "shallow"
+    delays = DEEP_TARGET_DELAYS if deep else SHALLOW_TARGET_DELAYS
+
+    def value(label: str) -> float:
+        return getattr(require_cell(results, label), spec.metric)
+
+    base_label = f"droptail-{depth}" if spec.same_depth_base \
+        else "droptail-shallow"
+    base = value(base_label)
+    series = {
+        f"{variant}/{qlabel}": [
+            normalize_to(value(f"{variant}/{qlabel}@{d * 1e6:.0f}us/{depth}"),
+                         base) for d in delays]
+        for variant in (TcpVariant.ECN, TcpVariant.DCTCP)
+        for qlabel in SERIES_QUEUES}
+    references = {}
     if deep:
-        fig.references["droptail-shallow"] = normalize_to(
-            results["droptail-shallow"].latency, same_depth_base
-        )
-    return fig
+        other = ("droptail-shallow" if base_label == "droptail-deep"
+                 else "droptail-deep")
+        references[other] = normalize_to(value(other), base)
+    return FigureData(
+        name=f"{fig}{'b' if deep else 'a'}",
+        title=f"{spec.title} - RED ({'Deep' if deep else 'Shallow'} Buffers)",
+        deep=deep, delays=delays, series=series, references=references,
+        normalized_against=f"{base_label} {spec.metric_name}")
 
 
-def fig1_queue_snapshot(
-    scale: float = 1.0,
-    seed: int = 42,
-    target_delay_s: float = us(50),
-) -> Fig1Data:
-    """Figure 1: run default RED/ECN and photograph the hottest queue."""
-    from repro.core.target_delay import threshold_packets
-
-    cfg = ExperimentConfig(
+def fig1_config(scale: float = 1.0, seed: int = 42) -> ExperimentConfig:
+    """Figure 1's cell: default RED/ECN at the aggressive 50 µs target delay
+    on shallow buffers, with the queue monitor photographing the switch
+    ports every 2 ms."""
+    return ExperimentConfig(
         queue=QueueSetup(
             kind="red",
             buffer_packets=SHALLOW_BUFFER_PACKETS,
-            target_delay_s=target_delay_s,
+            target_delay_s=us(50),
             protection=ProtectionMode.DEFAULT,
         ),
         variant=TcpVariant.ECN,
@@ -204,7 +166,13 @@ def fig1_queue_snapshot(
         monitor_interval_s=0.002,
         allow_timeout=True,
     ).scaled(scale)
-    cell = run_cell(cfg)
+
+
+def fig1_data(cell: CellResult) -> Fig1Data:
+    """Figure 1 from a :func:`fig1_config` cell: its hottest queue
+    snapshot and the queue's drop asymmetry."""
+    from repro.core.target_delay import threshold_packets
+
     if not cell.snapshots:
         raise ExperimentError("fig1 run produced no queue snapshots")
     busiest = max(cell.snapshots, key=lambda s: s.qlen_packets)
@@ -213,7 +181,7 @@ def fig1_queue_snapshot(
     return Fig1Data(
         snapshot=busiest,
         mark_threshold_packets=threshold_packets(
-            target_delay_s, cfg.link_rate_bps
+            cell.config.queue.target_delay_s, cell.config.link_rate_bps
         ),
         ack_arrival_share=q.ack_arrivals / q.arrivals if q.arrivals else 0.0,
         ack_drop_share=q.ack_drops / total_drops if total_drops else 0.0,

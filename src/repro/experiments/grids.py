@@ -3,18 +3,17 @@
 Figures 2-4 sweep the AQM target delay for {TCP-ECN, DCTCP} × {Default,
 ECE-bit, ACK+SYN} on {shallow, deep} buffers, normalized to DropTail
 baselines. We additionally sweep the true simple marking scheme (the
-paper's second proposal) as its own series.
+paper's second proposal) as its own series. ``grid_cells`` is that flat
+(label, config) work list.
 
-``run_grid`` executes every cell once and memoises results per
-(scale, seed) so the three figures share one sweep. ``grid_cells`` is the
-flat (label, config) work list; ``jobs``/``cache_dir`` fan the sweep out
-over worker processes and/or an on-disk result cache (see
-:mod:`repro.experiments.parallel`) — parallel results are bit-identical
-to the serial path.
-
-``GRIDS`` names every work list the ``grid`` verb runs (``paper``,
-``mix``, ``fixedk``): its axes, builder, table and optional manifest
-extras / SVG figures. ``grid_work`` resolves one with axis overrides.
+``GRIDS`` names every work list the ``grid`` verb runs: its axes,
+builder, table and optional manifest extras / SVG figures. The paper's
+artifacts are presets too — ``fig1``, ``figures`` (Figures 2-4) and
+``claims`` (C1-C6, the 82 paper cells plus ``fig1``) — whose tables are
+projections of the results (:mod:`repro.experiments.figures`,
+:mod:`repro.experiments.report`), so they run with ``--jobs``,
+``--cache-dir``, ``--resume`` and ``--farm`` like any grid.
+``grid_work`` resolves one with axis overrides.
 """
 
 from __future__ import annotations
@@ -27,10 +26,22 @@ from repro.core.protection import ProtectionMode
 from repro.errors import ExperimentError
 from repro.experiments.config import (
     DEEP_BUFFER_PACKETS,
+    DEEP_TARGET_DELAYS,
     SHALLOW_BUFFER_PACKETS,
+    SHALLOW_TARGET_DELAYS,
     CellResult,
     ExperimentConfig,
     QueueSetup,
+)
+from repro.experiments.figures import (
+    FIGURE_SPECS,
+    FigureData,
+    fig1_config,
+    fig1_data,
+    paper_figure,
+    render_fig1,
+    render_figure,
+    require_cell,
 )
 from repro.experiments.fixedk import (
     DEFAULT_FANOUTS,
@@ -43,38 +54,21 @@ from repro.experiments.fixedk import (
     render_regime_grid,
 )
 from repro.experiments.mix import mix_grid, render_mix_table
+from repro.experiments.report import check_claims, render_claims
 from repro.tcp.endpoint import TcpVariant
-from repro.units import us
 
 __all__ = [
-    "SHALLOW_TARGET_DELAYS",
-    "DEEP_TARGET_DELAYS",
     "PROTECTION_MODES",
     "VARIANTS",
     "baseline_configs",
     "figure_grid",
     "grid_cells",
-    "run_grid",
     "render_paper_table",
     "Axis",
     "GridPreset",
     "GRIDS",
     "grid_work",
 ]
-
-#: Target-delay sweep for shallow (100-packet ≈ 1.2 ms) buffers:
-#: aggressive 50 µs up to 1 ms. Beyond ~400 µs the RED band (min=K,
-#: max=3K) exceeds the physical buffer and the AQM degenerates into
-#: DropTail — the sweep deliberately includes that regime, as the paper's
-#: "loose settings" do.
-SHALLOW_TARGET_DELAYS: Tuple[float, ...] = (
-    us(50), us(100), us(200), us(500), us(1000),
-)
-
-#: Target-delay sweep for deep (1000-packet ≈ 12 ms) buffers.
-DEEP_TARGET_DELAYS: Tuple[float, ...] = (
-    us(100), us(500), us(1000), us(2000), us(5000),
-)
 
 PROTECTION_MODES: Tuple[ProtectionMode, ...] = (
     ProtectionMode.DEFAULT,
@@ -153,48 +147,6 @@ def grid_cells(
     return [(cfg.label(), cfg) for cfg in cells] + list(baselines.items())
 
 
-_GRID_CACHE: Dict[Tuple, Dict[str, CellResult]] = {}
-
-
-def run_grid(
-    deep: bool,
-    scale: float = 1.0,
-    seed: int = 42,
-    use_cache: bool = True,
-    progress=None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    resume: bool = True,
-) -> Dict[str, CellResult]:
-    """Run baselines + swept cells for one buffer depth.
-
-    Returns {cell label: CellResult}; baselines appear under their
-    ``droptail-*`` labels. ``progress`` is an optional callable invoked
-    with (done, total, label) after each cell
-    (:class:`~repro.telemetry.profiler.ProgressReporter` fits).
-
-    ``jobs`` > 1 fans cells out over worker processes; ``cache_dir``
-    persists per-cell results keyed by config content, and ``resume``
-    (default on, when a cache is attached) skips cells already present.
-    Neither changes the results: parallel and cached cells are
-    bit-identical to the serial path.
-    """
-    from repro.experiments.cache import ResultCache
-    from repro.experiments.parallel import run_cells
-
-    key = (deep, scale, seed)
-    results = _GRID_CACHE.get(key) if use_cache else None
-    if results is None:
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        results = run_cells(
-            grid_cells(scale, seed, ("deep" if deep else "shallow",)),
-            jobs=jobs, cache=cache, resume=resume, progress=progress,
-        ).results
-        if use_cache:
-            _GRID_CACHE[key] = results
-    return results
-
-
 def render_paper_table(results: Dict[str, CellResult]) -> str:
     """ASCII table of the raw paper-grid metrics, one row per cell.
 
@@ -241,6 +193,36 @@ def _fixedk_figures(results: Dict[str, CellResult]) -> List[Tuple[str, str]]:
             for m in build_regime_maps(results)]
 
 
+def _paper_figures(results: Dict[str, CellResult]) -> List[FigureData]:
+    """Figures 2-4 for every buffer depth whose swept cells ``results``
+    holds, in the paper's order (fig2a, fig2b, fig3a, ...)."""
+    depths = [deep for deep in (False, True) if any(
+        label.endswith("/deep" if deep else "/shallow") for label in results)]
+    return [paper_figure(results, fig, deep)
+            for fig in FIGURE_SPECS for deep in depths]
+
+
+def _paper_figure_svgs(results: Dict[str, CellResult]) -> List[Tuple[str, str]]:
+    from repro.plotting import figure_to_svg
+
+    return [(fig.name, figure_to_svg(fig)) for fig in _paper_figures(results)]
+
+
+def _fig1_svg(results: Dict[str, CellResult]) -> List[Tuple[str, str]]:
+    from repro.plotting import queue_snapshot_to_svg
+
+    data = fig1_data(require_cell(results, "fig1"))
+    return [("fig1", queue_snapshot_to_svg(data.snapshot,
+                                           data.mark_threshold_packets))]
+
+
+def _claims_cells(scale: float, seed: int) -> List[Tuple[str, Any]]:
+    # fig1's config differs from a grid cell only in its queue monitor, so
+    # it needs a label of its own (cfg.label() would collide).
+    return (grid_cells(scale, seed, ("shallow", "deep"))
+            + [("fig1", fig1_config(scale, seed))])
+
+
 def _depth(raw: str) -> str:
     if raw not in ("shallow", "deep"):
         raise ValueError(f"{raw!r} is not one of shallow, deep")
@@ -278,6 +260,21 @@ GRIDS: Dict[str, GridPreset] = {
         "the paper's target-delay grid (Figures 2-4) + DropTail baselines",
         {"buffer": Axis(("shallow",), _depth)},
         grid_cells, render_paper_table),
+    "fig1": GridPreset(
+        "Figure 1: queue snapshot + ACK-drop asymmetry (default RED/ECN)",
+        {}, lambda scale, seed: [("fig1", fig1_config(scale, seed))],
+        lambda results: render_fig1(fig1_data(require_cell(results, "fig1"))),
+        figures=_fig1_svg),
+    "figures": GridPreset(
+        "Figures 2-4 over the paper grid's cells, per buffer depth",
+        {"buffer": Axis(("shallow",), _depth)}, grid_cells,
+        lambda results: "\n\n".join(
+            render_figure(fig) for fig in _paper_figures(results)),
+        figures=_paper_figure_svgs),
+    "claims": GridPreset(
+        "claims C1-C6: the paper grid at both depths + the fig1 cell",
+        {}, _claims_cells,
+        lambda results: render_claims(check_claims(results))),
     "mix": GridPreset(
         "mixed-cluster coexistence: shuffle + RPC + background per queue "
         "scheme", {}, mix_grid, render_mix_table),

@@ -1,9 +1,10 @@
-"""Claim checking and the EXPERIMENTS.md writer.
+"""Claim checking and the EXPERIMENTS.md renderer.
 
 The paper's quantitative statements are encoded as :class:`ClaimResult`
-checks over the measured grid (see DESIGN.md §4 for the claim inventory,
-C1-C6). ``write_experiments_md`` runs everything and writes the
-paper-vs-measured record.
+checks over the results of the ``claims`` grid preset (see DESIGN.md §4
+for the claim inventory, C1-C6): the 82 paper-grid cells plus the
+``fig1`` cell. ``render_experiments_md`` turns those same results into the
+paper-vs-measured record. Nothing here runs a cell.
 """
 
 from __future__ import annotations
@@ -11,20 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.experiments.config import CellResult
 from repro.experiments.figures import (
-    Fig1Data,
+    FIGURE_SPECS,
     FigureData,
-    fig1_queue_snapshot,
-    fig2_runtime,
-    fig3_throughput,
-    fig4_latency,
+    fig1_data,
+    paper_figure,
     render_fig1,
     render_figure,
+    require_cell,
 )
 from repro.experiments.tables import render_table1, render_table2
 from repro.tcp.endpoint import TcpVariant
 
-__all__ = ["ClaimResult", "check_claims", "render_claims", "write_experiments_md"]
+__all__ = ["ClaimResult", "check_claims", "render_claims",
+           "render_experiments_md"]
 
 
 @dataclass
@@ -55,16 +57,13 @@ def _series_max(fig: FigureData, qlabel: str) -> float:
     )
 
 
-def check_claims(scale: float = 1.0, seed: int = 42, progress=None,
-                 jobs: int = 1) -> List[ClaimResult]:
-    """Run the evaluation and check claims C1-C6 from DESIGN.md."""
-    f2a = fig2_runtime(False, scale, seed, progress=progress, jobs=jobs)
-    f3a = fig3_throughput(False, scale, seed)
-    f4a = fig4_latency(False, scale, seed)
-    f2b = fig2_runtime(True, scale, seed, progress=progress, jobs=jobs)
-    f3b = fig3_throughput(True, scale, seed)
-    f4b = fig4_latency(True, scale, seed)
-    f1 = fig1_queue_snapshot(scale, seed)
+def check_claims(results: Dict[str, CellResult]) -> List[ClaimResult]:
+    """Check claims C1-C6 from DESIGN.md against the ``claims`` preset's
+    results; raises :class:`ExperimentError` naming a missing cell."""
+    f2a, f3a, f4a = (paper_figure(results, fig, False)
+                     for fig in ("fig2", "fig3", "fig4"))
+    f3b, f4b = (paper_figure(results, fig, True) for fig in ("fig3", "fig4"))
+    f1 = fig1_data(require_cell(results, "fig1"))
 
     claims: List[ClaimResult] = []
 
@@ -159,12 +158,13 @@ _PARALLEL_SWEEPS_SECTION = """\
 
 The grid behind the figures (the `paper` preset of `repro grid`) can be
 fanned out over worker processes and resumed from an on-disk result
-cache:
+cache; the figures and claims are presets over the same cells:
 
 ```bash
 repro-hadoop-ecn grid paper --jobs 8 --cache-dir .sweep-cache            # shallow grid
 repro-hadoop-ecn grid paper --jobs 8 --cache-dir .sweep-cache --resume   # pick up where an interrupt left off
-repro-hadoop-ecn fig2 --jobs 8 --scale 0.5                               # figures accept --jobs too
+repro-hadoop-ecn grid figures --jobs 8 --cache-dir .sweep-cache --resume # Figures 2-4 from those cells, 0 executed
+repro-hadoop-ecn grid claims --jobs 8 --scale 0.5                        # C1-C6: both depths + the fig1 cell
 ```
 
 Every cell is a pure function of its `ExperimentConfig` (own kernel, own
@@ -241,19 +241,14 @@ violations.
 """
 
 
-def write_experiments_md(path: str, scale: float = 1.0, seed: int = 42,
-                         progress=None, jobs: int = 1) -> str:
-    """Run the full evaluation and write EXPERIMENTS.md; returns the text."""
-    figs = [
-        fig2_runtime(False, scale, seed, progress=progress, jobs=jobs),
-        fig2_runtime(True, scale, seed, progress=progress, jobs=jobs),
-        fig3_throughput(False, scale, seed),
-        fig3_throughput(True, scale, seed),
-        fig4_latency(False, scale, seed),
-        fig4_latency(True, scale, seed),
-    ]
-    f1 = fig1_queue_snapshot(scale, seed)
-    claims = check_claims(scale, seed)
+def render_experiments_md(results: Dict[str, CellResult], scale: float,
+                          seed: int) -> str:
+    """EXPERIMENTS.md from the ``claims`` preset's results, which were run
+    at ``scale`` and ``seed``."""
+    figs = [paper_figure(results, fig, deep)
+            for fig in FIGURE_SPECS for deep in (False, True)]
+    f1 = fig1_data(require_cell(results, "fig1"))
+    claims = check_claims(results)
 
     parts: List[str] = []
     parts.append("# EXPERIMENTS — paper vs measured\n")
@@ -280,7 +275,4 @@ def write_experiments_md(path: str, scale: float = 1.0, seed: int = 42,
     parts.append(_BENCHMARKS_SECTION)
     parts.append(_VALIDATION_SECTION)
 
-    text = "\n".join(parts)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text
+    return "\n".join(parts)

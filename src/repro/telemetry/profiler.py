@@ -195,8 +195,9 @@ class ProgressReporter:
     """Progress callback for long sweeps, with rate and ETA.
 
     Instances are drop-in ``progress(done, total, label)`` callables for
-    :func:`~repro.experiments.grids.run_grid`, the figure generators and
-    the parallel sweep executor. Completion events from all worker
+    the sweep executor (:func:`~repro.experiments.parallel.run_cells`),
+    and so for every ``grid`` preset, ``report`` and the bifurcation
+    driver. Completion events from all worker
     processes funnel through the one parent-side instance, so ``done``
     aggregates naturally; cells served from the result cache (labels
     ending in ``[cached]``) are counted separately and excluded from the

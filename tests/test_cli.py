@@ -5,6 +5,27 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _stub_run_cells(monkeypatch, seen=None):
+    """Replace the sweep executor: every cell of the work list "measures"
+    runtime, throughput and latency 1.0, and the first label is reported
+    to ``progress``; ``seen`` collects each call's progress callback."""
+    from types import SimpleNamespace
+
+    import repro.experiments.parallel as parallel
+
+    def fake_run_cells(cells, jobs=1, cache=None, resume=True, progress=None):
+        if seen is not None:
+            seen.append(progress)
+        if progress is not None:
+            progress(1, len(cells), cells[0][0])
+        flat = SimpleNamespace(runtime=1.0, throughput_per_node=1.0,
+                               latency=1.0)
+        return parallel.SweepReport(
+            results={label: flat for label, _cfg in cells}, jobs=jobs)
+
+    monkeypatch.setattr(parallel, "run_cells", fake_run_cells)
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -15,8 +36,10 @@ class TestParser:
         assert args.command == "tables"
 
     def test_fig2_deep_flag(self):
-        args = build_parser().parse_args(["fig2", "--deep", "--scale", "0.5"])
-        assert args.deep and args.scale == 0.5
+        args = build_parser().parse_args(
+            ["grid", "figures", "--axis", "buffer=deep", "--scale", "0.5"])
+        assert args.name == "figures" and args.axis == ["buffer=deep"]
+        assert args.scale == 0.5
 
     def test_cell_options(self):
         args = build_parser().parse_args([
@@ -45,8 +68,47 @@ class TestParser:
         assert args.farm is None and args.priority is None
 
     def test_fig_jobs_flag_parses(self):
-        args = build_parser().parse_args(["fig3", "--jobs", "2"])
+        args = build_parser().parse_args(["grid", "figures", "--jobs", "2"])
         assert args.jobs == 2
+
+
+@pytest.fixture(scope="module")
+def report_run(tmp_path_factory):
+    """One ``report --scale 0.01`` to an unwritable path with ``run_cell``
+    spied on: ``(dest, exit code, stderr, config key of every run)``."""
+    import contextlib
+    import io
+
+    import repro.experiments.parallel as parallel
+    from repro.experiments.cache import config_cache_key
+
+    dest = str(tmp_path_factory.mktemp("report") / "no" / "such" / "E.md")
+    keys = []
+    real_run_cell = parallel.run_cell
+
+    def spy(cfg, *args, **kwargs):
+        keys.append(config_cache_key(cfg))
+        return real_run_cell(cfg, *args, **kwargs)
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(parallel, "run_cell", spy)
+        rc = main(["report", "--scale", "0.01", "--quiet", "--out", dest])
+    return dest, rc, err.getvalue(), keys
+
+
+class TestReport:
+    def test_report_runs_every_cell_once(self, report_run):
+        from repro.experiments.cache import config_cache_key
+        from repro.experiments.figures import fig1_config
+        from repro.experiments.grids import grid_work
+
+        _dest, _rc, _err, keys = report_run
+        _axes, work = grid_work("claims", scale=0.01)
+        assert len(work) == 83
+        assert sorted(keys) == sorted(config_cache_key(c) for _l, c in work)
+        assert len(set(keys)) == len(keys)
+        assert config_cache_key(fig1_config(0.01, 42)) in keys
 
 
 class TestUnwritableOutput:
@@ -54,29 +116,32 @@ class TestUnwritableOutput:
     ``error: cannot write``, never a traceback after the work is done."""
 
     def test_fig1_svg(self, tmp_path, capsys):
-        dest = str(tmp_path / "no" / "such" / "dir" / "x.svg")
-        assert main(["fig1", "--scale", "0.03125", "--svg", dest]) == 1
-        assert f"error: cannot write {dest}" in capsys.readouterr().err
+        dest = str(tmp_path / "no" / "such" / "dir" / "x")
+        assert main(["grid", "fig1", "--scale", "0.03125", "--quiet",
+                     "--svg", dest]) == 1
+        assert f"error: cannot write {dest}_fig1.svg" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["fig2", "fig3", "fig4"])
     def test_sweep_figure_svg(self, verb, tmp_path, capsys, monkeypatch):
-        import repro.cli
-        import repro.plotting
-
         # The sweep itself is not under test: stub it out.
-        monkeypatch.setattr(repro.cli, "fig2_runtime", lambda *a, **k: None)
-        monkeypatch.setattr(repro.cli, "fig3_throughput", lambda *a, **k: None)
-        monkeypatch.setattr(repro.cli, "fig4_latency", lambda *a, **k: None)
-        monkeypatch.setattr(repro.cli, "render_figure", lambda fig: "(figure)")
-        monkeypatch.setattr(repro.plotting, "figure_to_svg",
-                            lambda fig: "<svg/>")
-        dest = str(tmp_path / "no" / "such" / "dir" / "x.svg")
-        assert main([verb, "--quiet", "--svg", dest]) == 1
-        assert f"error: cannot write {dest}" in capsys.readouterr().err
-        ok = tmp_path / "x.svg"
-        assert main([verb, "--quiet", "--svg", str(ok)]) == 0
-        assert ok.read_text() == "<svg/>"
-        assert f"wrote {ok}" in capsys.readouterr().err
+        _stub_run_cells(monkeypatch)
+        dest = str(tmp_path / "no" / "such" / "dir" / "x")
+        assert main(["grid", "figures", "--quiet", "--svg", dest]) == 1
+        assert (f"error: cannot write {dest}_fig2a.svg"
+                in capsys.readouterr().err)
+        prefix = tmp_path / "x"
+        assert main(["grid", "figures", "--quiet", "--axis",
+                     "buffer=shallow,deep", "--svg", str(prefix)]) == 0
+        err = capsys.readouterr().err
+        for sub in "ab":
+            ok = tmp_path / f"x_{verb}{sub}.svg"
+            assert ok.read_text().startswith("<svg")
+            assert f"wrote {ok}" in err
+
+    def test_report(self, report_run):
+        dest, rc, err, _keys = report_run
+        assert rc == 1
+        assert f"error: cannot write {dest}" in err
 
     def test_json_manifest(self, tmp_path, capsys):
         dest = str(tmp_path / "no" / "such" / "dir" / "cell.json")
@@ -98,14 +163,16 @@ class TestSweepErrors:
         assert "--limit" in capsys.readouterr().err
 
     def test_fig_jobs_must_be_positive(self, capsys):
-        assert main(["fig2", "--jobs", "0"]) == 2
+        assert main(["grid", "figures", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["claims", "report"])
-    def test_every_jobs_verb_exits_2_not_a_traceback(self, verb, capsys):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["grid", "claims"], id="claims"),
+        pytest.param(["report"], id="report")])
+    def test_every_jobs_verb_exits_2_not_a_traceback(self, argv, capsys):
         # Checked before run_cells, whose ExperimentError is a traceback.
-        assert main([verb, "--jobs", "0", "--scale", "0.01"]) == 2
-        assert f"{verb}: --jobs must be >= 1" in capsys.readouterr().err
+        assert main([*argv, "--jobs", "0", "--scale", "0.01"]) == 2
+        assert f"{argv[0]}: --jobs must be >= 1" in capsys.readouterr().err
 
     def test_cache_dir_collision_with_file(self, tmp_path, capsys):
         f = tmp_path / "a-file"
@@ -150,18 +217,12 @@ class TestCommands:
         from repro.telemetry.profiler import ProgressReporter
 
         seen = []
-
-        def fake_fig(deep, scale, seed, progress=None, jobs=1):
-            seen.append(progress)
-            if progress is not None:
-                progress(1, 2, "cell-a")
-
-        monkeypatch.setattr(repro.cli, "fig2_runtime", fake_fig)
-        monkeypatch.setattr(repro.cli, "render_figure", lambda fig: "(fig)")
-        assert main(["fig2"]) == 0
+        _stub_run_cells(monkeypatch, seen)
+        assert main(["grid", "figures"]) == 0
         assert isinstance(seen[0], ProgressReporter)
-        assert capsys.readouterr().err.startswith("  [  1/2] cell-a")
-        assert main(["fig2", "--quiet"]) == 0 and seen[1] is None
+        assert capsys.readouterr().err.startswith(
+            "  [  1/42] tcp-ecn/red-default@50us/shallow")
+        assert main(["grid", "figures", "--quiet"]) == 0 and seen[1] is None
 
     def test_tables_output(self, capsys):
         assert main(["tables"]) == 0
@@ -575,6 +636,36 @@ class TestGridVerb:
         assert axes == {"buffer": ("shallow",)}
         assert self._digest(cells) == self.PINNED[("paper", "buffer=shallow")]
 
+    @pytest.mark.parametrize("spec", ["buffer=shallow", "buffer=deep"])
+    def test_figures_work_list_is_the_paper_grid(self, spec):
+        from repro.experiments.grids import grid_work
+
+        _axes, cells = grid_work("figures", [spec])
+        assert self._digest(cells) == self.PINNED[("paper", spec)]
+
+    def test_claims_work_list_is_both_depths_plus_fig1(self):
+        from repro.experiments.grids import grid_work
+
+        _axes, paper = grid_work("paper", ["buffer=shallow,deep"])
+        axes, claims = grid_work("claims")
+        assert axes == {}
+        assert [lb for lb, _c in claims] == [lb for lb, _c in paper] + ["fig1"]
+        assert claims[-1][1].label() == claims[0][1].label()  # why "fig1"
+
+    @pytest.mark.parametrize("name", ["figures", "claims"])
+    def test_render_of_a_partial_grid_is_exit_2_and_keeps_the_cells(
+            self, name, tmp_path, capsys):
+        cache = str(tmp_path / "c")
+        argv = ["--limit", "2", "--scale", "0.03125", "--quiet",
+                "--cache-dir", cache]
+        assert main(["grid", name, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("grid: missing grid cell ")
+        assert "Traceback" not in captured.err
+        # The cells ran and are cached under the paper grid's keys.
+        assert main(["grid", "paper", *argv, "--resume"]) == 0
+        assert "0 executed, 2 cached" in capsys.readouterr().out
+
     def test_both_buffers_emit_the_baselines_once(self):
         from repro.experiments.grids import grid_work
 
@@ -584,7 +675,8 @@ class TestGridVerb:
         assert labels[-2:] == ["droptail-shallow", "droptail-deep"]
 
     @pytest.mark.parametrize("argv", [
-        ["sweep"], ["mix"], ["fixedk"], ["farm", "--submit", "shallow"]])
+        ["sweep"], ["mix"], ["fixedk"], ["farm", "--submit", "shallow"],
+        ["fig1"], ["fig2", "--deep"], ["fig3"], ["fig4"], ["claims"]])
     def test_old_grid_verbs_no_longer_parse(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)

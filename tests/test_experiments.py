@@ -159,6 +159,83 @@ class TestGrids:
         assert cells[0].data_bytes == full[0].data_bytes // 4
 
 
+class TestArtifactPin:
+    """Every paper artifact is a projection of the ``claims`` preset's
+    results, byte-equal to what the per-figure sweeps printed before the
+    artifacts became grid presets (sha256 of each rendering, scale 0.01,
+    seed 42)."""
+
+    PINNED = {
+        "fig2a": "7ab76b9db8d46d386d95736ef39e622722ef86a7da779982bba1264d2699225d",
+        "fig2b": "64f3f70e8d198089bd06ae7047f071f74d3ed9582d21a5013f1f17bc9755a2f9",
+        "fig3a": "eb8eae46d7358ec2bc987fc97e0a8396424a046d1985002cb8067d703fe736af",
+        "fig3b": "fb12803cb143224a77589f730d0fc058450899d64dcee3fde67892b647be4f3f",
+        "fig4a": "95330d8fd5207bf93f84d68e84cca0e55140d6c23a674a256510b6b3cccd428b",
+        "fig4b": "628e1c59000b1198b1076afe4942251c49743bf1289c4285ae8a09147789f2b8",
+        "fig1": "910e7687cf6784776a11f980cca0a775b56cabb26fe0a1c340212d431e901e14",
+        "claims": "597f791e7eeadcf7e2407c7a6c30def4dae7b9cf3680b34408b4daae6664f9a2",
+    }
+
+    @staticmethod
+    def _sha(text: str) -> str:
+        import hashlib
+
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        from repro.experiments import grid_work, run_cells
+
+        _axes, work = grid_work("claims", scale=0.01)
+        return run_cells(work, jobs=2).results
+
+    def test_figures_claims_and_fig1_are_pinned(self, results):
+        from repro.experiments import GRIDS
+        from repro.experiments.figures import (
+            fig1_data, paper_figure, render_fig1, render_figure)
+        from repro.experiments.report import check_claims, render_claims
+
+        figs = [paper_figure(results, fig, deep)
+                for fig in ("fig2", "fig3", "fig4") for deep in (False, True)]
+        got = {fig.name: self._sha(render_figure(fig)) for fig in figs}
+        got["fig1"] = self._sha(render_fig1(fig1_data(results["fig1"])))
+        got["claims"] = self._sha(render_claims(check_claims(results)))
+        assert got == self.PINNED
+        # The presets print exactly these renderings.
+        assert GRIDS["figures"].render(results) == "\n\n".join(
+            render_figure(fig) for fig in figs)
+        assert self._sha(GRIDS["fig1"].render(results)) == self.PINNED["fig1"]
+        assert (self._sha(GRIDS["claims"].render(results))
+                == self.PINNED["claims"])
+
+    def test_preset_figures_are_one_svg_per_subfigure(self, results):
+        from repro.experiments import GRIDS
+
+        svgs = GRIDS["figures"].figures(results)
+        assert [name for name, _svg in svgs] == [
+            "fig2a", "fig2b", "fig3a", "fig3b", "fig4a", "fig4b"]
+        assert [name for name, _svg in GRIDS["fig1"].figures(results)] == [
+            "fig1"]
+        assert all(svg.startswith("<svg") for _name, svg in svgs)
+
+    def test_report_renders_the_same_artifacts(self, results):
+        from repro.experiments import GRIDS
+        from repro.experiments.report import render_experiments_md
+
+        text = render_experiments_md(results, 0.01, 42)
+        assert "(scale=0.01, seed=42)" in text
+        for name in ("fig1", "figures", "claims"):
+            for block in GRIDS[name].render(results).split("\n\n"):
+                assert block in text
+
+    def test_a_missing_cell_is_named(self, results):
+        from repro.experiments.report import check_claims
+
+        partial = {k: v for k, v in results.items() if k != "fig1"}
+        with pytest.raises(ExperimentError, match="missing grid cell fig1"):
+            check_claims(partial)
+
+
 class TestTables:
     def test_table1_verified(self):
         assert all(ok for _, ok in verify_table1())

@@ -21,7 +21,7 @@ from repro.experiments.cache import (
     canonical_config_json,
     config_cache_key,
 )
-from repro.experiments.parallel import SweepReport, run_cells
+from repro.experiments.parallel import run_cells
 from repro.tcp import TcpVariant
 from repro.units import mb, us
 
@@ -295,27 +295,3 @@ class TestSerialParallelDeterminism:
         cells = [("bad", bad), ("ok", tiny(QueueSetup(kind="droptail")))]
         with pytest.raises(ExperimentError):
             run_cells(cells, jobs=2)
-
-
-class TestRunGridWiring:
-    def test_run_grid_forwards_jobs_and_cache(self, monkeypatch, tmp_path):
-        import repro.experiments.grids as grids
-        import repro.experiments.parallel as parallel
-
-        calls = {}
-
-        def fake_run_cells(cells, jobs=1, cache=None, resume=True,
-                           progress=None):
-            calls.update(jobs=jobs, cache=cache, resume=resume,
-                         n=len(cells))
-            return SweepReport(
-                results={label: None for label, _ in cells}, jobs=jobs)
-
-        monkeypatch.setattr(parallel, "run_cells", fake_run_cells)
-        grids.run_grid(deep=False, scale=0.01, seed=1, use_cache=False,
-                       jobs=3, cache_dir=str(tmp_path / "c"))
-        assert calls["jobs"] == 3
-        assert calls["resume"] is True
-        assert isinstance(calls["cache"], ResultCache)
-        # full grid: 2 variants x (3 protections + marking) x 5 delays + 2
-        assert calls["n"] == 42
