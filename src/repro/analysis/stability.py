@@ -4,10 +4,10 @@ The D2TCP-II analysis (PAPERS.md) shows that the TCP/AQM control loop
 does not merely "perform worse" past its stability boundary — it
 bifurcates into sustained queue oscillation. This module is the detector
 side of the repo's stability observatory: it consumes the per-queue
-depth series a run already records (queue monitors / the telemetry
-:class:`~repro.telemetry.recorders.QueueTimelineRecorder`) as a **pure
-observer** and classifies each queue, and the cell overall, into one of
-three regimes:
+depth series a run already records (``CellResult.snapshots``: the
+queue monitors of a probe or Fixed-K cell, or those of
+``Telemetry(queue_interval_s=…)``) as a **pure observer** and
+classifies each queue, and the cell overall, into one of three regimes:
 
 ``stable``
     The queue settles: fluctuation is small relative to (and in absolute

@@ -2,9 +2,9 @@
 
 Each verb's ``--help`` is its reference; in brief:
 
-* paper artifacts — ``tables``, ``report`` (writes EXPERIMENTS.md) and
-  the ``grid`` presets ``fig1``, ``figures`` (Figures 2-4, ``--axis
-  buffer=shallow,deep``) and ``claims`` (C1-C6);
+* paper artifacts — ``tables``, ``report`` (rewrites the generated block
+  of EXPERIMENTS.md) and the ``grid`` presets ``fig1``, ``figures``
+  (Figures 2-4, ``--axis buffer=shallow,deep``) and ``claims`` (C1-C6);
 * ``grid NAME`` — run a named grid of cells (``paper``, ``fig1``,
   ``figures``, ``claims``, ``mix``, ``fixedk``;
   :data:`repro.experiments.grids.GRIDS`) with ``--axis A=v1,v2``
@@ -79,8 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
         handler=_cmd_tables)
 
     pr = sub.add_parser(
-        "report", help="run the claims grid and write EXPERIMENTS.md")
-    pr.add_argument("--out", default="EXPERIMENTS.md", help="output path")
+        "report", help="run the claims grid and rewrite the generated block "
+                       "of EXPERIMENTS.md (the hand-written sections stay)")
+    pr.add_argument("--out", default="EXPERIMENTS.md",
+                    help="output path; an existing file must hold the "
+                         "report's BEGIN/END markers, and only the text "
+                         "between them is replaced")
     pr.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="worker processes for the underlying sweeps")
     _add_common(pr)
@@ -287,12 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     pserve = sub.add_parser(
         "serve",
         help="run the sweep-farm scheduler: a daemonized job-queue "
-             "service that owns a result cache, a crash-safe journal and "
-             "an artifact store, drives N worker processes, and answers "
+             "service that owns a result cache and a crash-safe journal, "
+             "drives N worker processes, and answers "
              "submit/status/results/cancel/watch as JSON over a Unix "
              "socket (restarting after a kill resumes from the journal)")
     pserve.add_argument("--farm-dir", required=True, metavar="DIR",
-                        help="service state directory (cache/, artifacts/, "
+                        help="service state directory (cache/, "
                              "journal.jsonl, farm.sock); an existing "
                              "directory is resumed, not wiped")
     pserve.add_argument("--workers", type=int, default=2, metavar="N",
@@ -473,14 +477,29 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.errors import ExperimentError
     from repro.experiments.grids import grid_work
     from repro.experiments.parallel import run_cells
-    from repro.experiments.report import render_experiments_md
+    from repro.experiments.report import render_experiments_md, report_frame
 
+    try:
+        with open(args.out, newline="") as fh:
+            existing = fh.read()
+    except FileNotFoundError:
+        existing = None
+    except OSError as exc:
+        print(f"error: cannot read {args.out}: {exc.strerror}",
+              file=sys.stderr)
+        return 1
+    try:
+        head, tail = report_frame(existing)
+    except ExperimentError as exc:
+        print(f"report: {args.out}: {exc}; nothing written", file=sys.stderr)
+        return 2
     _axes, work = grid_work("claims", scale=args.scale, seed=args.seed)
     results = run_cells(work, jobs=args.jobs, progress=_progress(args)).results
-    return _write_text(args.out, render_experiments_md(
-        results, args.scale, args.seed))
+    return _write_text(args.out, head + render_experiments_md(
+        results, args.scale, args.seed) + tail)
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Optional
 
 from repro.core.qdisc import QueueDisc
 from repro.sim.engine import Simulator
@@ -153,23 +153,6 @@ class QueueMonitor:
         return max(self.snapshots, default=None, key=lambda s: s.qlen_packets)
 
     # -- telemetry integration -----------------------------------------------
-
-    def rows(self) -> List[Dict[str, Any]]:
-        """Retained snapshots as flat dicts labeled with the queue name."""
-        from repro.telemetry.export import snapshot_to_row
-
-        out = []
-        for snap in self.snapshots:
-            row = snapshot_to_row(snap)
-            row["queue"] = self._queue.name
-            out.append(row)
-        return out
-
-    def export_jsonl(self, out: TextIO) -> int:
-        """Write retained snapshots through the shared JSONL writer."""
-        from repro.telemetry.export import write_jsonl
-
-        return write_jsonl(self.rows(), out)
 
     def register_metrics(self, registry) -> None:
         """Expose this monitor's aggregates as pull gauges in ``registry``."""

@@ -104,6 +104,11 @@ class CellKind:
         """Ports sampled every ``config.monitor_interval_s`` (when set)."""
         return self.spec.hot_ports
 
+    def kept_snapshots(self, monitors) -> list:
+        """The samples of the :meth:`monitored_ports` monitors that the
+        result keeps: every one, in monitor order, by default."""
+        return [s for mon in monitors for s in mon.snapshots]
+
     def setup(self) -> None:
         """Build traffic sources that telemetry must see before they
         start (sets :attr:`engine`); nothing may be scheduled here."""

@@ -4,14 +4,16 @@ The paper's quantitative statements are encoded as :class:`ClaimResult`
 checks over the results of the ``claims`` grid preset (see DESIGN.md §4
 for the claim inventory, C1-C6): the 82 paper-grid cells plus the
 ``fig1`` cell. ``render_experiments_md`` turns those same results into the
-paper-vs-measured record. Nothing here runs a cell.
+paper-vs-measured block of EXPERIMENTS.md, which ``report_frame`` places
+between the file's hand-written sections. Nothing here runs a cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
+from repro.errors import ExperimentError
 from repro.experiments.config import CellResult
 from repro.experiments.figures import (
     FIGURE_SPECS,
@@ -26,7 +28,8 @@ from repro.experiments.tables import render_table1, render_table2
 from repro.tcp.endpoint import TcpVariant
 
 __all__ = ["ClaimResult", "check_claims", "render_claims",
-           "render_experiments_md"]
+           "render_experiments_md", "report_frame", "REPORT_BEGIN",
+           "REPORT_END"]
 
 
 @dataclass
@@ -153,98 +156,38 @@ def render_claims(claims: List[ClaimResult]) -> str:
     return "\n".join(lines)
 
 
-_PARALLEL_SWEEPS_SECTION = """\
-## Parallel sweeps
-
-The grid behind the figures (the `paper` preset of `repro grid`) can be
-fanned out over worker processes and resumed from an on-disk result
-cache; the figures and claims are presets over the same cells:
-
-```bash
-repro-hadoop-ecn grid paper --jobs 8 --cache-dir .sweep-cache            # shallow grid
-repro-hadoop-ecn grid paper --jobs 8 --cache-dir .sweep-cache --resume   # pick up where an interrupt left off
-repro-hadoop-ecn grid figures --jobs 8 --cache-dir .sweep-cache --resume # Figures 2-4 from those cells, 0 executed
-repro-hadoop-ecn grid claims --jobs 8 --scale 0.5                        # C1-C6: both depths + the fig1 cell
-```
-
-Every cell is a pure function of its `ExperimentConfig` (own kernel, own
-seeded RNG registry), so `--jobs N` is **bit-identical** to the serial
-run and cache hits are bit-identical to fresh executions
-(`tests/test_parallel.py` pins both). Cells are cached one JSON file
-each under `--cache-dir`, keyed by the SHA-256 of the canonicalised
-config; `--resume` skips any cell whose key is already present.
-
-Cache-key caveat: the key covers the *config*, not the simulator code.
-After changing simulation behaviour (queues, TCP, engine), use a fresh
-`--cache-dir` — an old entry for an unchanged config would be served
-as-is. Entries record the package version and `git describe` for
-auditing. Editing any config field (scale, seed, delays, …) changes the
-key, so stale-config collisions cannot happen.
-"""
-
-_BENCHMARKS_SECTION = """\
-## Performance benchmarks
-
-One measuring device: the layered suite under `benchmarks/suite/`
-(workloads, metrics and bounds declared in `BENCHMARK.json`, measurement
-method in `benchmarks/suite/README.md`), driven through `repro bench`. A
-performance number counts when it is a committed
-`benchmarks/BENCH_<stamp>.json` trajectory point:
-
-```bash
-repro-hadoop-ecn bench --seed 42 --repeat 4                     # all five workloads → benchmarks/BENCH_<stamp>.json
-repro-hadoop-ecn bench --workload shuffle-bulk --seed 1 --seconds 3 --out b.json   # what CI runs per workload
-repro-hadoop-ecn bench --compare benchmarks/BENCH_A.json benchmarks/BENCH_B.json   # B judged against A
-```
-
-Every argument but `--out` and `--compare` is `benchmarks/suite/run.py`'s.
-The `repro.suite_result/v1` file holds, per workload and seed, the
-end-to-end metrics of an untraced run, the per-layer metrics of one traced
-run, each run's `sim_digest`, failures and the host record, in
-reference-host seconds; `--compare` judges each metric against its bound
-and exits 1 on a `worse` row or a rise in failures.
-
-Determinism guarantees the suite leans on (and re-verifies through
-`sim_digest` and its repeat-cell checks): event ties break FIFO via
-per-simulator sequence numbers, every random draw comes from named seeded
-streams, packet ids are a per-run counter (two back-to-back cells in one
-process yield identical traces), and lazy cancellation + heap compaction
-never reorder live events (`tests/test_perf_and_determinism.py` pins all
-four).
-"""
+#: ``repro report`` rewrites only the text between these two lines of
+#: EXPERIMENTS.md; everything before and after them is hand-written.
+REPORT_BEGIN = ("<!-- BEGIN generated by `repro report`: "
+                "edits up to the END line are overwritten -->")
+REPORT_END = "<!-- END generated by `repro report` -->"
 
 
-_VALIDATION_SECTION = """\
-## Validation
+def report_frame(existing: Optional[str]) -> Tuple[str, str]:
+    """The text of an EXPERIMENTS.md around its generated block: through
+    the BEGIN line, and from the END marker on. ``existing`` is the file's
+    text, or None for a file that does not exist yet (the frame is then
+    the two markers alone).
 
-Every number above can be re-derived with the simulation invariant
-checkers armed (`repro.validate`): packet conservation (each packet
-delivered, dropped, lost, or physically in flight exactly once at the
-end of the run), queue counter equations, TCP sequence-space
-monotonicity, and the event kernel's own self-audit. The checkers are
-pure trace-bus observers, so an armed run is bit-identical to an
-unarmed one — `repro-hadoop-ecn check` runs each representative cell
-plain, plain again and armed, and fails unless the three run
-fingerprints match exactly.
-
-```bash
-repro-hadoop-ecn check            # figure cells + 50 randomized fuzz scenarios
-repro-hadoop-ecn smoke check      # the pinned CI gate (5 cells + 10 scenarios)
-```
-
-The randomized scenario fuzzer behind the second half of `check`
-sweeps topologies x five qdiscs x protection modes x TCP variants x CC
-overrides x seeds (incast fan-in, link-flap blackouts, shallow buffers)
-from one master seed and shrinks any failure to a minimal repro dict;
-`tests/test_validate.py` pins a 50-scenario sweep at seed 42 with zero
-violations.
-"""
+    Raises :class:`ExperimentError` when ``existing`` lacks either marker,
+    so that ``report`` never overwrites a file it did not generate.
+    """
+    if existing is None:
+        return f"{REPORT_BEGIN}\n", f"{REPORT_END}\n"
+    start = existing.find(REPORT_BEGIN)
+    end = existing.find(REPORT_END, start)
+    if start < 0 or end < 0:
+        raise ExperimentError(
+            "no block between the BEGIN and END markers of `repro report` "
+            "to rewrite")
+    return f"{existing[:start]}{REPORT_BEGIN}\n", existing[end:]
 
 
 def render_experiments_md(results: Dict[str, CellResult], scale: float,
                           seed: int) -> str:
-    """EXPERIMENTS.md from the ``claims`` preset's results, which were run
-    at ``scale`` and ``seed``."""
+    """The generated block of EXPERIMENTS.md, from its title to the
+    claims tally, from the ``claims`` preset's results, which were run at
+    ``scale`` and ``seed``."""
     figs = [paper_figure(results, fig, deep)
             for fig in FIGURE_SPECS for deep in (False, True)]
     f1 = fig1_data(require_cell(results, "fig1"))
@@ -271,8 +214,4 @@ def render_experiments_md(results: Dict[str, CellResult], scale: float,
     parts.append("```\n" + render_claims(claims) + "\n```\n")
     n_pass = sum(c.passed for c in claims)
     parts.append(f"\n**{n_pass}/{len(claims)} claims reproduced.**\n")
-    parts.append(_PARALLEL_SWEEPS_SECTION)
-    parts.append(_BENCHMARKS_SECTION)
-    parts.append(_VALIDATION_SECTION)
-
     return "\n".join(parts)

@@ -14,8 +14,8 @@ the config, seed, package version, git state, wall-clock timings, and the
 final metrics (see :mod:`repro.telemetry.manifest`) — attached to the
 returned :class:`CellResult`. Passing a
 :class:`~repro.telemetry.Telemetry` session additionally wires the
-metrics registry, time-series recorders, trace bus, and profiler through
-the run; a run without one takes exactly the pre-telemetry code path.
+metrics registry, trace bus, queue monitors and profiler through the
+run; a run without one takes exactly the pre-telemetry code path.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def run_cell(
         config dataclass (:func:`repro.experiments.kinds.kind_for`).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` session (registry,
-        recorders, profiler).
+        trace bus, queue monitors, profiler).
     checks:
         Optional :class:`~repro.validate.ValidationSuite`. When given,
         its checkers are attached to the run's trace bus before any
@@ -147,9 +147,10 @@ def run_cell(
     )
     profile = telemetry.finish(sim) if telemetry is not None else None
 
-    snapshots = [s for mon in monitors for s in mon.snapshots]
-    if telemetry is not None and telemetry.queue_recorder is not None:
-        snapshots.extend(telemetry.queue_recorder.snapshots())
+    snapshots = kind.kept_snapshots(monitors)
+    if telemetry is not None:
+        snapshots.extend(s for mon in telemetry.queue_monitors
+                         for s in mon.snapshots)
 
     manifest = build_manifest(
         config,
@@ -185,6 +186,13 @@ class TerasortCell(CellKind):
         """Stop the kernel as soon as the job finishes; otherwise periodic
         monitors would keep the event loop alive until the horizon."""
         self.sim.stop()
+
+    def kept_snapshots(self, monitors) -> list:
+        """Each queue's busiest sample (the first with the most packets),
+        in monitor order: Figure 1 reads only the busiest snapshot, and a
+        run that stalls on RTOs would otherwise cache every sample of
+        every hot port."""
+        return [mon.busiest() for mon in monitors if mon.snapshots]
 
     def setup(self) -> None:
         config = self.config

@@ -3,10 +3,9 @@
 The paper's evaluation — and every study layered on top of it — is a
 grid of independent cells, each a pure function of its config. The farm
 turns that purity into a service: one **scheduler** process owns the
-content-addressed :class:`~repro.experiments.cache.ResultCache`, an
-append-only journal and an artifact store; N **worker** processes pull
-cells from a priority queue; and any number of clients talk JSON over a
-Unix socket (``submit`` / ``status`` / ``results`` / ``cancel`` /
+content-addressed :class:`~repro.experiments.cache.ResultCache` and an
+append-only journal; N **worker** processes pull cells from a priority
+queue; and any number of clients talk JSON over a Unix socket (``submit`` / ``status`` / ``results`` / ``cancel`` /
 ``watch``). Identical configs submitted by different clients share one
 execution, long cells preempt gracefully at event-loop checkpoints, and
 a killed scheduler or worker resumes from the journal plus the cache
@@ -18,8 +17,6 @@ Modules
     Wire format: newline-delimited JSON, config (de)serialisation.
 :mod:`repro.farm.journal`
     Append-only crash-safe journal (fsynced JSONL, tolerant replay).
-:mod:`repro.farm.store`
-    Append-only artifact store (submitted specs, finished job results).
 :mod:`repro.farm.scheduler`
     The service: socket loop, priority queue, dedup, preemption, resume.
 :mod:`repro.farm.worker`
@@ -34,10 +31,8 @@ from repro.farm.client import FarmClient
 from repro.farm.journal import Journal
 from repro.farm.protocol import config_from_dict, config_kind, config_to_wire
 from repro.farm.scheduler import FarmScheduler
-from repro.farm.store import ArtifactStore
 
 __all__ = [
-    "ArtifactStore",
     "FarmClient",
     "FarmScheduler",
     "Journal",

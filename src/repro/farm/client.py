@@ -39,7 +39,7 @@ class FarmClient:
         Per-call socket timeout in seconds (None = block forever).
     client:
         Identity string stamped on submissions (shows up in status and
-        the artifact store).
+        the journal).
     """
 
     def __init__(self, socket_path: str, timeout: Optional[float] = 30.0,

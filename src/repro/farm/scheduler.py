@@ -1,9 +1,8 @@
 """The farm scheduler: socket loop, priority queue, dedup, resume.
 
 One scheduler process owns everything mutable — the content-addressed
-:class:`~repro.experiments.cache.ResultCache`, the crash-safe
-:class:`~repro.farm.journal.Journal`, the append-only
-:class:`~repro.farm.store.ArtifactStore` — and drives N worker processes
+:class:`~repro.experiments.cache.ResultCache` and the crash-safe
+:class:`~repro.farm.journal.Journal` — and drives N worker processes
 plus any number of client connections from a single ``selectors`` loop.
 No locks anywhere: workers talk over ``multiprocessing.Pipe``\\ s, clients
 over a Unix socket, and both kinds of file descriptor wake the same
@@ -67,13 +66,10 @@ from repro.farm.protocol import (
     parse_lines,
     send_json,
 )
-from repro.farm.store import ArtifactStore
 from repro.farm.worker import CHECKPOINT_INTERVAL_S, spawn_worker
 from repro.telemetry.profiler import ProgressFanout, ProgressReporter
 
-__all__ = ["FarmScheduler", "RESULTS_SCHEMA"]
-
-RESULTS_SCHEMA = "repro.farm_results/v1"
+__all__ = ["FarmScheduler"]
 
 #: A cell that crashes its worker this many times is declared failed
 #: instead of being requeued forever.
@@ -128,7 +124,6 @@ class Job:
     #: label -> outcome ("executed" | "cached" | "dedup" | "failed")
     done: Dict[str, str] = field(default_factory=dict)
     cancelled: bool = False
-    t_submit: float = field(default_factory=time.time)
     fanout: ProgressFanout = field(default_factory=ProgressFanout)
     watchers: List[socket.socket] = field(default_factory=list)
 
@@ -177,9 +172,9 @@ class FarmScheduler:
     Parameters
     ----------
     farm_dir:
-        Service state directory: ``cache/``, ``artifacts/``,
-        ``journal.jsonl`` and (by default) ``farm.sock`` live here. An
-        existing directory is **resumed**, not wiped.
+        Service state directory: ``cache/``, ``journal.jsonl`` and (by
+        default) ``farm.sock`` live here. An existing directory is
+        **resumed**, not wiped.
     workers:
         Worker processes to keep alive.
     socket_path:
@@ -211,7 +206,6 @@ class FarmScheduler:
         self.checkpoint_s = checkpoint_s
         self.cache = ResultCache(os.path.join(farm_dir, "cache"))
         self.journal = Journal(os.path.join(farm_dir, "journal.jsonl"))
-        self.store = ArtifactStore(os.path.join(farm_dir, "artifacts"))
 
         self.jobs: Dict[str, Job] = {}
         self.units: Dict[str, ExecUnit] = {}
@@ -342,22 +336,7 @@ class FarmScheduler:
         """One label of ``job`` completed; stream progress, maybe finish."""
         job.fanout(len(job.done), len(job.labels), label + suffix)
         if len(job.done) >= len(job.labels):
-            self._complete_job(job)
-
-    def _complete_job(self, job: Job) -> None:
-        doc = {
-            "schema": RESULTS_SCHEMA,
-            "id": job.id,
-            "client": job.client,
-            "priority": job.priority,
-            "state": job.state,
-            "cells": {label: {"key": job.key_of[label],
-                              "outcome": job.done.get(label, "lost")}
-                      for label in job.labels},
-            "wall_s": time.time() - job.t_submit,
-        }
-        self.store.put_results(job.id, doc)
-        self._notify_job_done(job)
+            self._notify_job_done(job)
 
     def _notify_job_done(self, job: Job) -> None:
         """Send the terminal event to watchers and drop them."""
@@ -688,15 +667,9 @@ class FarmScheduler:
 
         self._job_seq += 1
         job_id = f"job-{self._job_seq:06d}"
-        # Durability order: journal first (the ack promise), artifacts
-        # second, memory last.
+        # Durability order: journal first (the ack promise), memory last.
         self.journal.append({"ev": "job", "id": job_id, "client": client,
                              "priority": priority, "cells": cells})
-        self.store.put_job(job_id, {
-            "schema": RESULTS_SCHEMA, "id": job_id, "client": client,
-            "priority": priority,
-            "cells": [{k: v for k, v in c.items()} for c in cells],
-        })
         job = self._add_job(job_id, client, priority, cells)
         self._pump()
         counts = job.counts()

@@ -10,7 +10,7 @@ same samples produce bit-identical analysis blocks.
 
 No SciPy: the periodogram is a small direct DFT evaluated with plain
 NumPy arithmetic (chunked over frequencies to bound memory), which is
-plenty for the bounded ring buffers the recorders keep (<= a few
+plenty for the bounded series the queue monitors keep (<= a few
 thousand samples per queue).
 
 Every function is defined for degenerate inputs — empty series, constant

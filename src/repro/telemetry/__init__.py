@@ -5,23 +5,25 @@ performance investigation in this repo needs:
 
 * a :class:`~repro.telemetry.registry.MetricsRegistry` the components
   (qdiscs, ports, hosts, the MapReduce engine) register into;
-* per-flow TCP timelines and per-queue composition time-series collected
-  off the :class:`~repro.sim.trace.Tracer` bus into bounded ring buffers
-  (:mod:`repro.telemetry.recorders`);
+* the :class:`~repro.sim.trace.Tracer` bus, where per-flow ``tcp.*``
+  timelines and per-queue ``queue.sample`` composition samples travel as
+  records for any subscriber (a :class:`TraceJsonlWriter`, a checker);
 * an event-loop profiler (:mod:`repro.telemetry.profiler`);
-* run manifests (:mod:`repro.telemetry.manifest`) and JSONL/CSV exporters
-  (:mod:`repro.telemetry.export`).
+* run manifests (:mod:`repro.telemetry.manifest`) and the JSONL trace
+  exporter (:mod:`repro.telemetry.export`).
 
 Usage with the experiment runner::
 
     from repro.experiments import run_cell, ExperimentConfig, QueueSetup
-    from repro.telemetry import Telemetry
+    from repro.telemetry import Telemetry, TraceJsonlWriter
     from repro.units import us
 
-    tel = Telemetry(profile=True, flow_timelines=True, queue_interval_s=2e-3)
+    tel = Telemetry(profile=True, queue_interval_s=2e-3)
+    cwnd = TraceJsonlWriter(tel.tracer, kinds=["tcp.cwnd", "tcp.rto"])
     cell = run_cell(ExperimentConfig(
         queue=QueueSetup(kind="red", target_delay_s=us(500)),
     ).scaled(0.0625), telemetry=tel)
+    print(cwnd.getvalue().splitlines()[0])
     print(tel.registry.snapshot()["gauges"]["queue.marks{queue=tor.p3}"])
     print(tel.profiler.render())
 
@@ -33,8 +35,9 @@ telemetry-on and telemetry-off runs bit-identical (see
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional
 
+from repro.core.monitor import QueueMonitor
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 from repro.telemetry.export import (
@@ -42,8 +45,6 @@ from repro.telemetry.export import (
     TraceJsonlWriter,
     record_to_row,
     snapshot_to_row,
-    write_csv,
-    write_jsonl,
 )
 from repro.telemetry.manifest import (
     MANIFEST_SCHEMA,
@@ -55,11 +56,6 @@ from repro.telemetry.manifest import (
     write_manifest,
 )
 from repro.telemetry.profiler import LoopProfiler, ProgressFanout, ProgressReporter
-from repro.telemetry.recorders import (
-    FlowTimelineRecorder,
-    QueueTimelineRecorder,
-    RingBuffer,
-)
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -78,15 +74,10 @@ __all__ = [
     "LoopProfiler",
     "ProgressFanout",
     "ProgressReporter",
-    "FlowTimelineRecorder",
-    "QueueTimelineRecorder",
-    "RingBuffer",
     "TraceJsonlWriter",
     "PACKET_KINDS",
     "record_to_row",
     "snapshot_to_row",
-    "write_jsonl",
-    "write_csv",
     "MANIFEST_SCHEMA",
     "build_manifest",
     "build_sweep_manifest",
@@ -104,36 +95,32 @@ class Telemetry:
     ----------
     profile:
         Attach a :class:`LoopProfiler` to the kernel for the run.
-    flow_timelines:
-        Record per-flow ``tcp.*`` events into ring buffers.
     queue_interval_s:
         When set, sample every hot queue's depth/composition on this
-        period (bounded per-queue ring buffers).
+        period: one :class:`~repro.core.monitor.QueueMonitor` per queue
+        keeps its latest 4096 samples (they land in
+        ``CellResult.snapshots``) and emits each one on the tracer as a
+        ``queue.sample`` record.
     registry, tracer:
         Bring-your-own instances (fresh ones are created by default).
-        Subscribe any extra consumers (e.g. a :class:`TraceJsonlWriter`)
-        to ``tracer`` *before* the run so the network layer sees them.
-    ring_capacity:
-        Ring-buffer size per flow / per queue.
+        Subscribe any extra consumers (e.g. a :class:`TraceJsonlWriter`
+        for the ``tcp.*`` per-flow timelines) to ``tracer`` *before* the
+        run so the network layer sees them.
     """
 
     def __init__(
         self,
         profile: bool = False,
-        flow_timelines: bool = False,
+        *,
         queue_interval_s: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        ring_capacity: int = 4096,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self.profiler: Optional[LoopProfiler] = LoopProfiler() if profile else None
-        self.flow_recorder: Optional[FlowTimelineRecorder] = None
-        self.queue_recorder: Optional[QueueTimelineRecorder] = None
-        self._flow_timelines = flow_timelines
+        self.queue_monitors: List[QueueMonitor] = []
         self._queue_interval_s = queue_interval_s
-        self._ring_capacity = ring_capacity
         self.profile_report: Optional[dict] = None
 
     # -- runner integration ---------------------------------------------------
@@ -148,18 +135,15 @@ class Telemetry:
         """
         if self.profiler is not None:
             self.profiler.attach(sim)
-        if self._flow_timelines and self.flow_recorder is None:
-            self.flow_recorder = FlowTimelineRecorder(
-                self.tracer, capacity_per_flow=self._ring_capacity)
-            # Retention gauges: a wrapped ring means the recorded series
-            # is a suffix of the run, and the manifest should say so.
-            self.flow_recorder.register_metrics(self.registry)
-        if self._queue_interval_s is not None and self.queue_recorder is None:
-            self.queue_recorder = QueueTimelineRecorder(
-                sim, spec.hot_ports, self._queue_interval_s,
-                capacity_per_queue=self._ring_capacity, tracer=self.tracer,
-            )
-            self.queue_recorder.register_metrics(self.registry)
+        if self._queue_interval_s is not None and not self.queue_monitors:
+            for port in spec.hot_ports:
+                mon = QueueMonitor(sim, port.qdisc, self._queue_interval_s,
+                                   max_samples=4096, tracer=self.tracer)
+                mon.start()
+                # Its ``monitor.dropped`` gauge says when the kept series
+                # is a suffix of the run rather than the whole of it.
+                mon.register_metrics(self.registry)
+                self.queue_monitors.append(mon)
         # Deliver events come from host delivery hooks; only pay for them
         # when some consumer subscribed to the kind.
         if self.tracer.wants("deliver"):
@@ -174,9 +158,10 @@ class Telemetry:
         return self
 
     def finish(self, sim: Simulator) -> Optional[dict]:
-        """Stop recorders, detach the profiler, return its report (if any)."""
-        if self.queue_recorder is not None:
-            self.queue_recorder.stop()
+        """Stop the queue monitors, detach the profiler, return its report
+        (if any)."""
+        for mon in self.queue_monitors:
+            mon.stop()
         if self.profiler is not None and sim.profiler is self.profiler:
             self.profile_report = self.profiler.finish()
         return self.profile_report

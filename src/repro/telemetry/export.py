@@ -1,4 +1,4 @@
-"""Machine-readable exports: JSONL trace streams and CSV tables.
+"""Machine-readable export: JSONL trace streams.
 
 The JSONL trace schema (one JSON object per line) is deliberately flat so
 ``jq``/pandas can consume it directly. Every row carries:
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO
+from typing import Any, Dict, Optional, Sequence, TextIO
 
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -33,8 +33,6 @@ __all__ = [
     "record_to_row",
     "snapshot_to_row",
     "TraceJsonlWriter",
-    "write_jsonl",
-    "write_csv",
 ]
 
 #: Every packet-event kind the network layer emits.
@@ -138,39 +136,3 @@ class TraceJsonlWriter:
         if not self._owns_buffer:
             raise ValueError("trace was written to an external stream")
         return self._out.getvalue()
-
-
-def write_jsonl(rows: Iterable[Dict[str, Any]], out: TextIO) -> int:
-    """Write dict rows as JSON lines; returns the number written."""
-    n = 0
-    for row in rows:
-        json.dump(row, out, separators=(",", ":"))
-        out.write("\n")
-        n += 1
-    return n
-
-
-def write_csv(rows: Sequence[Dict[str, Any]], out: TextIO) -> int:
-    """Write dict rows as CSV with the union of keys as header.
-
-    Values containing commas, quotes or newlines are quoted per RFC 4180
-    by :class:`csv.DictWriter`; rows missing a key emit an empty field
-    (not the string ``"None"``), and lines end in ``\\n`` regardless of
-    platform so exports diff cleanly against committed fixtures.
-    """
-    import csv
-
-    rows = list(rows)
-    if not rows:
-        return 0
-    fields: List[str] = []
-    for row in rows:
-        for k in row:
-            if k not in fields:
-                fields.append(k)
-    writer = csv.DictWriter(out, fieldnames=fields,
-                            restval="", lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return len(rows)

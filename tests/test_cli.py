@@ -111,6 +111,67 @@ class TestReport:
         assert config_cache_key(fig1_config(0.01, 42)) in keys
 
 
+class TestReportBlock:
+    """``report`` rewrites only the text between its markers."""
+
+    @staticmethod
+    def _stub(monkeypatch, seen=None):
+        import repro.experiments.report as report
+
+        _stub_run_cells(monkeypatch, seen)
+        monkeypatch.setattr(report, "render_experiments_md",
+                            lambda results, scale, seed: f"# new {scale}\n")
+
+    def test_text_outside_the_block_survives_byte_for_byte(
+            self, tmp_path, monkeypatch):
+        from repro.experiments.report import REPORT_BEGIN, REPORT_END
+
+        self._stub(monkeypatch)
+        head = "Preface.\n\n"
+        tail = "\n\n## Hand-written\r\n\nkept  \n<!-- END -->\n"
+        dest = tmp_path / "E.md"
+        dest.write_bytes(
+            f"{head}{REPORT_BEGIN}\n# old\n{REPORT_END}{tail}".encode())
+        assert main(["report", "--quiet", "--scale", "0.5",
+                     "--out", str(dest)]) == 0
+        assert dest.read_bytes() == (
+            f"{head}{REPORT_BEGIN}\n# new 0.5\n{REPORT_END}{tail}".encode())
+
+    def test_a_new_file_holds_only_the_block(self, tmp_path, monkeypatch):
+        from repro.experiments.report import REPORT_BEGIN, REPORT_END
+
+        self._stub(monkeypatch)
+        dest = tmp_path / "E.md"
+        assert main(["report", "--quiet", "--out", str(dest)]) == 0
+        assert dest.read_text() == (
+            f"{REPORT_BEGIN}\n# new 1.0\n{REPORT_END}\n")
+
+    def test_a_file_without_the_markers_is_left_alone(
+            self, tmp_path, monkeypatch, capsys):
+        seen = []
+        self._stub(monkeypatch, seen)
+        dest = tmp_path / "E.md"
+        dest.write_text("# Someone else's notes\n")
+        assert main(["report", "--quiet", "--out", str(dest)]) == 2
+        assert "nothing written" in capsys.readouterr().err
+        assert dest.read_text() == "# Someone else's notes\n"
+        assert seen == []  # refused before running a cell
+
+    def test_experiments_md_keeps_its_hand_written_sections(self):
+        from pathlib import Path
+
+        from repro.experiments.report import REPORT_BEGIN, report_frame
+
+        text = (Path(__file__).resolve().parents[1]
+                / "EXPERIMENTS.md").read_text()
+        head, tail = report_frame(text)
+        assert head == f"{REPORT_BEGIN}\n"  # the block opens the file
+        for section in ("### Shape oracles", "## Parallel sweeps",
+                        "## Sweep farm", "## Performance benchmarks",
+                        "## Validation", "## The Fixed-K study"):
+            assert section in tail
+
+
 class TestUnwritableOutput:
     """Every file-writing verb shares one guard: exit 1 and
     ``error: cannot write``, never a traceback after the work is done."""
@@ -370,6 +431,21 @@ class TestTelemetryVerbs:
                 assert {"t", "kind", "where"} <= set(row)
                 kinds.add(row["kind"])
         assert kinds == {"drop", "mark", "deliver"}
+
+    def test_trace_output_is_pinned(self, tmp_path, capsys):
+        """The JSONL of per-flow tcp.* rows, the telemetry session's queue
+        samples and packet events of one small cell is pinned byte for
+        byte (2,806 records at scale 0.01)."""
+        import hashlib
+
+        path = tmp_path / "trace.jsonl"
+        rc = main(["trace", "--scale", "0.01",
+                   "--kinds", "tcp.cwnd,tcp.rto,queue.sample,drop,mark",
+                   "--queue-interval-us", "500", "--out", str(path)])
+        assert rc == 0
+        assert "(2806 records" in capsys.readouterr().err
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "367f37260e14dc43bf7007f4811a3a61b57e5cb952328fe27df19d754aa0c695")
 
     def test_trace_empty_kinds_rejected(self, capsys):
         rc = main(["trace", "--kinds", " , "])

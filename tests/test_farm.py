@@ -1,4 +1,4 @@
-"""Tests for the sweep farm: protocol, journal, store, workers, service.
+"""Tests for the sweep farm: protocol, journal, workers, service.
 
 The crash-safety tests are honest: a worker is SIGKILLed mid-cell, a
 scheduler subprocess is ``kill -9``'d mid-sweep, and a journal gets a
@@ -47,7 +47,6 @@ from repro.farm.protocol import (
     send_json,
 )
 from repro.farm.scheduler import FarmScheduler, _ClientState, _WorkerSlot
-from repro.farm.store import ArtifactStore
 from repro.farm.worker import install_checkpoints, spawn_worker
 from repro.sim.engine import Simulator
 from repro.tcp.endpoint import TcpVariant
@@ -233,22 +232,6 @@ class TestJournal:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert Journal(str(tmp_path / "absent.jsonl")).replay() == ([], 0)
-
-
-class TestArtifactStore:
-    def test_write_once_and_index(self, tmp_path):
-        store = ArtifactStore(str(tmp_path / "artifacts"))
-        assert store.put_job("job-1", {"cells": []}) is not None
-        assert store.put_job("job-1", {"cells": ["clobber"]}) is None
-        assert store.read("job-1", "job.json") == {"cells": []}
-        assert store.put_results("job-1", {"state": "done",
-                                           "cells": {"a": {}}}) is not None
-        # Re-completion after a resume appends nothing and keeps v1.
-        assert store.put_results("job-1", {"state": "failed"}) is None
-        with open(store.index_path) as fh:
-            lines = [json.loads(line) for line in fh]
-        assert len(lines) == 1 and lines[0]["id"] == "job-1"
-        assert store.jobs() == ["job-1"]
 
 
 class TestWorkerPreemption:
@@ -728,6 +711,32 @@ class TestLoopPhases:
             assert jobs[second["id"]].done == {"again": "dedup"}
             assert [c for c in rig.calls if c[0] == "send"] == []
             assert rig.calls.count(("put_entry", k1)) == 1
+
+
+class TestDurability:
+    """The farm's durable state is the journal plus the result cache."""
+
+    def test_fully_cached_resubmission_makes_one_fsync(self, monkeypatch):
+        cells = TestLoopPhases.CELLS[:2]
+        with phase_rig(1) as rig:
+            rig.submit(cells)
+            for key in TestLoopPhases.KEYS[:2]:
+                rig.wake((0, _done(key)))
+            fsyncs = []
+            real_fsync = os.fsync
+
+            def counting_fsync(fd):
+                fsyncs.append(fd)
+                real_fsync(fd)
+
+            monkeypatch.setattr(os, "fsync", counting_fsync)
+            again = rig.submit(cells)
+            assert again["state"] == "done"
+            assert again["cells"]["cached"] == 2
+            # The journal's ``job`` record, and nothing else.
+            assert len(fsyncs) == 1
+            assert not os.path.exists(
+                os.path.join(rig.sched.farm_dir, "artifacts"))
 
 
 class TestCrashResume:

@@ -1,10 +1,10 @@
 """Tests for the unified telemetry layer.
 
-Covers the metrics registry, ring buffers, trace-bus robustness fixes,
-the event-loop profiler (including the disabled-path overhead bound),
-run manifests, JSONL trace export, per-flow/queue recorders, and — most
-importantly — that attaching telemetry does not change what a run
-measures (bit-identical ``RunMetrics``).
+Covers the metrics registry, trace-bus robustness fixes, the event-loop
+profiler (including the disabled-path overhead bound), run manifests,
+JSONL trace export, per-flow ``tcp.*`` timelines and queue samples on the
+bus, and — most importantly — that attaching telemetry does not change
+what a run measures (bit-identical ``RunMetrics``).
 """
 
 import dataclasses
@@ -20,14 +20,12 @@ from repro.sim import Simulator, Tracer
 from repro.stats.collect import RunMetrics
 from repro.telemetry import (
     Counter,
-    FlowTimelineRecorder,
     Gauge,
     Histogram,
     LoopProfiler,
     MANIFEST_SCHEMA,
     MetricsRegistry,
     ProgressReporter,
-    RingBuffer,
     Telemetry,
     TraceJsonlWriter,
     build_manifest,
@@ -38,6 +36,9 @@ from repro.telemetry.profiler import callback_category
 from repro.units import us
 
 TINY = 0.03125  # 8 MB Terasort: sub-second cells
+
+#: The per-flow timeline kinds a TcpSender emits.
+TCP_KINDS = ("tcp.cwnd", "tcp.retx", "tcp.rto", "tcp.ece")
 
 
 def _red50_config(**kw):
@@ -173,24 +174,6 @@ class TestMetricsRegistry:
         reg.counter("tcp.retx")
         assert [k for k, _ in reg.find("queue.")] == [
             "queue.drops{queue=p0}", "queue.marks{queue=p0}"]
-
-
-# ---------------------------------------------------------------------------
-# ring buffers
-
-
-class TestRingBuffer:
-    def test_bounded_eviction(self):
-        rb = RingBuffer(3)
-        for i in range(5):
-            rb.append(i)
-        assert list(rb) == [2, 3, 4]
-        assert len(rb) == rb.capacity == 3
-        assert rb.dropped == 2
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            RingBuffer(0)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +324,11 @@ class TestDeterminism:
     def test_telemetry_on_off_bit_identical_metrics(self):
         cfg = _default_config()
         plain = run_cell(cfg)
-        tel = Telemetry(profile=True, flow_timelines=True,
-                        queue_interval_s=2e-3)
-        TraceJsonlWriter(tel.tracer)  # subscribe packet kinds too
+        tel = Telemetry(profile=True, queue_interval_s=2e-3)
+        # Subscribed emission on every path: per-flow tcp.* timelines,
+        # queue samples and the packet kinds.
+        TraceJsonlWriter(tel.tracer, kinds=TCP_KINDS + ("queue.sample",))
+        TraceJsonlWriter(tel.tracer)
         observed = run_cell(cfg, telemetry=tel)
         assert dataclasses.asdict(plain.metrics) == dataclasses.asdict(
             observed.metrics)
@@ -441,6 +426,17 @@ class TestTraceExport:
         with pytest.raises(ValueError, match="external stream"):
             writer.getvalue()
 
+    def test_tcp_timeline_rows_carry_cc_state(self):
+        tel = Telemetry()
+        writer = TraceJsonlWriter(tel.tracer, kinds=TCP_KINDS)
+        run_cell(_red50_config(), telemetry=tel)
+        rows = [json.loads(line) for line in writer.getvalue().splitlines()]
+        assert "tcp.cwnd" in {r["kind"] for r in rows}
+        assert rows == sorted(rows, key=lambda r: r["t"])
+        # cwnd rows carry the congestion-control state, keyed by flow
+        cwnd = next(r for r in rows if r["kind"] == "tcp.cwnd")
+        assert {"where", "cwnd", "ssthresh", "rto", "state"} <= set(cwnd)
+
     def test_record_to_row_dict_payload(self):
         from repro.sim.trace import TraceRecord
 
@@ -455,65 +451,28 @@ class TestTraceExport:
 
 
 # ---------------------------------------------------------------------------
-# recorders
-
-
-class TestFlowTimelineRecorder:
-    def test_records_tcp_timeline(self):
-        tel = Telemetry(flow_timelines=True)
-        run_cell(_red50_config(), telemetry=tel)
-        rec = tel.flow_recorder
-        assert rec is not None and rec.events_seen > 0
-        rows = rec.rows()
-        kinds = {r["kind"] for r in rows}
-        assert "tcp.cwnd" in kinds
-        assert rows == sorted(rows, key=lambda r: r["t"])
-        # cwnd rows carry the congestion-control state
-        cwnd = next(r for r in rows if r["kind"] == "tcp.cwnd")
-        assert {"cwnd", "ssthresh", "rto", "state"} <= set(cwnd)
-        # per-flow retrieval matches the per-flow buffer
-        flow = next(iter(rec.flows))
-        assert rec.rows(flow) == list(rec.flows[flow])
-
-    def test_unknown_flow_raises(self):
-        rec = FlowTimelineRecorder(Tracer())
-        with pytest.raises(ValueError, match="no timeline recorded"):
-            rec.rows("nope")
-
-    def test_export_jsonl(self):
-        tr = Tracer()
-        rec = FlowTimelineRecorder(tr, capacity_per_flow=8)
-        tr.emit(1.0, "tcp.retx", "f0", {"seq": 5})
-        buf = io.StringIO()
-        assert rec.export_jsonl(buf) == 1
-        assert json.loads(buf.getvalue())["seq"] == 5
-
-    def test_ring_bound_per_flow(self):
-        tr = Tracer()
-        rec = FlowTimelineRecorder(tr, capacity_per_flow=4)
-        for i in range(10):
-            tr.emit(float(i), "tcp.cwnd", "f0", {"cwnd": i})
-        assert len(rec.flows["f0"]) == 4
-        assert rec.flows["f0"].dropped == 6
+# per-flow and per-queue timelines on the bus
 
 
 class TestQueueTimelineRecorder:
+    """``Telemetry(queue_interval_s=…)``: one bounded monitor per hot
+    queue, its samples in ``CellResult.snapshots`` and on the bus."""
+
     def test_samples_and_exports(self):
-        tel = Telemetry(queue_interval_s=2e-3)
+        tel = Telemetry(queue_interval_s=20e-3)
+        writer = TraceJsonlWriter(tel.tracer, kinds=("queue.sample",))
         cell = run_cell(_red50_config(), telemetry=tel)
-        rec = tel.queue_recorder
-        assert rec is not None
-        rows = rec.rows()
-        assert rows, "expected queue samples"
-        assert {"t", "queue", "qlen_packets", "ect_data",
+        assert tel.queue_monitors, "expected one monitor per hot queue"
+        kept = [s for mon in tel.queue_monitors for s in mon.snapshots]
+        assert kept, "expected queue samples"
+        # the monitors' samples feed CellResult.snapshots
+        assert cell.snapshots == kept
+        rows = [json.loads(line) for line in writer.getvalue().splitlines()]
+        assert {"t", "where", "qlen_packets", "ect_data",
                 "pure_acks"} <= set(rows[0])
-        # the recorder's snapshots feed CellResult.snapshots (dedup path)
-        assert cell.snapshots == rec.snapshots()
-        buf = io.StringIO()
-        assert rec.export_jsonl(buf) == len(rows)
-        csv_buf = io.StringIO()
-        assert rec.export_csv(csv_buf) == len(rows)
-        assert csv_buf.getvalue().startswith("t,")
+        dropped = sum(mon.dropped for mon in tel.queue_monitors)
+        assert len(rows) == len(kept) + dropped
+        assert {r["where"] for r in rows} == {s.queue for s in kept}
 
     def test_queue_sample_rides_the_tracer(self):
         tel = Telemetry(queue_interval_s=2e-3)
@@ -541,8 +500,8 @@ class TestQueueMonitorIntegration:
         mon.register_metrics(reg)
         snap = reg.snapshot()
         assert snap["gauges"]["monitor.samples{queue=q0}"] == 5.0
-        buf = io.StringIO()
-        assert mon.export_jsonl(buf) == 5
+        assert snap["gauges"]["monitor.dropped{queue=q0}"] == float(
+            mon.dropped) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -591,93 +550,30 @@ class TestTelemetrySession:
 
 
 class TestRecorderRetentionGauges:
-    def test_flow_recorder_counts_drops_across_flows(self):
-        tr = Tracer()
-        rec = FlowTimelineRecorder(tr, capacity_per_flow=4)
-        for i in range(10):
-            tr.emit(float(i), "tcp.cwnd", "f0", {"cwnd": i})
-        for i in range(3):
-            tr.emit(float(i), "tcp.cwnd", "f1", {"cwnd": i})
-        assert rec.dropped_total() == 6
-        assert rec.wrapped_flows() == 1
-        reg = MetricsRegistry()
-        rec.register_metrics(reg)
-        gauges = reg.snapshot()["gauges"]
-        assert gauges["telemetry.flow_rows_dropped"] == 6.0
-        assert gauges["telemetry.flow_rings_wrapped"] == 1.0
-        assert gauges["telemetry.flow_events_seen"] == 13.0
-
     def test_wrapped_rings_surface_in_run_manifest(self):
-        # a deliberately tiny ring: the run records far more samples and
-        # events than it retains, and the manifest must say so
-        tel = Telemetry(flow_timelines=True, queue_interval_s=1e-3,
-                        ring_capacity=8)
+        # The red50 cell runs tens of simulated seconds, so 1 ms samples
+        # outrun the 4096 each monitor keeps, and the manifest must say so.
+        tel = Telemetry(queue_interval_s=1e-3)
         cell = run_cell(_red50_config(), telemetry=tel)
         gauges = cell.manifest["telemetry"]["gauges"]
-        assert gauges["telemetry.flow_rows_dropped"] > 0
-        assert gauges["telemetry.queue_samples_dropped"] > 0
-        assert gauges["telemetry.queue_rings_wrapped"] >= 1.0
-        assert gauges["telemetry.flow_rows_dropped"] == float(
-            tel.flow_recorder.dropped_total())
-        assert gauges["telemetry.queue_samples_dropped"] == float(
-            tel.queue_recorder.dropped_total())
+        dropped = [v for k, v in gauges.items()
+                   if k.startswith("monitor.dropped")]
+        assert len(dropped) == len(tel.queue_monitors)
+        assert sorted(dropped) == sorted(
+            float(mon.dropped) for mon in tel.queue_monitors)
+        assert any(v > 0 for v in dropped)
+        assert all(len(mon.snapshots) == 4096
+                   for mon in tel.queue_monitors if mon.dropped)
 
     def test_unwrapped_rings_report_zero(self):
-        # The red50 cell runs tens of simulated seconds (RFC-correct
-        # Non-ECT retransmits blackhole through the unprotected RED
-        # bottleneck), so size the rings for the full sample series.
-        tel = Telemetry(flow_timelines=True, queue_interval_s=2e-3,
-                        ring_capacity=65536)
+        # 50 ms samples over the same run fit in every monitor.
+        tel = Telemetry(queue_interval_s=50e-3)
         cell = run_cell(_red50_config(), telemetry=tel)
         gauges = cell.manifest["telemetry"]["gauges"]
-        assert gauges["telemetry.flow_rows_dropped"] == 0.0
-        assert gauges["telemetry.queue_samples_dropped"] == 0.0
-
-
-# ---------------------------------------------------------------------------
-# CSV writer: RFC 4180 quoting, missing keys, stable line endings
-
-
-class TestWriteCsv:
-    def test_special_characters_round_trip(self):
-        import csv as csv_mod
-
-        from repro.telemetry import write_csv
-
-        rows = [
-            {"label": "a,b", "note": 'say "hi"', "n": 1},
-            {"label": "line1\nline2", "note": "plain", "n": 2},
-        ]
-        buf = io.StringIO()
-        assert write_csv(rows, buf) == 2
-        back = list(csv_mod.DictReader(io.StringIO(buf.getvalue())))
-        assert back[0]["label"] == "a,b"
-        assert back[0]["note"] == 'say "hi"'
-        assert back[1]["label"] == "line1\nline2"
-
-    def test_missing_keys_emit_empty_fields(self):
-        from repro.telemetry import write_csv
-
-        buf = io.StringIO()
-        write_csv([{"a": 1, "b": 2}, {"a": 3}], buf)
-        lines = buf.getvalue().split("\n")
-        assert lines[0] == "a,b"
-        assert lines[2] == "3,"  # not "3,None"
-
-    def test_unix_line_endings_everywhere(self):
-        from repro.telemetry import write_csv
-
-        buf = io.StringIO()
-        write_csv([{"a": 1}, {"a": 2}], buf)
-        assert "\r" not in buf.getvalue()
-        assert buf.getvalue().endswith("2\n")
-
-    def test_empty_rows_write_nothing(self):
-        from repro.telemetry import write_csv
-
-        buf = io.StringIO()
-        assert write_csv([], buf) == 0
-        assert buf.getvalue() == ""
+        dropped = [v for k, v in gauges.items()
+                   if k.startswith("monitor.dropped")]
+        assert len(dropped) == len(tel.queue_monitors) > 0
+        assert dropped == [0.0] * len(dropped)
 
 
 # ---------------------------------------------------------------------------
