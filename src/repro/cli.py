@@ -6,17 +6,16 @@ Each verb's ``--help`` is its reference; in brief:
   of EXPERIMENTS.md) and the ``grid`` presets ``fig1``, ``figures``
   (Figures 2-4, ``--axis buffer=shallow,deep``) and ``claims`` (C1-C6);
 * ``grid NAME`` — run a named grid of cells (``paper``, ``fig1``,
-  ``figures``, ``claims``, ``mix``, ``fixedk``;
-  :data:`repro.experiments.grids.GRIDS`) with ``--axis A=v1,v2``
-  overrides, locally (``--jobs`` / ``--cache-dir`` / ``--resume``) or on
-  a running farm (``--farm SOCKET``); both print the preset's table and
-  the same executed/cached footer;
+  ``figures``, ``claims``, ``mix``, ``fixedk``, ``stability`` (probe
+  regime maps over target delay and DCTCP gain), ``flaws`` (the
+  Linux-DCTCP flaws pack); :data:`repro.experiments.grids.GRIDS`) with
+  ``--axis A=v1,v2`` overrides, locally (``--jobs`` / ``--cache-dir`` /
+  ``--resume``) or on a running farm (``--farm SOCKET``); both print the
+  preset's table and the same executed/cached footer;
 * one configuration — ``cell`` (``--json`` for the run manifest),
   ``profile`` (event-loop profiler), ``trace`` (JSONL event export);
 * validation — ``check`` (armed invariant checkers + scenario fuzzing),
-  ``smoke [NAME…]`` (the pinned CI gates, DESIGN.md §10), ``flaws``
-  (the Linux-DCTCP flaws pack), ``stability`` (auto-refining stability
-  sweeps over probe cells; not a grid, DESIGN.md §9);
+  ``smoke [NAME…]`` (the pinned CI gates, DESIGN.md §10);
 * service — ``serve`` (the sweep-farm scheduler), ``farm`` (its client:
   status, results, watch, cancel, shutdown), ``cache`` (list, stats and
   prune a result cache, ``--keep-grid NAME`` by a grid's work list);
@@ -113,13 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pgrid = sub.add_parser(
         "grid",
-        help="run a named grid of cells (paper, fig1, figures, claims, mix, "
-             "fixedk) locally, in parallel against a resumable result "
-             "cache, or through a running `repro serve` farm",
+        help=f"run a named grid of cells ({', '.join(GRIDS)}) locally, in "
+             "parallel against a resumable result cache, or through a "
+             "running `repro serve` farm",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="grids (axes with their defaults):\n" + "\n".join(
-            f"  {name:<7} {g.description}" + "".join(
-                f"\n          --axis {a}={','.join(map(str, ax.default))}"
+            f"  {name:<9} {g.description}" + "".join(
+                f"\n            --axis {a}={','.join(map(str, ax.default))}"
                 for a, ax in g.axes.items())
             for name, g in GRIDS.items()))
     pgrid.add_argument("name", metavar="NAME", help="grid preset (below)")
@@ -134,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the preset's figures as "
                             "PREFIX_<id>.svg (fig1; figures: fig2a..fig4b; "
                             "fixedk: one regime map per "
-                            "variant/protection/fan-in slice)")
+                            "variant/protection/fan-in slice; stability: "
+                            "one per g, e.g. PREFIX_g-default.svg)")
     local = pgrid.add_argument_group("local run")
     local.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="worker processes (default 1 = serial; "
@@ -208,70 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="suppress progress")
     pcheck.set_defaults(handler=_cmd_check)
 
-    pstab = sub.add_parser(
-        "stability",
-        help="stability observatory: sweep one control-loop parameter "
-             "with steady-state incast probe cells, classify each point "
-             "(stable / limit-cycle / chaotic-irregular), refine the "
-             "grid near regime boundaries, and write the stability map "
-             "(SVG + JSON)")
-    pstab.add_argument("--axis", choices=["target-delay", "dctcp-g"],
-                       default="target-delay",
-                       help="parameter to sweep (target-delay sets the "
-                            "ECN threshold K; default target-delay)")
-    pstab.add_argument("--values", default=None, metavar="V1,V2,...",
-                       help="initial sweep grid — microseconds for "
-                            "target-delay, raw gain for dctcp-g "
-                            "(default: 50,100,200,500,1000 / "
-                            "0.02,0.0625,0.25,0.5)")
-    pstab.add_argument("--queue", choices=["red", "marking", "codel"],
-                       default="marking",
-                       help="probe queue discipline (default marking)")
-    pstab.add_argument("--variant",
-                       choices=[v.value for v in TcpVariant],
-                       default=TcpVariant.DCTCP.value,
-                       help="probe transport (default dctcp)")
-    pstab.add_argument("--senders", type=int, default=4, metavar="N",
-                       help="incast fan-in of each probe cell (default 4)")
-    pstab.add_argument("--duration-s", type=float, default=1.0,
-                       help="simulated seconds each probe holds the loop "
-                            "in steady state (default 1.0)")
-    pstab.add_argument("--rounds", type=int, default=3, metavar="N",
-                       help="max automatic refinement passes near "
-                            "detected regime boundaries (default 3)")
-    pstab.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (default 1 = serial)")
-    pstab.add_argument("--cache-dir", metavar="DIR",
-                       help="persist per-cell results here, keyed by "
-                            "config content")
-    pstab.add_argument("--resume", action="store_true",
-                       help="skip cells already present in --cache-dir")
-    pstab.add_argument("--svg", metavar="PATH", default="stability_map.svg",
-                       help="stability-map SVG path "
-                            "(default stability_map.svg)")
-    pstab.add_argument("--json", metavar="PATH", default="stability_map.json",
-                       help="stability-map JSON path "
-                            "(default stability_map.json)")
-    pstab.add_argument("--seed", type=int, default=42, help="probe seed")
-    pstab.add_argument("--quiet", action="store_true",
-                       help="suppress progress")
-    pstab.set_defaults(handler=_cmd_stability)
-
-    pflaws = sub.add_parser(
-        "flaws",
-        help="Linux-DCTCP flaws pack: flawed vs corrected endpoint "
-             "fidelity on one pinned tiny-buffer incast cell")
-    pflaws.add_argument("--duration-s", type=float, default=1.0,
-                        metavar="S",
-                        help="simulated horizon per profile (default 1.0)")
-    pflaws.add_argument("--json", nargs="?", const="-", metavar="PATH",
-                        help="emit the comparison rows as JSON to PATH "
-                             "(default: stdout)")
-    pflaws.add_argument("--seed", type=int, default=42, help="cell seed")
-    pflaws.add_argument("--quiet", action="store_true",
-                        help="suppress progress")
-    pflaws.set_defaults(handler=_cmd_flaws)
-
     pbench = sub.add_parser(
         "bench",
         help="run the layered benchmark suite (benchmarks/suite/run.py) "
@@ -342,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     pcache = sub.add_parser(
         "cache",
         help="inspect and prune a content-addressed result cache "
-             "(the --cache-dir of grid/stability, or a "
+             "(the --cache-dir of grid, or a "
              "farm's <farm-dir>/cache)")
     pcache.add_argument("--cache-dir", required=True, metavar="DIR",
                         help="the cache directory to inspect")
@@ -430,39 +366,6 @@ def _emit_json(payload, dest: str) -> int:
     return _write_text(dest, text + "\n")
 
 
-def _open_grid(verb: str, args: argparse.Namespace, build):
-    """Front half the grid verbs (grid / stability) share.
-
-    Validates ``--resume`` / ``--limit``, calls ``build()`` for the
-    verb's work list (``None`` = the verb already printed why not), trims
-    it to ``--limit``, opens the result cache and builds the progress
-    reporter. Returns ``(work, cache, progress)``, or the exit code 2
-    after printing ``<verb>: <reason>`` to stderr.
-    """
-    from repro.errors import ConfigError, ExperimentError
-    from repro.experiments.cache import ResultCache
-
-    def refuse(reason: str) -> int:
-        print(f"{verb}: {reason}", file=sys.stderr)
-        return 2
-
-    limit = getattr(args, "limit", None)
-    if args.resume and not args.cache_dir:
-        return refuse("--resume needs --cache-dir (nothing to resume from)")
-    if limit is not None and limit < 1:
-        return refuse(f"--limit must be >= 1 (got {limit})")
-    try:
-        work = build()
-        if work is None:
-            return 2
-        cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    except (ExperimentError, ConfigError) as exc:
-        return refuse(str(exc))
-    if limit is not None:
-        work = work[:limit]
-    return work, cache, _progress(args)
-
-
 def _progress(args: argparse.Namespace):
     """The stderr progress printer of every multi-cell verb (or None
     under ``--quiet``)."""
@@ -503,7 +406,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    from repro.errors import ExperimentError
+    from repro.errors import ConfigError, ExperimentError
+    from repro.experiments.cache import ResultCache
     from repro.experiments.grids import grid_work
     from repro.experiments.parallel import run_cells
 
@@ -520,19 +424,16 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         return refuse("--priority orders a farm's queue: it needs --farm")
     if args.svg and preset and preset.figures is None:
         return refuse(f"grid {args.name} draws no figures (--svg)")
-
-    axes = {}
-
-    def build():
-        resolved, work = grid_work(args.name, args.axis, args.scale,
-                                   args.seed)
-        axes.update(resolved)
-        return work
-
-    opened = _open_grid("grid", args, build)
-    if isinstance(opened, int):
-        return opened
-    todo, cache, progress = opened
+    if args.resume and not args.cache_dir:
+        return refuse("--resume needs --cache-dir (nothing to resume from)")
+    if args.limit is not None and args.limit < 1:
+        return refuse(f"--limit must be >= 1 (got {args.limit})")
+    try:
+        axes, work = grid_work(args.name, args.axis, args.scale, args.seed)
+        cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    except (ExperimentError, ConfigError) as exc:
+        return refuse(str(exc))
+    todo, progress = work[:args.limit], _progress(args)
     if args.farm:
         report = _farm_run(args.farm, todo, args.priority or 0, progress)
         if isinstance(report, int):
@@ -603,85 +504,6 @@ def _farm_run(socket_path: str, todo, priority: int, progress):
         executed=[lb for lb, o in outcomes.items() if o != "cached"],
         cached=[lb for lb, o in outcomes.items() if o == "cached"],
         jobs=0, wall_s=time.perf_counter() - t0)
-
-
-#: Default bifurcation grids per axis (target-delay values in µs).
-_STABILITY_GRIDS = {
-    "target-delay": (50.0, 100.0, 200.0, 500.0, 1000.0),
-    "dctcp-g": (0.02, 0.0625, 0.25, 0.5),
-}
-
-
-def _cmd_stability(args: argparse.Namespace) -> int:
-    from repro.errors import ExperimentError
-    from repro.experiments.bifurcation import (
-        render_regime_table,
-        run_bifurcation,
-    )
-    from repro.experiments.probe import StabilityProbeConfig
-
-    def axis_values():
-        if args.rounds < 0:
-            print(f"stability: --rounds must be >= 0 (got {args.rounds})",
-                  file=sys.stderr)
-            return None
-        raw = args.values or ",".join(str(v)
-                                      for v in _STABILITY_GRIDS[args.axis])
-        try:
-            values = [float(v) for v in raw.split(",") if v.strip()]
-        except ValueError:
-            print(f"stability: --values must be comma-separated numbers "
-                  f"(got {raw!r})", file=sys.stderr)
-            return None
-        if args.axis == "target-delay":
-            values = [us(v) for v in values]
-        return values
-
-    opened = _open_grid("stability", args, axis_values)
-    if isinstance(opened, int):
-        return opened
-    values, cache, progress = opened
-
-    base = StabilityProbeConfig(
-        queue=QueueSetup(kind=args.queue, target_delay_s=us(200.0)),
-        variant=TcpVariant(args.variant),
-        n_senders=args.senders,
-        duration_s=args.duration_s,
-        seed=args.seed,
-    )
-    try:
-        m = run_bifurcation(base, args.axis, values, rounds=args.rounds,
-                            jobs=args.jobs, cache=cache,
-                            resume=args.resume, progress=progress)
-    except ExperimentError as exc:
-        print(f"stability: {exc}", file=sys.stderr)
-        return 2
-
-    print(render_regime_table(m))
-    rc = _emit_json(m.to_dict(), args.json)
-    if rc != 0:
-        return rc
-    if args.svg:
-        from repro.plotting import regime_map_to_svg
-
-        return _write_text(args.svg, regime_map_to_svg(m))
-    return 0
-
-
-def _cmd_flaws(args: argparse.Namespace) -> int:
-    from repro.experiments.flaws import render_flaws_table, run_flaws
-
-    t0 = time.time()
-    cells, rows = run_flaws(seed=args.seed, duration_s=args.duration_s)
-    print(render_flaws_table(rows))
-    if not args.quiet:
-        print(f"(5 profiles, wall time {time.time() - t0:.1f}s)",
-              file=sys.stderr)
-    if args.json:
-        return _emit_json({"schema": "repro.flaws/v1", "seed": args.seed,
-                           "duration_s": args.duration_s, "rows": rows},
-                          args.json)
-    return 0
 
 
 def _cmd_cell(args: argparse.Namespace) -> int:

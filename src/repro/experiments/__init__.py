@@ -49,11 +49,6 @@ from repro.experiments.mix import (
     mix_grid,
     render_mix_table,
 )
-from repro.experiments.bifurcation import (
-    StabilityMap,
-    render_regime_table,
-    run_bifurcation,
-)
 from repro.experiments.bulkcell import BulkConfig
 from repro.experiments.kinds import CellKind, kind_names, register_kind
 from repro.experiments.multirack import MultiRackConfig
@@ -108,8 +103,5 @@ __all__ = [
     "mix_grid",
     "render_mix_table",
     "StabilityProbeConfig",
-    "StabilityMap",
-    "run_bifurcation",
-    "render_regime_table",
     "apply_analyses",
 ]

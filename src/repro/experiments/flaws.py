@@ -18,10 +18,10 @@ threshold), where delayed ACKs routinely cover a mix of marked and
 unmarked segments and drops force retransmissions — the exact regime
 where the flaws diverge from the faithful algorithm.
 
-Every run is a ``"probe"`` cell through
-:func:`~repro.experiments.runner.run_cell`, so results carry full
-manifests, land in the shared result cache, and fingerprint
-bit-identically for the determinism gate (``repro smoke flaws``).
+Every run is a ``"probe"`` cell, and the pack is the ``flaws`` grid
+preset (``repro grid flaws``), so results carry full manifests, land in
+the shared result cache, and fingerprint bit-identically for the
+determinism gate (``repro smoke flaws``).
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.config import CellResult, QueueSetup
 from repro.experiments.probe import StabilityProbeConfig
-from repro.experiments.runner import run_cell
-from repro.tcp.endpoint import FLAW_PROFILES, TcpVariant
+from repro.tcp.endpoint import TcpVariant
 from repro.units import us
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "flaws_cell",
     "flaws_grid",
     "flaws_row",
-    "run_flaws",
     "render_flaws_table",
 ]
 
@@ -84,7 +82,6 @@ def flaws_row(profile: Optional[str], cell: CellResult) -> Dict[str, object]:
     m = cell.metrics
     return {
         "profile": profile or "fixed",
-        "label": cell.config.label(),
         "alpha_timeavg": m.extra.get("dctcp_alpha_timeavg", 0.0),
         "alpha_mean": m.extra.get("dctcp_alpha_mean", 0.0),
         "alpha_max": m.extra.get("dctcp_alpha_max", 0.0),
@@ -94,25 +91,6 @@ def flaws_row(profile: Optional[str], cell: CellResult) -> Dict[str, object]:
         "marks": m.queue.marks,
         "drops": m.queue.drops_tail + m.queue.drops_early,
     }
-
-
-def run_flaws(
-    seed: int = 42,
-    duration_s: float = 1.0,
-    checks: Optional["ValidationSuite"] = None,  # noqa: F821 - forward ref
-) -> Tuple[List[CellResult], List[Dict[str, object]]]:
-    """Run the whole pack; returns (cell results, comparison rows).
-
-    ``checks`` arms the validation suite on *every* run.
-    """
-    cells: List[CellResult] = []
-    rows: List[Dict[str, object]] = []
-    for profile in FLAWS_PROFILES:
-        cfg = flaws_cell(profile, seed=seed, duration_s=duration_s)
-        cell = run_cell(cfg, checks=checks)
-        cells.append(cell)
-        rows.append(flaws_row(profile, cell))
-    return cells, rows
 
 
 def render_flaws_table(rows: List[Dict[str, object]]) -> str:

@@ -11,7 +11,8 @@ builder, table and optional manifest extras / SVG figures. The paper's
 artifacts are presets too — ``fig1``, ``figures`` (Figures 2-4) and
 ``claims`` (C1-C6, the 82 paper cells plus ``fig1``) — whose tables are
 projections of the results (:mod:`repro.experiments.figures`,
-:mod:`repro.experiments.report`), so they run with ``--jobs``,
+:mod:`repro.experiments.report`); so are the ``stability`` probes and the
+``flaws`` pack. Every sweep therefore runs with ``--jobs``,
 ``--cache-dir``, ``--resume`` and ``--farm`` like any grid.
 ``grid_work`` resolves one with axis overrides.
 """
@@ -53,7 +54,13 @@ from repro.experiments.fixedk import (
     render_fixedk_table,
     render_regime_grid,
 )
+from repro.experiments.flaws import flaws_grid, flaws_row, render_flaws_table
 from repro.experiments.mix import mix_grid, render_mix_table
+from repro.experiments.probe import (
+    render_stability_map,
+    stability_grid,
+    stability_map_svgs,
+)
 from repro.experiments.report import check_claims, render_claims
 from repro.tcp.endpoint import TcpVariant
 
@@ -165,12 +172,17 @@ def render_paper_table(results: Dict[str, CellResult]) -> str:
     return "\n".join(lines)
 
 
-def _fixedk_cells(scale: float, seed: int, k: Sequence[int],
-                  load: Sequence[float], fanout: Sequence[int]):
+def _unscaled(name: str, scale: float) -> None:
+    """Refuse ``--scale`` for a grid whose cells have no dataset."""
     if scale != 1.0:
         raise ExperimentError(
-            f"fixedk cells have no dataset to scale (got --scale {scale}); "
-            "shrink the grid with --axis instead")
+            f"{name} cells have no dataset to scale (got --scale {scale}); "
+            "shrink the grid with --axis or --limit instead")
+
+
+def _fixedk_cells(scale: float, seed: int, k: Sequence[int],
+                  load: Sequence[float], fanout: Sequence[int]):
+    _unscaled("fixedk", scale)
     cells = fixedk_grid(k_values=k, loads=load, fanouts=fanout,
                         seeds=(seed,), base=FixedKConfig(seed=seed))
     for _label, cfg in cells:
@@ -191,6 +203,21 @@ def _fixedk_figures(results: Dict[str, CellResult]) -> List[Tuple[str, str]]:
 
     return [(m.slice_id, grid_regime_map_to_svg(m))
             for m in build_regime_maps(results)]
+
+
+def _gain(raw: str) -> Optional[float]:
+    return None if raw == "None" else float(raw)
+
+
+def _stability_cells(scale: float, seed: int, target_delay: Sequence[int],
+                     g: Sequence[Optional[float]]):
+    _unscaled("stability", scale)
+    return stability_grid(target_delay, g, seed)
+
+
+def _flaws_cells(scale: float, seed: int):
+    _unscaled("flaws", scale)
+    return [(cfg.flaw_profile or "fixed", cfg) for cfg in flaws_grid(seed)]
 
 
 def _paper_figures(results: Dict[str, CellResult]) -> List[FigureData]:
@@ -288,6 +315,19 @@ GRIDS: Dict[str, GridPreset] = {
         extras=lambda results: {"regime_maps": [
             m.to_dict() for m in build_regime_maps(results)]},
         figures=_fixedk_figures),
+    "stability": GridPreset(
+        "stability probes (4:1 DCTCP incast, marking port): regime per "
+        "target delay (whole us) and DCTCP gain g (None = the transport's "
+        "own)",
+        {"target_delay": Axis((50, 100, 200, 500, 1000), int),
+         "g": Axis((None,), _gain)},
+        _stability_cells, render_stability_map, figures=stability_map_svgs),
+    "flaws": GridPreset(
+        "Linux-DCTCP flaws pack: each flaw profile vs the corrected stack "
+        "on one tiny-buffer incast", {}, _flaws_cells,
+        lambda results: render_flaws_table([
+            flaws_row(cell.config.flaw_profile, cell)
+            for cell in results.values()])),
 }
 
 
@@ -298,8 +338,8 @@ def grid_work(name: str, axis_specs: Iterable[str] = (), scale: float = 1.0,
     Returns ``(axes, cells)``: every axis's values (defaults filled in)
     and the preset's work list. Raises :class:`ExperimentError` for an
     unknown preset or axis, a repeated axis or value, or a value that
-    does not parse; :class:`~repro.errors.ConfigError` for a cell its
-    kind rejects.
+    does not parse, or values whose cells share a label;
+    :class:`~repro.errors.ConfigError` for a cell its kind rejects.
     """
     preset = GRIDS.get(name)
     if preset is None:
@@ -325,4 +365,9 @@ def grid_work(name: str, axis_specs: Iterable[str] = (), scale: float = 1.0,
         given[axis] = values
     axes = {axis: given.get(axis, a.default)
             for axis, a in preset.axes.items()}
-    return axes, preset.cells(scale, seed, **axes)
+    cells = preset.cells(scale, seed, **axes)
+    labels = [label for label, _cfg in cells]
+    if len(set(labels)) != len(labels):  # labels round, e.g. g to 6 digits
+        raise ExperimentError(
+            f"axis values collide in cell labels: {', '.join(axis_specs)}")
+    return axes, cells

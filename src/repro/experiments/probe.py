@@ -12,6 +12,10 @@ simulated ``duration_s``, the congested ToR downlink is sampled every
 still in flight — by construction, so every sample after the ramp-up
 shows the closed loop at its operating point.
 
+:func:`stability_grid` is the ``grid stability`` work list: one probe
+per (target delay ≈ K, DCTCP gain g). :func:`render_stability_map`
+marks each regime flip with the midpoint to add with ``--axis``.
+
 Probe cells are the ``"probe"`` cell kind (:class:`ProbeCell`) on the
 shared harness in :mod:`repro.experiments.runner`. The stability detector
 (:class:`~repro.analysis.stability.StabilityAnalysis`) consumes the
@@ -21,11 +25,13 @@ on a cache hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.stability import CLASS_STABLE, StabilityAnalysis
 from repro.errors import ConfigError
 from repro.experiments.config import (
+    CellResult,
     QueueSetup,
     queue_tag,
     transport_config,
@@ -33,11 +39,18 @@ from repro.experiments.config import (
     validate_knobs,
 )
 from repro.experiments.kinds import CellKind, register_kind
+from repro.experiments.runner import apply_analyses
 from repro.tcp.endpoint import TcpConfig, TcpVariant
 from repro.units import gbps, us
 from repro.workloads.bulk import incast
 
-__all__ = ["StabilityProbeConfig", "ProbeCell"]
+__all__ = [
+    "StabilityProbeConfig",
+    "ProbeCell",
+    "stability_grid",
+    "render_stability_map",
+    "stability_map_svgs",
+]
 
 
 @dataclass(frozen=True)
@@ -48,7 +61,7 @@ class StabilityProbeConfig:
     ``duration_s / monitor_interval_s`` samples of the congested queue
     (default 2000 — comfortably inside the analysis' 2048-point resample
     cap). ``dctcp_g`` overrides the DCTCP EWMA gain when set, which is
-    the knob the g-axis bifurcation sweep turns.
+    the knob the ``g`` axis of ``grid stability`` turns.
     """
 
     queue: QueueSetup
@@ -107,17 +120,6 @@ class StabilityProbeConfig:
         g = f"/g{self.dctcp_g:g}" if self.dctcp_g is not None else ""
         return (f"probe/{self.variant}/{queue_tag(self)}"
                 f"/n{self.n_senders}{g}{transport_suffix(self)}")
-
-    # -- sweep-axis helpers ---------------------------------------------------
-
-    def with_target_delay(self, target_delay_s: float) -> "StabilityProbeConfig":
-        """Copy with the queue's target delay (≈ ECN threshold K) replaced."""
-        return replace(self,
-                       queue=replace(self.queue, target_delay_s=target_delay_s))
-
-    def with_dctcp_g(self, g: float) -> "StabilityProbeConfig":
-        """Copy with the DCTCP gain replaced."""
-        return replace(self, dctcp_g=g)
 
 
 @register_kind("probe", "stability-probe", StabilityProbeConfig)
@@ -190,3 +192,131 @@ class ProbeCell(CellKind):
             "syn_retries": sum(f.sender.stats.syn_retries for f in flows),
             "extra": extra,
         }
+
+
+# -- the `grid stability` preset ---------------------------------------------
+
+
+def stability_grid(target_delay: Sequence[int], g: Sequence[Optional[float]],
+                   seed: int = 42) -> List[Tuple[str, StabilityProbeConfig]]:
+    """One probe per (target delay in whole µs, DCTCP gain) — a 4:1 DCTCP
+    incast onto a marking port held for 1 s; gain ``None`` keeps the
+    transport's own. (Labels round the delay to 1 µs, so finer values
+    would collide.)"""
+    cells = []
+    for td in target_delay:
+        for gain in g:
+            cfg = StabilityProbeConfig(
+                queue=QueueSetup(kind="marking", target_delay_s=us(td)),
+                variant=TcpVariant.DCTCP, n_senders=4, duration_s=1.0,
+                seed=seed, dctcp_g=gain).validate()
+            cells.append((cfg.label(), cfg))
+    return cells
+
+
+def _slices(results: Dict[str, CellResult]):
+    """``(x, by, [(by value, points sorted by x)])``: the swept axis ``x``
+    is ``target_delay``, one slice per gain ``by``, unless only explicit
+    gains vary. A point is a cell's coordinates (x also as ``"value"``)
+    and its dominant queue's verdict; cells without a stability block
+    (cache hits too) get one stamped."""
+    sa = StabilityAnalysis(keep_profiles=False)
+    points = []
+    for cell in results.values():
+        if "stability" not in (cell.manifest or {}):
+            apply_analyses(cell, [sa])
+        block = cell.manifest["stability"]
+        dominant = next((q for q in block["queues"]
+                         if q["name"] == block["dominant_queue"]), {})
+        points.append({
+            "target_delay": round(cell.config.queue.target_delay_s * 1e6),
+            "g": cell.config.dctcp_g,
+            "classification": block["classification"],
+            "confidence": block["confidence"],
+            "amplitude": dominant.get("amplitude", 0.0),
+            "rel_amplitude": dominant.get("rel_amplitude", 0.0),
+            "period_s": dominant.get("period_s"),
+        })
+    x, by = "target_delay", "g"
+    gains = {p["g"] for p in points}
+    if (len({p["target_delay"] for p in points}) == 1 and len(gains) > 1
+            and None not in gains):  # the default gain has no x position
+        x, by = by, x
+    slices: Dict[object, List[Dict[str, object]]] = {}
+    for p in points:
+        p["value"] = p[x]
+        slices.setdefault(p[by], []).append(p)
+    return x, by, [(key, sorted(pts, key=lambda p: p["value"]))
+                   for key, pts in slices.items()]
+
+
+def _fmt_axis(axis: str, value) -> str:
+    """``200us`` on the target-delay axis, ``0.0625`` / ``default`` for g."""
+    if value is None:
+        return "default"
+    return f"{value}us" if axis == "target_delay" else f"{value:.5g}"
+
+
+def _midpoint(axis: str, lo, hi):
+    """Geometric midpoint of ``lo``/``hi`` as an ``--axis`` value, or
+    ``None`` when none fits strictly between (whole µs on target_delay)."""
+    mid = (lo * hi) ** 0.5
+    mid = round(mid) if axis == "target_delay" else float(f"{mid:.4g}")
+    return mid if lo < mid < hi else None
+
+
+def render_stability_map(results: Dict[str, CellResult]) -> str:
+    """ASCII regime maps: one row per probe, per slice; between neighbours
+    whose stable/oscillatory regime flips, a boundary line and the
+    midpoint to add with ``--axis``."""
+    x, by, slices = _slices(results)
+    header = (f"{'value':>12} {'regime':<18} {'conf':>5} {'amp_pkts':>9} "
+              f"{'rel_amp':>8} {'period':>10}")
+    blocks = []
+    for key, points in slices:
+        lines = [f"stability map over {x} ({by}={_fmt_axis(by, key)})",
+                 header, "-" * len(header)]
+        transitions, values = [], [p["value"] for p in points]
+        for p, nxt in zip(points, points[1:] + [None]):
+            period = ("-" if p["period_s"] is None
+                      else f"{p['period_s'] * 1e3:.3g}ms")
+            lines.append(
+                f"{_fmt_axis(x, p['value']):>12} "
+                f"{p['classification']:<18} {p['confidence']:>5.2f} "
+                f"{p['amplitude']:>9.2f} {p['rel_amplitude']:>8.2f} "
+                f"{period:>10}")
+            if nxt is None or ((p["classification"] == CLASS_STABLE)
+                               == (nxt["classification"] == CLASS_STABLE)):
+                continue
+            mid = _midpoint(x, p["value"], nxt["value"])
+            lines.append(f"{'':>12} --- stable/oscillatory boundary"
+                         + ("" if mid is None else
+                            f", midpoint {_fmt_axis(x, mid)}") + " ---")
+            transitions.append(
+                f"transition: {p['classification']} -> "
+                f"{nxt['classification']} in [{_fmt_axis(x, p['value'])}, "
+                f"{_fmt_axis(x, nxt['value'])}]")
+            if mid is not None:
+                values.append(mid)
+        lines.append("")
+        if transitions:
+            lines += transitions
+            if len(values) > len(points):
+                lines.append(f"refine: --axis {x}=" + ",".join(
+                    f"{v:g}" for v in sorted(values)))
+        else:
+            lines.append("no regime transitions on this grid")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks)
+
+
+def stability_map_svgs(results: Dict[str, CellResult]) -> List[Tuple[str, str]]:
+    """One ``(slice id, svg)`` regime-map chart per slice."""
+    from repro.plotting import regime_map_to_svg
+
+    x, by, slices = _slices(results)
+    xlabel = "target delay (us)" if x == "target_delay" else "DCTCP gain g"
+    return [(f"{by}-{_fmt_axis(by, key)}", regime_map_to_svg(
+                f"Stability map over {x}, {by}={_fmt_axis(by, key)}",
+                xlabel, points))
+            for key, points in slices]

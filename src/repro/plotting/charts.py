@@ -154,16 +154,20 @@ REGIME_COLORS = {
 
 
 def regime_map_to_svg(
-    m,
+    title: str,
+    xlabel: str,
+    points: Sequence[Dict],
     width: int = 760,
     height: int = 420,
 ) -> str:
-    """Render a :class:`~repro.experiments.bifurcation.StabilityMap`.
+    """Render a one-axis stability map (a ``grid stability`` slice).
 
-    The swept parameter runs along a log-scaled x axis; y is the
-    dominant queue's relative oscillation amplitude. Points are colored
-    by regime (refined points ringed), the amplitude curve connects
-    them, and each bracketed stable↔oscillatory transition is shaded.
+    ``points`` are dicts sorted by ``value`` (the swept parameter, on a
+    log-scaled x axis) with ``classification`` and ``rel_amplitude`` (the
+    dominant queue's relative oscillation amplitude, the y axis). Points
+    are colored by regime, the amplitude curve connects them, and the
+    span between neighbours whose stable/oscillatory regime flips is
+    shaded as the transition bracket.
     """
     import math
 
@@ -171,14 +175,13 @@ def regime_map_to_svg(
     x0, y0 = MARGIN_L, MARGIN_T
     x1, y1 = width - MARGIN_R, height - MARGIN_B
 
-    points = list(m.points)
     if not points:
         canvas.text(width / 2, height / 2, "(no points)", anchor="middle")
         return canvas.to_svg()
 
-    lo, hi = points[0].value, points[-1].value
+    lo, hi = points[0]["value"], points[-1]["value"]
     log_lo, log_hi = math.log(lo), math.log(max(hi, lo * 1.0001))
-    vmax = max(max(p.rel_amplitude for p in points) * 1.15, 0.3)
+    vmax = max(max(p["rel_amplitude"] for p in points) * 1.15, 0.3)
 
     def sx(v: float) -> float:
         if log_hi == log_lo:
@@ -188,44 +191,36 @@ def regime_map_to_svg(
     def sy(a: float) -> float:
         return y1 - (y1 - y0) * a / vmax
 
-    unit = "target delay" if m.axis == "target-delay" else m.axis
-    _axes(canvas, x0, y0, x1, y1,
-          f"Stability map: {m.base_label} over {m.axis}",
-          unit, "relative oscillation amplitude")
+    _axes(canvas, x0, y0, x1, y1, title, xlabel,
+          "relative oscillation amplitude")
 
     # Shaded transition brackets first, so everything draws on top.
-    for t in m.transitions:
-        bx0, bx1 = sx(t.lo), sx(t.hi)
-        canvas.rect(bx0, y0, max(bx1 - bx0, 2.0), y1 - y0,
-                    fill="#fbe9e7", stroke="none")
+    for a, b in zip(points, points[1:]):
+        if (a["classification"] == "stable") != (b["classification"] == "stable"):
+            bx0, bx1 = sx(a["value"]), sx(b["value"])
+            canvas.rect(bx0, y0, max(bx1 - bx0, 2.0), y1 - y0,
+                        fill="#fbe9e7", stroke="none")
 
     for tick in range(6):
         a = vmax * tick / 5
         canvas.line(x0, sy(a), x1, sy(a), stroke="#eee")
         canvas.text(x0 - 6, sy(a) + 4, f"{a:.2f}", size=10, anchor="end")
     for p in points:
-        label = (f"{p.value * 1e6:.3g}us" if m.axis == "target-delay"
-                 else f"{p.value:.3g}")
-        canvas.text(sx(p.value), y1 + 16, label, size=9, anchor="middle")
+        canvas.text(sx(p["value"]), y1 + 16, f"{p['value']:.4g}", size=9,
+                    anchor="middle")
 
-    canvas.polyline([(sx(p.value), sy(p.rel_amplitude)) for p in points],
-                    stroke="#bbb", width=1.0)
+    canvas.polyline([(sx(p["value"]), sy(p["rel_amplitude"]))
+                     for p in points], stroke="#bbb", width=1.0)
     for p in points:
-        color = REGIME_COLORS.get(p.classification, "#4269d0")
-        x, y = sx(p.value), sy(p.rel_amplitude)
-        if p.refined:
-            canvas.circle(x, y, 5.4, fill="#333")
-        canvas.circle(x, y, 3.6, fill=color)
+        color = REGIME_COLORS.get(p["classification"], "#4269d0")
+        canvas.circle(sx(p["value"]), sy(p["rel_amplitude"]), 3.6,
+                      fill=color)
 
     legend_y = y0
     for name, color in REGIME_COLORS.items():
         canvas.circle(x1 + 16, legend_y, 4, fill=color)
         canvas.text(x1 + 26, legend_y + 4, name, size=10)
         legend_y += 16
-    canvas.circle(x1 + 16, legend_y, 5.4, fill="#333")
-    canvas.circle(x1 + 16, legend_y, 3.6, fill="#fff")
-    canvas.text(x1 + 26, legend_y + 4, "refined point", size=10)
-    legend_y += 16
     canvas.rect(x1 + 10, legend_y - 5, 12, 10, fill="#fbe9e7", stroke="#ccc")
     canvas.text(x1 + 26, legend_y + 4, "transition bracket", size=10)
 

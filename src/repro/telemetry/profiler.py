@@ -196,22 +196,21 @@ class ProgressReporter:
 
     Instances are drop-in ``progress(done, total, label)`` callables for
     the sweep executor (:func:`~repro.experiments.parallel.run_cells`),
-    and so for every ``grid`` preset, ``report`` and the bifurcation
-    driver. Completion events from all worker
-    processes funnel through the one parent-side instance, so ``done``
-    aggregates naturally; cells served from the result cache (labels
-    ending in ``[cached]``) are counted separately and excluded from the
-    ETA estimate — a cache hit completes in microseconds and would
-    otherwise make the remaining-time projection wildly optimistic.
+    and so for every ``grid`` preset and ``report``. Completion events
+    from all worker processes funnel through the one parent-side
+    instance, so ``done`` aggregates naturally; cells served from the
+    result cache (labels ending in ``[cached]``) are counted separately
+    and excluded from the ETA estimate — a cache hit completes in
+    microseconds and would otherwise make the remaining-time projection
+    wildly optimistic.
 
-    One reporter may also span **several consecutive batches**: the
-    bifurcation sweep driver appends refinement cells mid-sweep and runs
-    them as follow-up :func:`~repro.experiments.parallel.run_cells`
-    calls against the same reporter. A new batch is detected when the
-    incoming ``done`` counter rewinds (``done <= last done``); the
-    finished batch is folded into cumulative offsets so the display and
-    ETA keep counting up — ``[5/6]`` — instead of restarting at
-    ``[1/1]`` for every refinement round.
+    One reporter may also span **several consecutive batches**: follow-up
+    :func:`~repro.experiments.parallel.run_cells` calls against the same
+    reporter. A new batch is detected when the incoming ``done`` counter
+    rewinds (``done <= last done``); the finished batch is folded into
+    cumulative offsets so the display and ETA keep counting up —
+    ``[5/6]`` — instead of restarting at ``[1/1]`` for every follow-up
+    batch.
     """
 
     CACHED_SUFFIX = " [cached]"

@@ -386,7 +386,6 @@ def _gate_flaws(report: SmokeReport) -> None:
         row = flaws_row(profile, report.replay(profile or "fixed",
                                                flaws_cell(profile)))
         alpha[row.pop("profile")] = row["alpha_timeavg"]
-        del row["label"]
         report.note(**row)
     # The pack's raison d'être: the flawed endpoints must overestimate
     # congestion on the pinned cell (time-averaged α, not the noisy

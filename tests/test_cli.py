@@ -72,38 +72,13 @@ class TestParser:
         assert args.jobs == 2
 
 
-@pytest.fixture(scope="module")
-def report_run(tmp_path_factory):
-    """One ``report --scale 0.01`` to an unwritable path with ``run_cell``
-    spied on: ``(dest, exit code, stderr, config key of every run)``."""
-    import contextlib
-    import io
-
-    import repro.experiments.parallel as parallel
-    from repro.experiments.cache import config_cache_key
-
-    dest = str(tmp_path_factory.mktemp("report") / "no" / "such" / "E.md")
-    keys = []
-    real_run_cell = parallel.run_cell
-
-    def spy(cfg, *args, **kwargs):
-        keys.append(config_cache_key(cfg))
-        return real_run_cell(cfg, *args, **kwargs)
-
-    err = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
-        mp.setattr(parallel, "run_cell", spy)
-        rc = main(["report", "--scale", "0.01", "--quiet", "--out", dest])
-    return dest, rc, err.getvalue(), keys
-
-
 class TestReport:
     def test_report_runs_every_cell_once(self, report_run):
         from repro.experiments.cache import config_cache_key
         from repro.experiments.figures import fig1_config
         from repro.experiments.grids import grid_work
 
-        _dest, _rc, _err, keys = report_run
+        keys = report_run.keys
         _axes, work = grid_work("claims", scale=0.01)
         assert len(work) == 83
         assert sorted(keys) == sorted(config_cache_key(c) for _l, c in work)
@@ -200,9 +175,8 @@ class TestUnwritableOutput:
             assert f"wrote {ok}" in err
 
     def test_report(self, report_run):
-        dest, rc, err, _keys = report_run
-        assert rc == 1
-        assert f"error: cannot write {dest}" in err
+        assert report_run.rc == 1
+        assert f"error: cannot write {report_run.dest}" in report_run.err
 
     def test_json_manifest(self, tmp_path, capsys):
         dest = str(tmp_path / "no" / "such" / "dir" / "cell.json")
@@ -358,6 +332,27 @@ class TestCacheVerb:
         assert main(["cache", "--cache-dir", cache_dir, "--keep-grid",
                      "bogus"]) == 2
         assert "cache: unknown grid 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["stability", "flaws"])
+    def test_keep_grid_keeps_the_probe_presets(self, name, tmp_path, capsys):
+        import json
+        import os
+
+        from repro.experiments.cache import CACHE_SCHEMA, config_cache_key
+        from repro.experiments.grids import grid_work
+
+        cache_dir = self._seed(tmp_path, 1)  # one foreign entry
+        _axes, work = grid_work(name)
+        for label, cfg in work:
+            key = config_cache_key(cfg)
+            with open(os.path.join(cache_dir, key + ".json"), "w") as fh:
+                json.dump({"schema": CACHE_SCHEMA, "key": key,
+                           "label": label}, fh)
+        assert main(["cache", "--cache-dir", cache_dir, "--keep-grid", name,
+                     "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        assert f"would prune 1 of 6 entries (keeping the {name} grid)" in out
+        assert f"{0:016x}" in out
 
     def test_missing_cache_dir_is_an_error_and_is_not_created(
             self, tmp_path, capsys):
@@ -687,6 +682,27 @@ class TestGridVerb:
             120, "abe517e52662687b47b52e4aeb3bd6d0e3e9acd7d58f56b1ca41ecaa20f6d5db"),
     }
 
+    #: Full cache keys of the probe presets' default work lists, in order,
+    #: recorded from the configs the `stability` verb's first pass and the
+    #: `flaws` verb ran before both became presets: a cache they filled
+    #: must serve the presets.
+    PROBE_KEYS = {
+        "stability": [
+            "b8fdbe0b4fc160fc4e66b7a1ef36120e3be267272164e7272aef29730fe66951",
+            "43142e765503885613a6791b792cdc229808d67e70957c8fd9cb29246ccb8565",
+            "b07c683ae7f43dd7a1cd771d924b30ec87b2b8ff8e37db7782b34bbb2ce0ab40",
+            "927f5bde9e2e0a90760ec95d265af7884fc64b16dfdeb323424454d2d7f63901",
+            "b25523a7068e16dc7d0a608446c24c33f918af6788265552fc5dcea1e327be27",
+        ],
+        "flaws": [
+            "6bac726fa377b10eabf92cac6e95fd4f54b4d9ee262e22efa8b23f5970804f95",
+            "e9b51a0e5a5177c80067d53a7f2e15f9ca2ee29e9644b363a96f94e7cfe18b6e",
+            "8694435789182024f435d0f73ed0dd123e8772af643901fbd7fda971eae21a0e",
+            "d0241f336fb5daeb1b60f0ac92cd4f142ccb5f4da6bdec69b386031d361159c4",
+            "fcdcf44f2acb79a8a5d451392b77002184b4ce0325553076056e8f47f6b63750",
+        ],
+    }
+
     @staticmethod
     def _digest(cells):
         import hashlib
@@ -704,6 +720,103 @@ class TestGridVerb:
 
         _axes, cells = grid_work(name, [spec] if spec else [])
         assert self._digest(cells) == self.PINNED[(name, spec)]
+
+    @pytest.mark.parametrize("name", ["stability", "flaws"])
+    def test_probe_preset_keys_are_the_old_verbs(self, name):
+        from repro.experiments.cache import config_cache_key
+        from repro.experiments.grids import grid_work
+
+        _axes, cells = grid_work(name)
+        assert [config_cache_key(c) for _l, c in cells] == self.PROBE_KEYS[name]
+
+    def test_flaws_work_list_is_flaws_grid(self):
+        from repro.experiments.cache import config_cache_key
+        from repro.experiments.flaws import flaws_grid
+        from repro.experiments.grids import grid_work
+
+        axes, cells = grid_work("flaws")
+        assert axes == {}
+        assert [lb for lb, _c in cells] == [
+            "fixed", "linux-dctcp", "coalesce", "retx-mark", "alpha-freeze"]
+        assert [config_cache_key(c) for _l, c in cells] == [
+            config_cache_key(c) for c in flaws_grid()]
+
+    def test_flaws_render_is_the_table_of_the_profiles_present(self):
+        from types import SimpleNamespace
+
+        from repro.experiments.flaws import flaws_row, render_flaws_table
+        from repro.experiments.grids import GRIDS, grid_work
+
+        def stub(cfg, alpha):
+            queue = SimpleNamespace(marks=10, drops_tail=1, drops_early=0)
+            return SimpleNamespace(config=cfg, metrics=SimpleNamespace(
+                extra={"dctcp_alpha_timeavg": alpha}, retransmits=2,
+                rtos=0, queue=queue))
+
+        _axes, work = grid_work("flaws")
+        results = {lb: stub(cfg, 0.5 + i / 100)
+                   for i, (lb, cfg) in enumerate(work)}
+        table = GRIDS["flaws"].render(results)
+        assert table == render_flaws_table(
+            [flaws_row(cfg.flaw_profile, results[lb]) for lb, cfg in work])
+        assert "linux-dctcp       0.5100" in table
+        # A --limit slice renders the rows it ran, the fixed stack first.
+        first_two = dict(list(results.items())[:2])
+        assert [ln.split()[0] for ln in GRIDS["flaws"].render(
+            first_two).splitlines()[2:]] == ["fixed", "linux-dctcp"]
+
+    def test_stability_axes(self):
+        from repro.experiments.grids import grid_work
+
+        axes, cells = grid_work("stability")
+        assert axes == {"target_delay": (50, 100, 200, 500, 1000),
+                        "g": (None,)}
+        assert [lb for lb, _c in cells][:2] == [
+            "probe/dctcp/marking@50us/n4", "probe/dctcp/marking@100us/n4"]
+        _axes, cells = grid_work("stability", ["target_delay=282,316",
+                                               "g=0.0625,0.25"])
+        assert [lb for lb, _c in cells] == [
+            "probe/dctcp/marking@282us/n4/g0.0625",
+            "probe/dctcp/marking@282us/n4/g0.25",
+            "probe/dctcp/marking@316us/n4/g0.0625",
+            "probe/dctcp/marking@316us/n4/g0.25"]
+        # The default gain, as the help epilog prints it, parses back.
+        _axes, cells = grid_work("stability", ["target_delay=200",
+                                               "g=None,0.25"])
+        assert [cfg.dctcp_g for _lb, cfg in cells] == [None, 0.25]
+
+    def test_stability_figures_and_manifest(self, tmp_path, capsys,
+                                            monkeypatch):
+        # The probes are not under test: each "measures" a stubbed
+        # stability block, oscillating below 300 us.
+        import json
+
+        import repro.experiments.parallel as parallel
+        from tests.test_stability import stubbed_probe
+
+        def fake_run_cells(cells, jobs=1, cache=None, resume=True,
+                           progress=None):
+            return parallel.SweepReport(results={
+                label: stubbed_probe(
+                    round(cfg.queue.target_delay_s * 1e6),
+                    "limit-cycle" if cfg.queue.target_delay_s < 300e-6
+                    else "stable", cfg.dctcp_g)
+                for label, cfg in cells}, jobs=jobs)
+
+        monkeypatch.setattr(parallel, "run_cells", fake_run_cells)
+        prefix, manifest = tmp_path / "sm", tmp_path / "m.json"
+        assert main(["grid", "stability", "--quiet", "--axis",
+                     "g=0.0625,0.25", "--svg", str(prefix),
+                     "--manifest", str(manifest)]) == 0
+        out = capsys.readouterr().out
+        assert "midpoint 316us" in out
+        assert sorted(p.name for p in tmp_path.glob("*.svg")) == [
+            "sm_g-0.0625.svg", "sm_g-0.25.svg"]
+        doc = json.loads(manifest.read_text())
+        assert doc["axes"] == {"target_delay": [50, 100, 200, 500, 1000],
+                               "g": [0.0625, 0.25]}
+        assert all(cell["stability"]["classification"]
+                   for cell in doc["cells"].values())
 
     def test_paper_default_axis_is_shallow(self):
         from repro.experiments.grids import grid_work
@@ -752,7 +865,8 @@ class TestGridVerb:
 
     @pytest.mark.parametrize("argv", [
         ["sweep"], ["mix"], ["fixedk"], ["farm", "--submit", "shallow"],
-        ["fig1"], ["fig2", "--deep"], ["fig3"], ["fig4"], ["claims"]])
+        ["fig1"], ["fig2", "--deep"], ["fig3"], ["fig4"], ["claims"],
+        ["stability"], ["flaws"]])
     def test_old_grid_verbs_no_longer_parse(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
@@ -775,6 +889,16 @@ class TestGridVerb:
         (["mix", "--farm", "/nonexistent/s", "--resume"], "--farm"),
         (["mix", "--priority", "3"], "--priority"),
         (["paper", "--farm", "/nonexistent/s", "--limit", "-1"], "--limit"),
+        # Probe cells have no dataset: one refusal for all three presets.
+        (["fixedk", "--scale", "0.5"], "fixedk cells have no dataset"),
+        (["stability", "--scale", "0.5"], "stability cells have no dataset"),
+        (["flaws", "--scale", "0.5"], "flaws cells have no dataset"),
+        (["stability", "--axis", "target_delay=50.5"],
+         "--axis target_delay=50.5"),
+        (["stability", "--axis", "g=1.5"], "dctcp_g must be in (0, 1]"),
+        (["flaws", "--svg", "x"], "draws no figures"),
+        (["stability", "--axis", "g=0.1234561,0.1234562"],
+         "collide in cell labels"),
     ])
     def test_errors_exit_2_naming_the_reason(self, argv, reason, capsys):
         assert main(["grid", *argv]) == 2

@@ -183,11 +183,14 @@ class TestArtifactPin:
         return hashlib.sha256(text.encode()).hexdigest()
 
     @pytest.fixture(scope="class")
-    def results(self):
-        from repro.experiments import grid_work, run_cells
+    def results(self, report_run):
+        # The claims cells `repro report --scale 0.01` ran (conftest.py),
+        # under their grid labels: one run of the 83 cells per session.
+        from repro.experiments import config_cache_key, grid_work
 
         _axes, work = grid_work("claims", scale=0.01)
-        return run_cells(work, jobs=2).results
+        return {label: report_run.results[config_cache_key(cfg)]
+                for label, cfg in work}
 
     def test_figures_claims_and_fig1_are_pinned(self, results):
         from repro.experiments import GRIDS

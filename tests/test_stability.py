@@ -1,9 +1,9 @@
-"""The stability observatory: classifier, aggregation, bifurcation sweeps.
+"""The stability observatory: classifier, aggregation, regime maps.
 
 Unit-level tests drive the detector with synthetic queue series (sines,
 constants, seeded noise) so each regime's decision boundary is pinned
-without running the simulator; the bifurcation refiner is tested against
-a stubbed sweep runner with a known regime boundary; one small
+without running the simulator; the ``grid stability`` render is tested
+on stubbed stability blocks with a known regime boundary; one small
 integration test runs a real incast probe cell end to end and checks the
 ``manifest["stability"]`` block lands with the right schema.
 """
@@ -24,15 +24,13 @@ from repro.analysis.stability import (
     classify_series,
     snapshots_by_queue,
 )
-from repro.errors import ConfigError, ExperimentError
-from repro.experiments import bifurcation
-from repro.experiments.bifurcation import (
-    STABILITY_MAP_SCHEMA,
-    render_regime_table,
-    run_bifurcation,
-)
+from repro.errors import ConfigError
 from repro.experiments.config import SHALLOW_BUFFER_PACKETS, QueueSetup
-from repro.experiments.probe import StabilityProbeConfig
+from repro.experiments.probe import (
+    StabilityProbeConfig,
+    render_stability_map,
+    stability_map_svgs,
+)
 from repro.experiments.runner import run_cell
 from repro.plotting import regime_map_to_svg
 from repro.tcp.endpoint import TcpVariant
@@ -208,91 +206,96 @@ class TestStabilityProbeConfig:
         with pytest.raises(ConfigError):
             self._cfg(dctcp_g=1.5).validate()
 
-    def test_copiers_change_one_knob(self):
-        cfg = self._cfg()
-        assert cfg.with_target_delay(us(50.0)).queue.target_delay_s == us(50.0)
-        assert cfg.with_dctcp_g(0.25).dctcp_g == 0.25
-        assert cfg.with_dctcp_g(0.25).queue == cfg.queue
-
 
 # ---------------------------------------------------------------------------
-# bifurcation refinement (stubbed sweep runner: boundary at 300 us)
+# the `grid stability` render (stubbed stability blocks, no simulation)
 
 
-BOUNDARY_S = 300e-6
+def stubbed_probe(td_us, classification, g=None):
+    """A probe result whose stability block says ``classification``."""
+    cfg = StabilityProbeConfig(
+        queue=QueueSetup(kind="marking", target_delay_s=us(td_us)),
+        variant=TcpVariant.DCTCP, dctcp_g=g)
+    osc = classification != CLASS_STABLE
+    block = {"classification": classification, "confidence": 0.75,
+             "dominant_queue": "tor.p0",
+             "queues": [{"name": "tor.p0", "amplitude": 3.0,
+                         "rel_amplitude": 0.5 if osc else 0.05,
+                         "period_s": 3e-3 if osc else None}]}
+    return SimpleNamespace(config=cfg, snapshots=[],
+                           manifest={"stability": block})
 
 
-def _stub_run_cells(items, jobs=1, cache=None, resume=True, progress=None):
-    results = {}
-    for label, cfg in items:
-        osc = cfg.queue.target_delay_s < BOUNDARY_S
-        if osc:
-            t, v = sine_series(n=200)
-        else:
-            t, v = np.arange(200) * 1e-3, np.full(200, 5.0)
-        results[label] = fake_cell({"tor.p0": (t, v)}, config=cfg)
-    return SimpleNamespace(results=results, executed=list(results), cached=[],
-                           wall_s=0.0)
+def probe_results(*points):
+    cells = [stubbed_probe(*p) for p in points]
+    return {c.config.label(): c for c in cells}
 
 
-class TestRunBifurcation:
-    @pytest.fixture
-    def base(self):
-        return StabilityProbeConfig(queue=QueueSetup(
-            kind="marking", buffer_packets=SHALLOW_BUFFER_PACKETS,
-            target_delay_s=us(200.0)))
+class TestStabilityMapRender:
+    def test_flipping_slice_shows_boundary_and_midpoint(self):
+        results = probe_results((1000, CLASS_STABLE), (50, CLASS_LIMIT_CYCLE),
+                                (300, CLASS_STABLE), (100, CLASS_LIMIT_CYCLE))
+        table = render_stability_map(results)
+        lines = table.splitlines()
+        assert lines[0] == "stability map over target_delay (g=default)"
+        values = [ln.split()[0] for ln in lines[3:]
+                  if ln.split() and ln.split()[0].endswith("us")]
+        assert values == ["50us", "100us", "300us", "1000us"]
+        # sqrt(100 * 300) = 173.2 -> whole microseconds
+        boundary = lines.index(
+            f"{'':>12} --- stable/oscillatory boundary, midpoint 173us ---")
+        assert lines[boundary - 1].split()[0] == "100us"
+        assert "transition: limit-cycle -> stable in [100us, 300us]" in table
+        assert lines[-1] == "refine: --axis target_delay=50,100,173,300,1000"
 
-    def test_refines_until_boundary_bracketed(self, base, monkeypatch):
-        monkeypatch.setattr(bifurcation, "run_cells", _stub_run_cells)
-        m = run_bifurcation(base, "target-delay", [100e-6, 1000e-6], rounds=2)
-        values = [p.value for p in m.points]
-        assert values == sorted(values)
-        assert len(values) == 4  # 2 coarse + 2 refined midpoints
-        assert [p.refined for p in m.points] == [False, True, True, False]
-        assert len(m.transitions) == 1
-        t = m.transitions[0]
-        assert t.lo < BOUNDARY_S <= t.hi
-        assert t.refinements == 2
-        assert t.lo_class == CLASS_LIMIT_CYCLE and t.hi_class == CLASS_STABLE
-        # refinement tightened the bracket well inside the coarse interval
-        assert t.hi / t.lo < (1000e-6 / 100e-6) ** 0.5
+    def test_uniform_slice_shows_neither(self):
+        table = render_stability_map(probe_results(
+            (400, CLASS_STABLE), (800, CLASS_STABLE)))
+        assert "boundary" not in table and "midpoint" not in table
+        assert "refine" not in table
+        assert table.splitlines()[-1] == "no regime transitions on this grid"
 
-    def test_uniform_regime_needs_no_refinement(self, base, monkeypatch):
-        monkeypatch.setattr(bifurcation, "run_cells", _stub_run_cells)
-        m = run_bifurcation(base, "target-delay", [400e-6, 800e-6], rounds=3)
-        assert len(m.points) == 2
-        assert m.transitions == []
-        assert all(p.classification == CLASS_STABLE for p in m.points)
+    def test_one_slice_per_g_and_g_is_x_when_only_g_varies(self):
+        two_g = render_stability_map(probe_results(
+            (100, CLASS_LIMIT_CYCLE, 0.0625), (500, CLASS_STABLE, 0.0625),
+            (100, CLASS_STABLE, 0.25), (500, CLASS_STABLE, 0.25)))
+        blocks = two_g.split("\n\n")
+        assert [b.splitlines()[0] for b in blocks if b.startswith("stab")] == [
+            "stability map over target_delay (g=0.0625)",
+            "stability map over target_delay (g=0.25)"]
+        assert two_g.count("boundary") == 1
+        only_g = render_stability_map(probe_results(
+            (200, CLASS_LIMIT_CYCLE, 0.0625), (200, CLASS_STABLE, 0.25)))
+        assert only_g.startswith("stability map over g (target_delay=200us)")
+        assert "midpoint 0.125 ---" in only_g
+        assert only_g.splitlines()[-1] == "refine: --axis g=0.0625,0.125,0.25"
+        with_default = render_stability_map(probe_results(
+            (200, CLASS_LIMIT_CYCLE), (200, CLASS_STABLE, 0.25)))
+        assert with_default.startswith(
+            "stability map over target_delay (g=default)")
+        assert "boundary" not in with_default  # one point per slice
 
-    def test_map_artifact_round_trips(self, base, monkeypatch):
-        monkeypatch.setattr(bifurcation, "run_cells", _stub_run_cells)
-        m = run_bifurcation(base, "target-delay", [100e-6, 1000e-6], rounds=1)
-        d = json.loads(json.dumps(m.to_dict()))
-        assert d["schema"] == STABILITY_MAP_SCHEMA
-        assert d["axis"] == "target-delay"
-        assert d["base_config"]["queue"]["kind"] == "marking"
-        assert len(d["points"]) == len(m.points)
-        assert d["sweep"]["rounds"] == 2  # initial grid + 1 refinement pass
+    def test_adjacent_whole_microseconds_have_no_midpoint(self):
+        table = render_stability_map(probe_results(
+            (282, CLASS_IRREGULAR), (283, CLASS_STABLE)))
+        assert "--- stable/oscillatory boundary ---" in table
+        assert "midpoint" not in table and "refine" not in table
 
-    def test_bad_inputs_rejected(self, base):
-        with pytest.raises(ExperimentError, match="axis"):
-            run_bifurcation(base, "buffer-depth", [1.0, 2.0])
-        with pytest.raises(ExperimentError, match="2 distinct"):
-            run_bifurcation(base, "target-delay", [100e-6, 100e-6])
-        with pytest.raises(ExperimentError, match="positive"):
-            run_bifurcation(base, "target-delay", [-1e-6, 100e-6])
+    def test_unstamped_cells_get_a_stability_block(self):
+        cfg = StabilityProbeConfig(queue=QueueSetup(
+            kind="marking", target_delay_s=us(100.0)))
+        cell = fake_cell({"tor.p0": sine_series()}, config=cfg)
+        assert "limit-cycle" in render_stability_map({"c": cell})
+        assert cell.manifest["stability"]["classification"] == CLASS_LIMIT_CYCLE
 
-    def test_rendering(self, base, monkeypatch):
-        monkeypatch.setattr(bifurcation, "run_cells", _stub_run_cells)
-        m = run_bifurcation(base, "target-delay", [100e-6, 1000e-6], rounds=2)
-        table = render_regime_table(m)
-        assert "stability map:" in table
-        assert "transition: limit-cycle -> stable" in table
-        assert "100us" in table and " *" in table
-        svg = regime_map_to_svg(m)
+    def test_one_svg_per_slice_with_the_bracket(self):
+        svgs = stability_map_svgs(probe_results(
+            (100, CLASS_LIMIT_CYCLE), (300, CLASS_STABLE)))
+        assert [name for name, _svg in svgs] == ["g-default"]
+        svg = svgs[0][1]
         assert svg.startswith("<svg")
-        assert "limit-cycle" in svg and "stable" in svg
-        assert "refined" in svg
+        assert "limit-cycle" in svg and "transition bracket" in svg
+        assert "refined" not in svg
 
 
 # ---------------------------------------------------------------------------

@@ -577,7 +577,7 @@ class TestRecorderRetentionGauges:
 
 
 # ---------------------------------------------------------------------------
-# progress across consecutive batches (bifurcation refinement rounds)
+# progress across consecutive batches
 
 
 class TestProgressReporterBatches:
