@@ -5,9 +5,9 @@ does not merely "perform worse" past its stability boundary — it
 bifurcates into sustained queue oscillation. This module is the detector
 side of the repo's stability observatory: it consumes the per-queue
 depth series a run already records (``CellResult.snapshots``: the
-queue monitors of a probe or Fixed-K cell, or those of
-``Telemetry(queue_interval_s=…)``) as a **pure observer** and
-classifies each queue, and the cell overall, into one of three regimes:
+whole series of each queue monitor of a probe or Fixed-K cell) as a
+**pure observer** and classifies each queue, and the cell overall, into
+one of three regimes:
 
 ``stable``
     The queue settles: fluctuation is small relative to (and in absolute
@@ -201,9 +201,9 @@ def snapshots_by_queue(snapshots: Sequence) -> "Dict[str, Tuple[List[float], Lis
 
     Uses the snapshot's ``queue`` label when present; unlabeled snapshots
     (pre-existing caches, hand-built monitors) are segmented on time
-    resets — :func:`~repro.experiments.runner.run_cell` concatenates the
-    monitors' buffers back to back, so a backwards time step marks the
-    next queue's series.
+    resets — :func:`~repro.experiments.runner.run_cell` lists one
+    monitor's series after another, each in time order, so a backwards
+    time step marks the next queue's series.
     """
     out: Dict[str, Tuple[List[float], List[float]]] = {}
     anon = 0

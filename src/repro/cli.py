@@ -29,6 +29,7 @@ reference configuration; 0.25 runs in roughly a quarter of the time).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -657,9 +658,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"trace: warning: nothing emits kind(s) {', '.join(unknown)} "
               f"(known: {', '.join(sorted(_KNOWN_TRACE_KINDS))})",
               file=sys.stderr)
-    interval = (us(args.queue_interval_us)
-                if args.queue_interval_us is not None else None)
-    tel = Telemetry(queue_interval_s=interval)
+    if args.queue_interval_us is not None:
+        if args.queue_interval_us <= 0:
+            print("trace: --queue-interval-us must be positive",
+                  file=sys.stderr)
+            return 2
+        cfg = dataclasses.replace(
+            cfg, monitor_interval_s=us(args.queue_interval_us))
+    tel = Telemetry()
     if args.out == "-":
         writer = TraceJsonlWriter(tel.tracer, out=sys.stdout, kinds=kinds)
         run_cell(cfg, telemetry=tel)

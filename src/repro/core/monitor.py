@@ -8,14 +8,16 @@ packets (pure ACKs, SYNs) that arrive in bursts and get dropped.
 :class:`QueueMonitor` periodically samples a queue and records
 :class:`QueueSnapshot` rows with the class composition of the queued
 packets, so the experiment harness can regenerate that picture and tests
-can assert the characterization quantitatively.
+can assert the characterization quantitatively. The harness
+(:func:`~repro.experiments.runner.run_cell`) builds every monitor of a
+cell; the cell kind says whether each keeps its whole series or only its
+busiest snapshot.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.qdisc import QueueDisc
 from repro.sim.engine import Simulator
@@ -85,33 +87,33 @@ def take_snapshot(q: QueueDisc, now: float, queue: str = "") -> QueueSnapshot:
 
 
 class QueueMonitor:
-    """Sample a queue every ``interval`` seconds into a snapshot buffer.
+    """Sample a queue every ``interval`` seconds into :attr:`snapshots`.
 
     Parameters
     ----------
     sim, queue, interval:
         Kernel, the queue to photograph, and the sampling period.
-    max_samples:
-        When set, keep only the most recent N snapshots (ring buffer);
-        the default retains everything, matching the Figure-1 harness.
+    busiest_only:
+        Keep only the first snapshot with the most packets (what
+        Figure 1 reads) instead of the whole series. Such a monitor
+        classifies the queue's packets only when its length beats the
+        best so far, or when the tracer wants ``queue.sample``.
     tracer:
         When set, every sample is also emitted on the bus as a
-        ``"queue.sample"`` record, so the telemetry JSONL writer sees the
-        same rows this monitor retains — one snapshot path, two sinks.
+        ``"queue.sample"`` record.
     """
 
     def __init__(self, sim: Simulator, queue: QueueDisc, interval: float,
-                 max_samples: Optional[int] = None,
+                 busiest_only: bool = False,
                  tracer: Optional[Tracer] = None):
         self._sim = sim
         self._queue = queue
         self._tracer = tracer
-        self.snapshots: "deque[QueueSnapshot]" = deque(maxlen=max_samples)
-        #: Samples evicted because the buffer wrapped (``max_samples``
-        #: reached). Non-zero means :attr:`snapshots` is a suffix of the
-        #: run, not the whole of it — surfaced in run manifests so a
-        #: truncated series cannot masquerade as a complete one.
-        self.dropped = 0
+        self._busiest_only = busiest_only
+        self._best = -1  # packets in the kept busiest snapshot
+        #: The kept samples in time order: every one, or (busiest-only)
+        #: at most the busiest.
+        self.snapshots: List[QueueSnapshot] = []
         self._timer = PeriodicTimer(sim, interval, self._sample)
 
     def start(self, first_delay: Optional[float] = None) -> None:
@@ -123,48 +125,20 @@ class QueueMonitor:
         self._timer.stop()
 
     def _sample(self) -> None:
-        snap = take_snapshot(self._queue, self._sim.now, queue=self._queue.name)
-        if len(self.snapshots) == self.snapshots.maxlen:
-            self.dropped += 1
-        self.snapshots.append(snap)
-        if self._tracer is not None:
-            self._tracer.emit(snap.time, "queue.sample", self._queue.name, snap)
-
-    # -- aggregates over the collected snapshots -----------------------------
-
-    def mean_occupancy(self) -> float:
-        """Mean buffer fill fraction across snapshots."""
-        if not self.snapshots:
-            return 0.0
-        return sum(s.occupancy for s in self.snapshots) / len(self.snapshots)
-
-    def mean_qlen(self) -> float:
-        """Mean queue length (packets) across snapshots."""
-        if not self.snapshots:
-            return 0.0
-        return sum(s.qlen_packets for s in self.snapshots) / len(self.snapshots)
-
-    def peak_qlen(self) -> int:
-        """Maximum sampled queue length (packets)."""
-        return max((s.qlen_packets for s in self.snapshots), default=0)
+        queue, tracer = self._queue, self._tracer
+        traced = tracer is not None and tracer.wants("queue.sample")
+        if (self._busiest_only and queue.qlen_packets <= self._best
+                and not traced):
+            return  # cannot replace the kept snapshot, and nobody listens
+        snap = take_snapshot(queue, self._sim.now, queue=queue.name)
+        if traced:
+            tracer.emit(snap.time, "queue.sample", queue.name, snap)
+        if not self._busiest_only:
+            self.snapshots.append(snap)
+        elif snap.qlen_packets > self._best:
+            self._best = snap.qlen_packets
+            self.snapshots = [snap]
 
     def busiest(self) -> Optional[QueueSnapshot]:
-        """The snapshot with the highest occupancy (Figure-1 candidate)."""
+        """The first snapshot with the most packets (Figure-1 candidate)."""
         return max(self.snapshots, default=None, key=lambda s: s.qlen_packets)
-
-    # -- telemetry integration -----------------------------------------------
-
-    def register_metrics(self, registry) -> None:
-        """Expose this monitor's aggregates as pull gauges in ``registry``."""
-        registry.gauge("monitor.mean_occupancy",
-                       fn=self.mean_occupancy, queue=self._queue.name)
-        registry.gauge("monitor.mean_qlen",
-                       fn=self.mean_qlen, queue=self._queue.name)
-        registry.gauge("monitor.peak_qlen",
-                       fn=lambda: float(self.peak_qlen()), queue=self._queue.name)
-        registry.gauge("monitor.samples",
-                       fn=lambda: float(len(self.snapshots)),
-                       queue=self._queue.name)
-        registry.gauge("monitor.dropped",
-                       fn=lambda: float(self.dropped),
-                       queue=self._queue.name)

@@ -66,10 +66,6 @@ class FigureData:
     references: Dict[str, float] = field(default_factory=dict)
     normalized_against: str = ""
 
-    def best(self, label: str) -> float:
-        """Best (minimum) value of one series — used by shape assertions."""
-        return min(self.series[label])
-
 
 @dataclass
 class Fig1Data:

@@ -225,16 +225,6 @@ class FixedKConfig:
         return (f"fixedk/{self.variant}/{self.protection}/K{self.k_packets}"
                 f"/l{self.load:g}/n{self.fanout}/s{self.seed}{extras}")
 
-    # -- sweep-axis helpers ---------------------------------------------------
-
-    def with_k(self, k: int) -> "FixedKConfig":
-        """Copy with the marking threshold replaced."""
-        return replace(self, k_packets=k)
-
-    def with_load(self, load: float) -> "FixedKConfig":
-        """Copy with the offered load replaced."""
-        return replace(self, load=load)
-
 
 @register_kind("fixedk", "fixedk-cell", FixedKConfig)
 class FixedKCell(CellKind):

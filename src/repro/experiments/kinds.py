@@ -60,6 +60,10 @@ class CellKind:
     #: Exceptions out of ``sim.run`` that :meth:`collect` accounts for
     #: (e.g. an abandoned shuffle fetch under ``allow_timeout``).
     tolerated_errors: Tuple[type, ...] = ()
+    #: Each :meth:`monitored_ports` monitor keeps only its busiest
+    #: snapshot, not its whole series (``CellResult.snapshots`` then
+    #: holds one per queue, in monitor order).
+    busiest_snapshot_only = False
 
     def __init__(self, config, sim, rng, tracer):
         #: The cell this instance runs; the harness reads ``n_hosts`` and
@@ -103,11 +107,6 @@ class CellKind:
     def monitored_ports(self) -> list:
         """Ports sampled every ``config.monitor_interval_s`` (when set)."""
         return self.spec.hot_ports
-
-    def kept_snapshots(self, monitors) -> list:
-        """The samples of the :meth:`monitored_ports` monitors that the
-        result keeps: every one, in monitor order, by default."""
-        return [s for mon in monitors for s in mon.snapshots]
 
     def setup(self) -> None:
         """Build traffic sources that telemetry must see before they

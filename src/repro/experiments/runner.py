@@ -14,8 +14,9 @@ the config, seed, package version, git state, wall-clock timings, and the
 final metrics (see :mod:`repro.telemetry.manifest`) — attached to the
 returned :class:`CellResult`. Passing a
 :class:`~repro.telemetry.Telemetry` session additionally wires the
-metrics registry, trace bus, queue monitors and profiler through the
-run; a run without one takes exactly the pre-telemetry code path.
+metrics registry, trace bus and profiler through the run (the queue
+monitors emit ``queue.sample`` on its bus); a run without one takes
+exactly the pre-telemetry code path.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def run_cell(
         config dataclass (:func:`repro.experiments.kinds.kind_for`).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` session (registry,
-        trace bus, queue monitors, profiler).
+        trace bus, profiler).
     checks:
         Optional :class:`~repro.validate.ValidationSuite`. When given,
         its checkers are attached to the run's trace bus before any
@@ -122,7 +123,9 @@ def run_cell(
     interval = getattr(run, "monitor_interval_s", None)
     if interval is not None:
         for port in kind.monitored_ports():
-            mon = QueueMonitor(sim, port.qdisc, interval)
+            mon = QueueMonitor(sim, port.qdisc, interval,
+                               busiest_only=kind.busiest_snapshot_only,
+                               tracer=tracer)
             mon.start()
             monitors.append(mon)
 
@@ -147,11 +150,6 @@ def run_cell(
     )
     profile = telemetry.finish(sim) if telemetry is not None else None
 
-    snapshots = kind.kept_snapshots(monitors)
-    if telemetry is not None:
-        snapshots.extend(s for mon in telemetry.queue_monitors
-                         for s in mon.snapshots)
-
     manifest = build_manifest(
         config,
         metrics,
@@ -168,7 +166,8 @@ def run_cell(
     if checks is not None:
         checks.finish()
         manifest["validation"] = checks.as_dict()
-    cell = CellResult(config=config, metrics=metrics, snapshots=snapshots,
+    cell = CellResult(config=config, metrics=metrics,
+                      snapshots=[s for mon in monitors for s in mon.snapshots],
                       manifest=manifest)
     return apply_analyses(cell, analyses or (), telemetry)
 
@@ -182,17 +181,14 @@ class TerasortCell(CellKind):
     co-tenants and reuse the job and the time-out accounting.
     """
 
+    #: Figure 1 reads only the busiest snapshot, and a run that stalls
+    #: on RTOs would otherwise hold every sample of every hot port.
+    busiest_snapshot_only = True
+
     def job_done(self, _result) -> None:
         """Stop the kernel as soon as the job finishes; otherwise periodic
         monitors would keep the event loop alive until the horizon."""
         self.sim.stop()
-
-    def kept_snapshots(self, monitors) -> list:
-        """Each queue's busiest sample (the first with the most packets),
-        in monitor order: Figure 1 reads only the busiest snapshot, and a
-        run that stalls on RTOs would otherwise cache every sample of
-        every hot port."""
-        return [mon.busiest() for mon in monitors if mon.snapshots]
 
     def setup(self) -> None:
         config = self.config

@@ -90,13 +90,6 @@ class MapTask:
     end_time: Optional[float] = None
     output_bytes: int = 0
 
-    @property
-    def duration(self) -> Optional[float]:
-        """Wall time of the attempt, if finished."""
-        if self.start_time is None or self.end_time is None:
-            return None
-        return self.end_time - self.start_time
-
 
 @dataclass
 class ReduceTask:
@@ -111,10 +104,3 @@ class ReduceTask:
     #: map task id -> bytes this reducer must fetch from it
     pending_inputs: Dict[int, int] = field(default_factory=dict)
     fetched_bytes: int = 0
-
-    @property
-    def duration(self) -> Optional[float]:
-        """Wall time of the attempt, if finished."""
-        if self.start_time is None or self.end_time is None:
-            return None
-        return self.end_time - self.start_time

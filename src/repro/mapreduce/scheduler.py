@@ -99,7 +99,3 @@ class SlotScheduler:
     def free_map_slots(self) -> int:
         """Cluster-wide free map slots."""
         return sum(self._free_map.values())
-
-    def free_reduce_slots(self) -> int:
-        """Cluster-wide free reduce slots."""
-        return sum(self._free_reduce.values())

@@ -9,10 +9,9 @@ absorbs the fault, as it does for transient link errors in practice).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.net.link import Link
 from repro.net.port import Port
 from repro.sim.engine import Simulator
 
@@ -56,13 +55,6 @@ class LinkFlapper:
         for down_at, up_at in self.outages:
             sim.schedule_at(down_at, self._down)
             sim.schedule_at(up_at, self._up)
-
-    @classmethod
-    def cable_pull(
-        cls, sim: Simulator, link: Link, down_at: float, up_at: float
-    ) -> "LinkFlapper":
-        """Fail both directions of ``link`` for one window."""
-        return cls(sim, [link.fwd, link.rev], [(down_at, up_at)])
 
     def _down(self) -> None:
         self.downs += 1

@@ -56,11 +56,3 @@ class Link:
         self.rev = Port(sim, name_rev, rate_bps, delay_s, qdisc_b(name_rev), tracer)
         self.fwd.connect(b)
         self.rev.connect(a)
-
-    def port_from(self, node: Node) -> Port:
-        """The egress port of ``node`` on this link."""
-        if node is self.a:
-            return self.fwd
-        if node is self.b:
-            return self.rev
-        raise ValueError(f"{node!r} is not an endpoint of this link")

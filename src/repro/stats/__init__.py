@@ -2,7 +2,7 @@
 paper's DropTail-relative normalization."""
 
 from repro.stats.collect import LatencyCollector, RunMetrics
-from repro.stats.fairness import goodput_fairness, jain_index, slowdown
+from repro.stats.fairness import goodput_fairness, jain_index
 from repro.stats.normalize import normalize_map, normalize_to
 from repro.stats.series import TimeSeries
 from repro.stats.signal import (
@@ -28,7 +28,6 @@ __all__ = [
     "normalize_map",
     "jain_index",
     "goodput_fairness",
-    "slowdown",
     "DominantPeriod",
     "autocorrelation",
     "cross_correlation_max",

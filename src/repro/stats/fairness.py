@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["jain_index", "goodput_fairness", "slowdown", "fct_slowdown"]
+__all__ = ["jain_index", "goodput_fairness", "fct_slowdown"]
 
 
 def jain_index(values: Sequence[float]) -> float:
@@ -39,29 +39,12 @@ def goodput_fairness(flow_results: Iterable) -> float:
     ])
 
 
-def slowdown(flow_results: Iterable, line_rate_bps: float) -> np.ndarray:
-    """Per-flow slowdown: ideal (line-rate) FCT over observed FCT.
-
-    Values near 1 mean the flow ran at line rate; small values mean
-    queueing/loss stretched it.
-    """
-    out = []
-    for f in flow_results:
-        if f.failed or f.fct <= 0:
-            continue
-        ideal = f.nbytes * 8.0 / line_rate_bps
-        out.append(ideal / f.fct)
-    return np.asarray(out, dtype=np.float64)
-
-
 def fct_slowdown(flow_results: Iterable, line_rate_bps: float) -> np.ndarray:
     """Per-flow FCT slowdown: observed FCT over ideal (line-rate) FCT.
 
     The literature's short-flow tail metric — 1.0 means line rate,
     larger means queueing/loss stretched the flow; p99 slowdown is the
-    headline number workload generators report. (The reciprocal of
-    :func:`slowdown`, kept separate because the two conventions read
-    opposite ways at a glance.)
+    headline number workload generators report.
     """
     out = []
     for f in flow_results:

@@ -7,7 +7,9 @@ performance investigation in this repo needs:
   (qdiscs, ports, hosts, the MapReduce engine) register into;
 * the :class:`~repro.sim.trace.Tracer` bus, where per-flow ``tcp.*``
   timelines and per-queue ``queue.sample`` composition samples travel as
-  records for any subscriber (a :class:`TraceJsonlWriter`, a checker);
+  records for any subscriber (a :class:`TraceJsonlWriter`, a checker).
+  The samples come from the cell's own queue monitors, so a cell emits
+  them only when its config sets ``monitor_interval_s``;
 * an event-loop profiler (:mod:`repro.telemetry.profiler`);
 * run manifests (:mod:`repro.telemetry.manifest`) and the JSONL trace
   exporter (:mod:`repro.telemetry.export`).
@@ -18,13 +20,14 @@ Usage with the experiment runner::
     from repro.telemetry import Telemetry, TraceJsonlWriter
     from repro.units import us
 
-    tel = Telemetry(profile=True, queue_interval_s=2e-3)
-    cwnd = TraceJsonlWriter(tel.tracer, kinds=["tcp.cwnd", "tcp.rto"])
+    tel = Telemetry(profile=True)
+    rows = TraceJsonlWriter(tel.tracer, kinds=["tcp.cwnd", "queue.sample"])
     cell = run_cell(ExperimentConfig(
         queue=QueueSetup(kind="red", target_delay_s=us(500)),
+        monitor_interval_s=2e-3,
     ).scaled(0.0625), telemetry=tel)
-    print(cwnd.getvalue().splitlines()[0])
-    print(tel.registry.snapshot()["gauges"]["queue.marks{queue=tor.p3}"])
+    print(rows.getvalue().splitlines()[0])
+    print(tel.registry.snapshot()["gauges"]["queue.marks{queue=tor->h3}"])
     print(tel.profiler.render())
 
 Everything is opt-in: a run without a session attached takes the same
@@ -35,9 +38,8 @@ telemetry-on and telemetry-off runs bit-identical (see
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.core.monitor import QueueMonitor
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer
 from repro.telemetry.export import (
@@ -95,12 +97,6 @@ class Telemetry:
     ----------
     profile:
         Attach a :class:`LoopProfiler` to the kernel for the run.
-    queue_interval_s:
-        When set, sample every hot queue's depth/composition on this
-        period: one :class:`~repro.core.monitor.QueueMonitor` per queue
-        keeps its latest 4096 samples (they land in
-        ``CellResult.snapshots``) and emits each one on the tracer as a
-        ``queue.sample`` record.
     registry, tracer:
         Bring-your-own instances (fresh ones are created by default).
         Subscribe any extra consumers (e.g. a :class:`TraceJsonlWriter`
@@ -112,15 +108,12 @@ class Telemetry:
         self,
         profile: bool = False,
         *,
-        queue_interval_s: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self.profiler: Optional[LoopProfiler] = LoopProfiler() if profile else None
-        self.queue_monitors: List[QueueMonitor] = []
-        self._queue_interval_s = queue_interval_s
         self.profile_report: Optional[dict] = None
 
     # -- runner integration ---------------------------------------------------
@@ -135,15 +128,6 @@ class Telemetry:
         """
         if self.profiler is not None:
             self.profiler.attach(sim)
-        if self._queue_interval_s is not None and not self.queue_monitors:
-            for port in spec.hot_ports:
-                mon = QueueMonitor(sim, port.qdisc, self._queue_interval_s,
-                                   max_samples=4096, tracer=self.tracer)
-                mon.start()
-                # Its ``monitor.dropped`` gauge says when the kept series
-                # is a suffix of the run rather than the whole of it.
-                mon.register_metrics(self.registry)
-                self.queue_monitors.append(mon)
         # Deliver events come from host delivery hooks; only pay for them
         # when some consumer subscribed to the kind.
         if self.tracer.wants("deliver"):
@@ -158,10 +142,7 @@ class Telemetry:
         return self
 
     def finish(self, sim: Simulator) -> Optional[dict]:
-        """Stop the queue monitors, detach the profiler, return its report
-        (if any)."""
-        for mon in self.queue_monitors:
-            mon.stop()
+        """Detach the profiler and return its report (if any)."""
         if self.profiler is not None and sim.profiler is self.profiler:
             self.profile_report = self.profiler.finish()
         return self.profile_report

@@ -203,14 +203,6 @@ class ProgressReporter:
     and excluded from the ETA estimate — a cache hit completes in
     microseconds and would otherwise make the remaining-time projection
     wildly optimistic.
-
-    One reporter may also span **several consecutive batches**: follow-up
-    :func:`~repro.experiments.parallel.run_cells` calls against the same
-    reporter. A new batch is detected when the incoming ``done`` counter
-    rewinds (``done <= last done``); the finished batch is folded into
-    cumulative offsets so the display and ETA keep counting up —
-    ``[5/6]`` — instead of restarting at ``[1/1]`` for every follow-up
-    batch.
     """
 
     CACHED_SUFFIX = " [cached]"
@@ -226,29 +218,17 @@ class ProgressReporter:
         self._min_interval_s = min_interval_s
         self._t0: Optional[float] = None
         self._last_print = 0.0
-        self._done_offset = 0
-        self._total_offset = 0
-        self._last_raw_done = 0
-        self._last_raw_total = 0
-        #: Cells reported as served from a cache so far (all batches).
+        #: Cells reported as served from a cache so far.
         self.cached = 0
-        #: Cells reported as deduplicated within a submission (all batches).
+        #: Cells reported as deduplicated within a submission.
         self.deduped = 0
-        #: Total cells reported done so far (cached included, all batches).
+        #: Total cells reported done so far (cached included).
         self.done = 0
 
     def __call__(self, done: int, total: int, label: str) -> None:
         now = time.perf_counter()
         if self._t0 is None:
             self._t0 = now
-        if done <= self._last_raw_done:
-            # The counter rewound: a new batch started on this reporter.
-            self._done_offset += self._last_raw_done
-            self._total_offset += self._last_raw_total
-        self._last_raw_done = done
-        self._last_raw_total = total
-        done += self._done_offset
-        total += self._total_offset
         self.done = done
         if label.endswith(self.CACHED_SUFFIX):
             self.cached += 1

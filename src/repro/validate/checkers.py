@@ -718,13 +718,6 @@ class ValidationSuite:
         """True when no checker flagged anything."""
         return not any(c.violations for c in self.checkers)
 
-    def raise_if_violations(self) -> None:
-        """Raise :class:`ValidationError` summarising any violations."""
-        if self.ok:
-            return
-        raise ValidationError(
-            f"{len(self.violations)} invariant violation(s):\n" + self.report())
-
     def report(self) -> str:
         """Multi-line human-readable summary of all violations."""
         lines = [str(v) for v in self.violations]

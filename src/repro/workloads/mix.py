@@ -144,11 +144,6 @@ class WorkloadMix:
 
     # -- lifecycle ----------------------------------------------------------
 
-    @property
-    def names(self) -> List[str]:
-        """Registered workload names, in registration order."""
-        return [e.name for e in self._entries]
-
     def __getitem__(self, name: str):
         for e in self._entries:
             if e.name == name:

@@ -447,6 +447,13 @@ class TestTelemetryVerbs:
         assert rc == 2
         assert "at least one event kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("interval", ["0", "-5"])
+    def test_trace_nonpositive_queue_interval_rejected(self, interval,
+                                                       capsys):
+        rc = main(["trace", "--queue-interval-us", interval])
+        assert rc == 2
+        assert "must be positive" in capsys.readouterr().err
+
 
 class TestBenchVerb:
     """``bench`` is a thin verb over ``benchmarks/suite``: it declares

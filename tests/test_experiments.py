@@ -211,6 +211,21 @@ class TestArtifactPin:
         assert (self._sha(GRIDS["claims"].render(results))
                 == self.PINNED["claims"])
 
+    def test_fig1_at_one_eighth_scale_is_pinned(self):
+        """Figure 1 where its queue is not empty: at scale 0.01 the busiest
+        switch snapshot holds 0 packets, at 1/8 it holds 23, all CE.
+        "marked instead: 0" beside 23 CE packets is ROADMAP item 15's
+        accounting gap: the marks happen at host NICs, which the switch
+        totals do not count. Mending that is expected to move this pin."""
+        from repro.experiments.figures import (
+            fig1_config, fig1_data, render_fig1)
+
+        data = fig1_data(run_cell(fig1_config(0.125, 42)))
+        assert (data.snapshot.qlen_packets, data.snapshot.ce_marked) == (
+            23, 23)
+        assert self._sha(render_fig1(data)) == (
+            "0c112caba835c46d48b57a5c08d31db719f93b564c571f8de3ceb9e09ffc2acb")
+
     def test_preset_figures_are_one_svg_per_subfigure(self, results):
         from repro.experiments import GRIDS
 

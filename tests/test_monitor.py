@@ -1,6 +1,8 @@
 """Tests for queue monitoring and Figure-1 snapshots."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DropTail, QueueMonitor
 from repro.core.monitor import take_snapshot
@@ -12,7 +14,7 @@ from repro.net.packet import (
     FLAG_SYN,
     Packet,
 )
-from repro.sim import Simulator
+from repro.sim import Simulator, Tracer
 
 
 def data(ect=True, seq=0):
@@ -78,6 +80,7 @@ class TestMonitor:
         assert len(mon.snapshots) == 2
 
     def test_aggregates(self):
+        # busiest() is the one aggregate left: the first maximum
         sim = Simulator()
         q = DropTail(10)
         mon = QueueMonitor(sim, q, interval=0.1)
@@ -86,14 +89,49 @@ class TestMonitor:
         sim.schedule(0.15, lambda: q.enqueue(data(), sim.now))
         sim.run(until=0.35)
         # samples at .1 (1 pkt), .2 (2), .3 (2)
-        assert mon.mean_qlen() == pytest.approx(5 / 3)
-        assert mon.peak_qlen() == 2
-        assert mon.busiest().qlen_packets == 2
-        assert mon.mean_occupancy() == pytest.approx(5 / 30)
+        assert mon.busiest() is mon.snapshots[1]
 
     def test_empty_monitor_aggregates(self):
         sim = Simulator()
         mon = QueueMonitor(sim, DropTail(10), interval=0.1)
-        assert mon.mean_qlen() == 0.0
-        assert mon.peak_qlen() == 0
         assert mon.busiest() is None
+
+
+def _resize(q, n, now):
+    """Bring ``q`` to ``n`` packets, alternating ECT and non-ECT data."""
+    while q.qlen_packets > n:
+        q.dequeue(now)
+    while q.qlen_packets < n:
+        q.enqueue(data(ect=q.qlen_packets % 2 == 0), now)
+
+
+class TestBusiestOnly:
+    """A busiest-only monitor keeps exactly the snapshot that
+    ``max(series, key=qlen_packets)`` picks from the full series."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 10), max_size=25),
+           traced=st.booleans())
+    def test_keeps_the_first_busiest_of_the_full_series(self, lengths,
+                                                        traced):
+        sim, tracer = Simulator(), Tracer()
+        rows = []
+        if traced:
+            tracer.subscribe("queue.sample", rows.append)
+        q = DropTail(10, name="q0")
+        full = QueueMonitor(sim, q, interval=0.1)
+        busy = QueueMonitor(sim, q, interval=0.1, busiest_only=True,
+                            tracer=tracer)
+        for i, n in enumerate(lengths):
+            sim.schedule_at(i * 0.1 + 0.05,
+                            lambda n=n: _resize(q, n, sim.now))
+        full.start()
+        busy.start()
+        sim.run(until=len(lengths) * 0.1 + 0.01)
+        assert len(full.snapshots) == len(lengths)
+        expected = ([max(full.snapshots, key=lambda s: s.qlen_packets)]
+                    if full.snapshots else [])
+        assert busy.snapshots == expected
+        assert busy.busiest() == full.busiest()
+        # a subscriber still sees every sample, in order
+        assert [r.data for r in rows] == (full.snapshots if traced else [])

@@ -118,7 +118,7 @@ class TestSnapshotsByQueue:
         assert out["tor.p1"] == ([0.0, 1.0], [9.0, 8.0])
 
     def test_unlabeled_snapshots_segment_on_time_reset(self):
-        # run_cell concatenates monitors' buffers back to back
+        # run_cell lists one monitor's series after another
         snaps = [snap(0.0, 1), snap(1.0, 2), snap(0.0, 5), snap(1.0, 6)]
         out = snapshots_by_queue(snaps)
         assert sorted(out) == ["queue0", "queue1"]
@@ -321,3 +321,23 @@ class TestProbeIntegration:
         again = StabilityAnalysis().analyze(cell)
         assert json.dumps(block, sort_keys=True) == json.dumps(
             again, sort_keys=True)
+
+    def test_telemetry_leaves_samples_and_verdict_unchanged(self):
+        """A session with a ``queue.sample`` writer listens to the probe's
+        own monitors: the same snapshots and verdict as a plain run, and
+        one JSONL row per sample (no second set of monitors whose series
+        would join the first under the same queue names)."""
+        from repro.telemetry import Telemetry, TraceJsonlWriter
+        from repro.validate.smoke import stability_smoke_cells
+
+        name, expected, cfg = stability_smoke_cells()[0]
+        assert name == "oscillating"
+        plain = run_cell(cfg, analyses=[StabilityAnalysis()])
+        tel = Telemetry()
+        writer = TraceJsonlWriter(tel.tracer, kinds=("queue.sample",))
+        observed = run_cell(cfg, telemetry=tel,
+                            analyses=[StabilityAnalysis()])
+        assert observed.snapshots == plain.snapshots
+        assert observed.manifest["stability"] == plain.manifest["stability"]
+        assert plain.manifest["stability"]["classification"] == expected
+        assert writer.rows_written == len(plain.snapshots)

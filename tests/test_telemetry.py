@@ -50,9 +50,10 @@ def _red50_config(**kw):
     ).scaled(TINY)
 
 
-def _default_config():
+def _default_config(**kw):
     return ExperimentConfig(
         queue=QueueSetup(kind="red", target_delay_s=us(500)),
+        **kw,
     ).scaled(TINY)
 
 
@@ -322,9 +323,9 @@ class TestProgressReporter:
 
 class TestDeterminism:
     def test_telemetry_on_off_bit_identical_metrics(self):
-        cfg = _default_config()
+        cfg = _default_config(monitor_interval_s=2e-3)
         plain = run_cell(cfg)
-        tel = Telemetry(profile=True, queue_interval_s=2e-3)
+        tel = Telemetry(profile=True)
         # Subscribed emission on every path: per-flow tcp.* timelines,
         # queue samples and the packet kinds.
         TraceJsonlWriter(tel.tracer, kinds=TCP_KINDS + ("queue.sample",))
@@ -332,6 +333,7 @@ class TestDeterminism:
         observed = run_cell(cfg, telemetry=tel)
         assert dataclasses.asdict(plain.metrics) == dataclasses.asdict(
             observed.metrics)
+        assert observed.snapshots == plain.snapshots
 
     def test_repeat_run_reproducible(self):
         a, b = run_cell(_default_config()), run_cell(_default_config())
@@ -455,53 +457,38 @@ class TestTraceExport:
 
 
 class TestQueueTimelineRecorder:
-    """``Telemetry(queue_interval_s=…)``: one bounded monitor per hot
-    queue, its samples in ``CellResult.snapshots`` and on the bus."""
+    """``monitor_interval_s``: the cell's own monitors emit every sample
+    on the bus as ``queue.sample``; a Terasort cell keeps each queue's
+    busiest one in ``CellResult.snapshots``."""
 
     def test_samples_and_exports(self):
-        tel = Telemetry(queue_interval_s=20e-3)
+        cfg = _red50_config(monitor_interval_s=20e-3)
+        tel = Telemetry()
         writer = TraceJsonlWriter(tel.tracer, kinds=("queue.sample",))
-        cell = run_cell(_red50_config(), telemetry=tel)
-        assert tel.queue_monitors, "expected one monitor per hot queue"
-        kept = [s for mon in tel.queue_monitors for s in mon.snapshots]
-        assert kept, "expected queue samples"
-        # the monitors' samples feed CellResult.snapshots
-        assert cell.snapshots == kept
+        cell = run_cell(cfg, telemetry=tel)
         rows = [json.loads(line) for line in writer.getvalue().splitlines()]
         assert {"t", "where", "qlen_packets", "ect_data",
                 "pure_acks"} <= set(rows[0])
-        dropped = sum(mon.dropped for mon in tel.queue_monitors)
-        assert len(rows) == len(kept) + dropped
-        assert {r["where"] for r in rows} == {s.queue for s in kept}
+        # one kept snapshot per sampled queue: its first busiest row
+        assert [s.queue for s in cell.snapshots] == list(
+            dict.fromkeys(r["where"] for r in rows))
+        for kept in cell.snapshots:
+            series = [r for r in rows if r["where"] == kept.queue]
+            busiest = max(series, key=lambda r: r["qlen_packets"])
+            assert (kept.time, kept.qlen_packets) == (
+                busiest["t"], busiest["qlen_packets"])
+        # the session only listens: a plain run keeps the same snapshots
+        assert run_cell(cfg).snapshots == cell.snapshots
 
     def test_queue_sample_rides_the_tracer(self):
-        tel = Telemetry(queue_interval_s=2e-3)
         seen = []
+        tel = Telemetry()
         tel.tracer.subscribe("queue.sample", seen.append)
         run_cell(_red50_config(), telemetry=tel)
+        assert seen == []  # no monitor_interval_s, no monitors
+        run_cell(_red50_config(monitor_interval_s=20e-3), telemetry=tel)
         assert seen
         assert all(r.kind == "queue.sample" for r in seen)
-
-
-class TestQueueMonitorIntegration:
-    def test_monitor_registers_and_bounds(self):
-        from repro.core.droptail import DropTail
-        from repro.core.monitor import QueueMonitor
-        from repro.net.packet import Packet
-
-        sim = Simulator()
-        q = DropTail(10, name="q0")
-        mon = QueueMonitor(sim, q, 0.001, max_samples=5)
-        mon.start()
-        q.enqueue(Packet(src=0, sport=1, dst=1, dport=2, payload=100), 0.0)
-        sim.run(until=0.02)
-        assert len(mon.snapshots) == 5  # bounded retention
-        reg = MetricsRegistry()
-        mon.register_metrics(reg)
-        snap = reg.snapshot()
-        assert snap["gauges"]["monitor.samples{queue=q0}"] == 5.0
-        assert snap["gauges"]["monitor.dropped{queue=q0}"] == float(
-            mon.dropped) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -546,67 +533,10 @@ class TestTelemetrySession:
 
 
 # ---------------------------------------------------------------------------
-# retention accounting: wrapped rings must be visible in the registry
-
-
-class TestRecorderRetentionGauges:
-    def test_wrapped_rings_surface_in_run_manifest(self):
-        # The red50 cell runs tens of simulated seconds, so 1 ms samples
-        # outrun the 4096 each monitor keeps, and the manifest must say so.
-        tel = Telemetry(queue_interval_s=1e-3)
-        cell = run_cell(_red50_config(), telemetry=tel)
-        gauges = cell.manifest["telemetry"]["gauges"]
-        dropped = [v for k, v in gauges.items()
-                   if k.startswith("monitor.dropped")]
-        assert len(dropped) == len(tel.queue_monitors)
-        assert sorted(dropped) == sorted(
-            float(mon.dropped) for mon in tel.queue_monitors)
-        assert any(v > 0 for v in dropped)
-        assert all(len(mon.snapshots) == 4096
-                   for mon in tel.queue_monitors if mon.dropped)
-
-    def test_unwrapped_rings_report_zero(self):
-        # 50 ms samples over the same run fit in every monitor.
-        tel = Telemetry(queue_interval_s=50e-3)
-        cell = run_cell(_red50_config(), telemetry=tel)
-        gauges = cell.manifest["telemetry"]["gauges"]
-        dropped = [v for k, v in gauges.items()
-                   if k.startswith("monitor.dropped")]
-        assert len(dropped) == len(tel.queue_monitors) > 0
-        assert dropped == [0.0] * len(dropped)
-
-
-# ---------------------------------------------------------------------------
-# progress across consecutive batches
+# progress
 
 
 class TestProgressReporterBatches:
-    def test_counts_accumulate_across_batches(self):
-        buf = io.StringIO()
-        progress = ProgressReporter(stream=buf)
-        # initial grid of 3 cells...
-        progress(1, 3, "a")
-        progress(2, 3, "b")
-        progress(3, 3, "c")
-        # ...then two single-cell refinement batches
-        progress(1, 1, "mid1")
-        progress(1, 1, "mid2")
-        out = buf.getvalue()
-        assert "[  4/4] mid1" in out
-        assert "[  5/5] mid2" in out
-        assert "[  1/1]" not in out
-        assert progress.done == 5
-
-    def test_cached_exclusion_survives_batches(self):
-        buf = io.StringIO()
-        progress = ProgressReporter(stream=buf)
-        progress(1, 2, "a" + ProgressReporter.CACHED_SUFFIX)
-        progress(2, 2, "b" + ProgressReporter.CACHED_SUFFIX)
-        progress(1, 1, "fresh")
-        assert progress.cached == 2
-        assert progress.done == 3
-        assert "(2 cached)" in buf.getvalue()
-
     def test_single_batch_behaviour_unchanged(self):
         buf = io.StringIO()
         progress = ProgressReporter(stream=buf)
