@@ -118,10 +118,15 @@ class QueueSetup:
 
 def validate_knobs(config) -> None:
     """Raise :class:`ConfigError` on an unknown fidelity tier, cc key or
-    flaw profile (fields a config does not have are skipped)."""
+    flaw profile, or a set ``monitor_interval_s`` that is not positive
+    (fields a config does not have are skipped)."""
     fidelity = getattr(config, "fidelity", "packet")
     if fidelity not in ("packet", "hybrid"):
         raise ConfigError(f"unknown fidelity {fidelity!r}")
+    interval = getattr(config, "monitor_interval_s", None)
+    if interval is not None and interval <= 0:
+        raise ConfigError(
+            f"monitor_interval_s must be positive, got {interval}")
     cc = getattr(config, "cc", None)
     if cc is not None and cc not in cc_names():
         raise ConfigError(

@@ -127,13 +127,16 @@ def run_cells(
     primary_by_key: Dict[str, str] = {}
     aliases_of: Dict[str, List[str]] = {}
     for label, cfg in cells:
-        hit = cache.get(cfg) if (cache is not None and resume) else None
-        if hit is not None:
-            results[label] = hit
-            report.cached.append(label)
-            tick(label, ProgressReporter.CACHED_SUFFIX)
-            continue
-        key = config_cache_key(cfg)
+        if cache is not None and resume:
+            hit = cache.get(cfg)
+            if hit is not None:
+                results[label] = hit
+                report.cached.append(label)
+                tick(label, ProgressReporter.CACHED_SUFFIX)
+                continue
+            key = cache.last_key  # the miss's key, already rendered
+        else:
+            key = config_cache_key(cfg)
         primary = primary_by_key.get(key)
         if primary is not None:
             report.aliases[label] = primary

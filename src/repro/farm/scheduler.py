@@ -640,7 +640,7 @@ class FarmScheduler:
             raise FarmError("submit needs a non-empty 'cells' list")
         priority = int(req.get("priority", 0))
         client = str(req.get("client", "?"))
-        from repro.experiments.cache import config_cache_key
+        from repro.experiments.cache import config_dict_key
         from repro.telemetry.manifest import config_to_dict
 
         cells: List[Dict[str, Any]] = []
@@ -656,13 +656,14 @@ class FarmScheduler:
             if label in seen_labels:
                 raise FarmError(f"duplicate cell label {label!r}")
             seen_labels.add(label)
+            # Re-render from the validated object, once, so the journal
+            # holds exactly what the key was computed over.
+            config_dict = config_to_dict(config)
             cells.append({
                 "label": label,
                 "kind": kind,
-                # Re-render from the validated object so the journal
-                # holds exactly what the key was computed over.
-                "config": config_to_dict(config),
-                "key": config_cache_key(config),
+                "config": config_dict,
+                "key": config_dict_key(config_dict),
             })
 
         self._job_seq += 1

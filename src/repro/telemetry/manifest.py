@@ -34,7 +34,7 @@ import enum
 import json
 import os
 import subprocess
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -51,21 +51,41 @@ MANIFEST_SCHEMA = "repro.run_manifest/v1"
 _GIT_CACHE: Dict[str, Optional[str]] = {}
 
 
+#: Types :func:`_json_safe` returns unchanged (exact types: an ``int``
+#: enum or ``str`` subclass takes the general path).
+_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+
+#: Per dataclass: the names of its public (non-``_``) fields, in
+#: declaration order — built on first sight of the class, so rendering an
+#: instance never reflects over its fields again.
+_PUBLIC_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
 def _json_safe(value: Any) -> Any:
     """Recursively convert dataclasses/enums into JSON-serialisable values."""
+    cls = type(value)
+    if cls in _LEAF_TYPES:
+        return value
+    names = _PUBLIC_FIELDS.get(cls)
+    if names is not None:
+        out = {}
+        for name in names:
+            field = getattr(value, name)
+            out[name] = (field if type(field) in _LEAF_TYPES
+                         else _json_safe(field))
+        return out
     if isinstance(value, enum.Enum):
         return value.value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _json_safe(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if not f.name.startswith("_")
-        }
+        _PUBLIC_FIELDS[cls] = tuple(
+            f.name for f in dataclasses.fields(value)
+            if not f.name.startswith("_"))
+        return _json_safe(value)
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    if isinstance(value, (str, int, float, bool)):
         return value
     return repr(value)
 

@@ -377,3 +377,12 @@ def test_bad_wire_input_raises_farm_error_naming_the_kinds():
 def test_run_cell_rejects_an_unregistered_config_type():
     with pytest.raises(ConfigError, match="known kinds"):
         run_cell(RED)
+
+
+@pytest.mark.parametrize("interval", [0, -0.001])
+@pytest.mark.parametrize("name", ["cell", "mix"])
+def test_nonpositive_monitor_interval_is_a_config_error(name, interval):
+    """Refused by ``validate()``, before any topology or timer is built."""
+    bad = dataclasses.replace(TINY[name], monitor_interval_s=interval)
+    with pytest.raises(ConfigError, match="monitor_interval_s"):
+        run_cell(bad)

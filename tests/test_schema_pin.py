@@ -18,6 +18,7 @@ from repro.experiments import BulkConfig, run_cell
 from repro.experiments.cache import ResultCache
 from repro.stats.collect import RunMetrics
 from repro.units import mb
+from tests.test_cell_kinds import TINY
 
 QUEUE_STATS_FIELDS = [
     "arrivals", "arrival_bytes", "departures", "departure_bytes",
@@ -38,6 +39,14 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures", "cache_pr23")
 FIXTURE_CONFIG = BulkConfig(n_hosts=4, flow_bytes=mb(1))
 
 
+#: One entry written by ``ResultCache.put`` of commit b84c7ee, the last
+#: commit whose ``config_to_dict`` reflected over ``dataclasses.fields`` at
+#: every node: an ``ExperimentConfig`` (nested ``QueueSetup``, enums,
+#: ``None`` fields) with its busiest-queue snapshots.
+RENDER_FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures",
+                                  "cache_b84c7ee")
+
+
 def test_queue_stats_field_list():
     assert [f.name for f in dataclasses.fields(QueueStats)] == QUEUE_STATS_FIELDS
 
@@ -54,3 +63,14 @@ def test_parent_cache_entry_still_loads_and_still_matches():
     assert cached.metrics.packets_delivered == 2062
     # ...and this checkout still simulates what that one did.
     assert run_cell(FIXTURE_CONFIG).metrics == cached.metrics
+
+
+def test_entry_from_before_the_field_table_is_still_a_hit():
+    """The stored ``config`` must equal today's rendering for the lookup
+    to count as a hit rather than a collision miss."""
+    cache = ResultCache(RENDER_FIXTURE_DIR)
+    cached = cache.get(TINY["cell"])
+    assert cached is not None and cache.hits == 1 and cache.misses == 0
+    fresh = run_cell(TINY["cell"])
+    assert cached.metrics == fresh.metrics
+    assert cached.snapshots == fresh.snapshots
