@@ -16,15 +16,24 @@ Fidelity: entries round-trip :class:`~repro.stats.collect.RunMetrics`
 serialisation is ``repr``-based and round-trips bit-identically — so a
 cache hit compares equal to a fresh run of the same config.
 
-Cost of a hit (:meth:`ResultCache.get` on one ``sweep-tiny`` cell, a
-4.2 kB entry; medians of best-of-15 timings on a 2-core x86 host,
-CPython 3.11): about 73 µs. Rendering the config takes 3 µs, once, for
-both the key and the collision check; hashing its canonical JSON 11 µs;
-opening and parsing the entry 46 µs; rebuilding the :class:`CellResult`
-8 µs. Before the per-class field table of
-:func:`~repro.telemetry.manifest.config_to_dict`, the same hit took
-122 µs, of which two renderings took 25 µs each. Parsing is now the
-largest part.
+Format (``repro.cell_cache/v2``): each fact is stored once. The entry's
+manifest keeps its keys, but its ``config`` and ``metrics`` are ``null``
+placeholders that :func:`result_from_entry` fills from the entry's own
+``config`` and rebuilt metrics; the file is one compact line, read in one
+binary pass. ``repro.cell_cache/v1`` entries, whose manifest repeats both
+copies, are still served by the same reader; writers write v2 only.
+
+Cost of a hit (:meth:`ResultCache.get` on one ``sweep-tiny`` cell; best
+of 15 timings over five interleaved runs per side, on a shared 2-core
+x86 host, CPython 3.11): about 70 µs for a 1.8 kB v2 entry, against
+81 µs for the same cell's 4.2 kB v1 entry. Rendering the config takes
+3.5 µs, once, for both the key and the collision check; hashing its
+canonical JSON 12 µs. Reading the file takes 7 µs in binary (10 µs as
+text for v1), parsing it 22 µs (35 µs), and rebuilding the
+:class:`CellResult` 17 µs (8 µs): filling the manifest's metrics costs
+the 9 µs of one :func:`~repro.telemetry.manifest.metrics_to_dict`.
+Storing an entry gets cheaper as well: one compact ``json.dumps`` and an
+fsync took 0.46 ms against 0.69 ms for the indented v1 write.
 
 Caveat (documented in EXPERIMENTS.md): the key covers the *config*, not
 the code. After editing simulator behaviour, point sweeps at a fresh
@@ -48,13 +57,19 @@ from repro.core.qdisc import QueueStats
 from repro.errors import ExperimentError
 from repro.experiments.config import CellResult
 from repro.stats.collect import RunMetrics
-from repro.telemetry.manifest import config_to_dict, git_describe
+from repro.telemetry.manifest import (config_to_dict, git_describe,
+                                     metrics_to_dict)
 
 __all__ = ["CACHE_SCHEMA", "canonical_config_json", "config_cache_key",
            "config_dict_key", "result_to_entry", "result_from_entry",
            "CacheEntryInfo", "ResultCache"]
 
-CACHE_SCHEMA = "repro.cell_cache/v1"
+CACHE_SCHEMA = "repro.cell_cache/v2"
+
+#: The schemas the one reader serves. A v1 manifest carries real copies of
+#: the entry's config and metrics, so :func:`result_from_entry` fills
+#: nothing in it; writers write :data:`CACHE_SCHEMA` only.
+_READABLE_SCHEMAS = frozenset({"repro.cell_cache/v1", CACHE_SCHEMA})
 
 
 def _canonical_json(config_dict: Dict[str, Any]) -> str:
@@ -88,6 +103,17 @@ def _metrics_from_entry(d: Dict[str, Any]) -> RunMetrics:
     return RunMetrics(**d)
 
 
+def _renders_alike(stored: Any, rebuilt: Any) -> bool:
+    """True when ``rebuilt`` serialises exactly as ``stored`` (key order
+    and number types included). A non-finite float never counts as alike,
+    so a NaN metric keeps its manifest copy."""
+    try:
+        return (json.dumps(stored, allow_nan=False)
+                == json.dumps(rebuilt, allow_nan=False))
+    except ValueError:
+        return False
+
+
 def result_to_entry(result: CellResult) -> Dict[str, Any]:
     """One finished cell as the JSON-safe cache-entry document.
 
@@ -95,8 +121,22 @@ def result_to_entry(result: CellResult) -> Dict[str, Any]:
     shipping results between processes — both sides round-trip through
     the same codec, so a farm-served result compares equal to a
     cache-served one.
+
+    Each fact is stored once: the manifest's ``config`` and ``metrics``
+    become ``null`` placeholders (keeping the manifest's key order) when
+    the reader's rebuild — the entry's ``config``, ``metrics_to_dict`` of
+    the rebuilt metrics — renders exactly as the copy; otherwise the copy
+    stays.
     """
     config_dict = config_to_dict(result.config)
+    manifest = result.manifest
+    if manifest is not None:
+        manifest = dict(manifest)
+        if _renders_alike(manifest.get("config"), config_dict):
+            manifest["config"] = None
+        if _renders_alike(manifest.get("metrics"),
+                          metrics_to_dict(result.metrics)):
+            manifest["metrics"] = None
     return {
         "schema": CACHE_SCHEMA,
         "key": config_dict_key(config_dict),
@@ -106,23 +146,34 @@ def result_to_entry(result: CellResult) -> Dict[str, Any]:
         "git": git_describe(),
         "metrics": _metrics_to_entry(result.metrics),
         "snapshots": [dataclasses.asdict(s) for s in result.snapshots],
-        "manifest": result.manifest,
+        "manifest": manifest,
     }
 
 
 def result_from_entry(entry: Dict[str, Any], config) -> CellResult:
-    """Rebuild the :class:`CellResult` for ``config`` from an entry doc."""
+    """Rebuild the :class:`CellResult` for ``config`` from an entry doc
+    of either readable schema, filling the manifest's ``null``
+    placeholders (a v1 manifest has none)."""
+    metrics = _metrics_from_entry(entry["metrics"])
+    manifest = entry.get("manifest")
+    if manifest is not None:
+        if manifest.get("config") is None:
+            manifest = {**manifest, "config": entry["config"]}
+        if manifest.get("metrics") is None:
+            manifest = {**manifest, "metrics": metrics_to_dict(metrics)}
     return CellResult(
         config=config,
-        metrics=_metrics_from_entry(entry["metrics"]),
+        metrics=metrics,
         snapshots=[QueueSnapshot(**row) for row in entry["snapshots"]],
-        manifest=entry.get("manifest"),
+        manifest=manifest,
     )
 
 
 @dataclasses.dataclass
 class CacheEntryInfo:
-    """One on-disk entry as seen by ``repro cache`` (no metrics parsed)."""
+    """One on-disk entry as seen by ``repro cache``: the whole document is
+    parsed (to check its schema and read its label), but no
+    :class:`~repro.stats.collect.RunMetrics` is rebuilt."""
 
     key: str
     label: Optional[str]  #: None when the entry is unreadable/corrupt
@@ -132,7 +183,8 @@ class CacheEntryInfo:
 
     @property
     def ok(self) -> bool:
-        """False for corrupt entries (unreadable JSON / wrong schema)."""
+        """False for corrupt entries (unreadable bytes or JSON, or a
+        schema this checkout cannot read)."""
         return self.label is not None
 
 
@@ -205,13 +257,16 @@ class ResultCache:
         return entry
 
     def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        """Parse ``key``'s file; None unless it is a well-formed entry."""
+        """Parse ``key``'s file in one binary read; None unless it is a
+        well-formed entry of a readable schema. ``ValueError`` covers bad
+        JSON and bytes that are not text alike."""
         try:
-            with open(os.path.join(self.root, key + ".json")) as fh:
-                entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            with open(os.path.join(self.root, key + ".json"), "rb") as fh:
+                entry = json.loads(fh.read())
+        except (OSError, ValueError):
             return None
-        if isinstance(entry, dict) and entry.get("schema") == CACHE_SCHEMA:
+        if (isinstance(entry, dict)
+                and entry.get("schema") in _READABLE_SCHEMAS):
             return entry
         return None
 
@@ -234,7 +289,8 @@ class ResultCache:
 
     def put_entry(self, entry: Dict[str, Any]) -> str:
         """Store an entry document (as produced by :func:`result_to_entry`,
-        carrying its own ``key``); returns the entry path.
+        carrying its own ``key``) as one compact line; returns the entry
+        path.
 
         Atomic against any interruption a filesystem can survive: the
         entry is written to a same-directory temp file (named uniquely
@@ -249,9 +305,9 @@ class ResultCache:
             raise ExperimentError("not a cache entry document")
         path = os.path.join(self.root, key + ".json")
         tmp = f"{path}.{os.getpid()}.{next(self._tmp_ids)}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(entry, fh, indent=2)
-            fh.write("\n")
+        data = json.dumps(entry, separators=(",", ":")) + "\n"
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -263,9 +319,9 @@ class ResultCache:
     def entries(self) -> List[CacheEntryInfo]:
         """Scan the directory: one :class:`CacheEntryInfo` per entry.
 
-        Corrupt entries (truncated JSON, wrong schema) appear with
-        ``label=None`` rather than raising, so hygiene tooling can see —
-        and prune — exactly what resume would skip.
+        Corrupt entries (truncated JSON, non-text bytes, an unreadable
+        schema) appear with ``label=None`` rather than raising, so hygiene
+        tooling can see — and prune — exactly what resume would skip.
         """
         now = _time.time()
         out: List[CacheEntryInfo] = []
