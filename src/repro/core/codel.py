@@ -146,7 +146,7 @@ class CodelQueue(QueueDisc):
         credited (the packet never leaves on the wire).
         """
         pkt = self._q.popleft()
-        self._bytes -= pkt.size
+        self._dropped_bytes += pkt.size
         # The packet never departs, so queue_delay_sum will not see its
         # residence time; mean_queue_packets() needs it from here.
         self._head_drop_sojourn_s += now - pkt.enqueued_at

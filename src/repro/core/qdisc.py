@@ -9,7 +9,9 @@ Those two calls advance only what a run reads while it runs or what
 cannot be rebuilt afterwards: the counters. Time-averaged occupancy is
 *counted when read* — :meth:`QueueDisc.mean_queue_packets` derives it on
 demand from the residence times the departure path already sums, so no
-occupancy integral is advanced per packet.
+occupancy integral is advanced per packet. So is the byte backlog:
+:attr:`QueueDisc.qlen_bytes` is arrival bytes minus departure bytes minus
+the bytes of dropped packets, the last kept by the drop paths alone.
 
 Every qdisc maintains a :class:`QueueStats` block with per-class arrival,
 drop and mark counters. The per-class split (ECT data vs non-ECT pure ACKs
@@ -123,7 +125,10 @@ class QueueDisc:
         self.limit_packets = int(limit_packets)
         self.name = name
         self._q: Deque[Packet] = deque()
-        self._bytes = 0
+        #: Bytes of every packet counted as an arrival that will never
+        #: depart: tail, early and CoDel head drops. Bumped on a drop
+        #: only; :attr:`qlen_bytes` is derived from it.
+        self._dropped_bytes = 0
         self.stats = QueueStats()
         #: Optional trace bus, set by the owning port. AQM subclasses emit
         #: ``"mark"`` events through :meth:`_trace`; the base class emits
@@ -154,8 +159,13 @@ class QueueDisc:
 
     @property
     def qlen_bytes(self) -> int:
-        """Instantaneous queue length in bytes."""
-        return self._bytes
+        """Instantaneous queue length in bytes (counted when read).
+
+        Inside an admission decision, after the arrival counters moved and
+        before the append, this already includes the arriving packet.
+        """
+        st = self.stats
+        return st.arrival_bytes - st.departure_bytes - self._dropped_bytes
 
     @property
     def is_full(self) -> bool:
@@ -218,13 +228,13 @@ class QueueDisc:
         if verdict:
             pkt.enqueued_at = now
             self._q.append(pkt)
-            self._bytes += size
             if len(self._q) >= self._pressure_th:
                 self._pressure_cb(self, now)
             tr = self.tracer
             if tr is not None and tr.active and tr.wants("enqueue"):
                 tr.emit(now, "enqueue", self.name, pkt)
         else:
+            self._dropped_bytes += size
             if is_ect:
                 st.ect_drops += 1
             if is_ack:
@@ -241,7 +251,6 @@ class QueueDisc:
         st = self.stats
         pkt = q.popleft()
         size = pkt.size
-        self._bytes -= size
         st.departures += 1
         st.departure_bytes += size
         st.queue_delay_sum += now - pkt.enqueued_at
@@ -344,5 +353,5 @@ class QueueDisc:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<{type(self).__name__} {self.name} {len(self._q)}/{self.limit_packets}p "
-            f"{self._bytes}B>"
+            f"{self.qlen_bytes}B>"
         )

@@ -164,6 +164,12 @@ class RedQueue(QueueDisc):
         self._mean_pktsize = float(p.mean_pktsize)
         self._protection = p.protection
         self._band = p.max_th - p.min_th  # > 0 iff a probabilistic band exists
+        # The average's form is a per-queue constant, chosen here once, so
+        # the fused enqueue tests no mode on the two packet-mode forms: the
+        # EWMA of len(q), and instantaneous len(q) (Fixed-K's and
+        # DCTCP-style RED's).
+        self._plain_ewma = not (p.byte_mode or p.use_instantaneous)
+        self._inst_packets = p.use_instantaneous and not p.byte_mode
 
     # -- wiring ---------------------------------------------------------------
 
@@ -197,25 +203,46 @@ class RedQueue(QueueDisc):
         st.drops_early += 1
         return VERDICT_DROPPED
 
-    def _admit(self, pkt: "Packet", now: float) -> bool:
-        # NS-2 updates the average on *every* arrival, including ones that
-        # tail-drop: the EWMA tracks offered load, not just admitted load.
-        # Updating only on admission makes the average lag reality exactly
-        # during the full-buffer bursts the drop statistics measure.
-        # The EWMA update (mirrored in the fused enqueue() below).
-        q = self._bytes / self._mean_pktsize if self._byte_mode else float(len(self._q))
-        if self._use_inst:
-            self.avg = q
+    def _update_avg(self, now: float, size: int) -> None:
+        """The EWMA update in its general form, for an arrival of ``size``
+        bytes whose arrival counters have already moved.
+
+        NS-2 updates the average on *every* arrival, including ones that
+        tail-drop: the EWMA tracks offered load, not just admitted load.
+        Updating only on admission makes the average lag reality exactly
+        during the full-buffer bursts the drop statistics measure.
+
+        :meth:`_admit` calls this; the fused :meth:`enqueue` inlines it,
+        with the two packet-mode forms as branches of their own.
+        """
+        q = self._q
+        if self._byte_mode:
+            # The backlog before this arrival: qlen_bytes, read from its
+            # counters, less the arriving packet they already hold.
+            st = self.stats
+            qm = ((st.arrival_bytes - size - st.departure_bytes
+                   - self._dropped_bytes) / self._mean_pktsize)
         else:
-            if not self._q and self._idle_since is not None:
-                # Decay the average over the idle period as if empty-queue
-                # samples had arrived once per typical transmission time.
-                if self._idle_pkt_time:
-                    m = (now - self._idle_since) / self._idle_pkt_time
-                    if m > 0:
-                        self.avg *= (1.0 - self._wq) ** m
-                self._idle_since = None
-            self.avg += self._wq * (q - self.avg)
+            qm = float(len(q))
+        if self._use_inst:
+            self.avg = qm
+            return
+        if not q and self._idle_since is not None:
+            self._decay_idle(now)
+        self.avg += self._wq * (qm - self.avg)
+
+    def _decay_idle(self, now: float) -> None:
+        """First arrival after the queue drained: decay the average over the
+        idle period as if empty-queue samples had arrived once per typical
+        transmission time."""
+        if self._idle_pkt_time:
+            m = (now - self._idle_since) / self._idle_pkt_time
+            if m > 0:
+                self.avg *= (1.0 - self._wq) ** m
+        self._idle_since = None
+
+    def _admit(self, pkt: "Packet", now: float) -> bool:
+        self._update_avg(now, pkt.size)
         if len(self._q) >= self.limit_packets:
             self.stats.drops_tail += 1
             return VERDICT_DROPPED
@@ -297,18 +324,23 @@ class RedQueue(QueueDisc):
         if is_syn:
             st.syn_arrivals += 1
 
-        # Inlined _admit body, EWMA update first (keep in sync).
-        qm = self._bytes / self._mean_pktsize if self._byte_mode else float(len(q))
-        if self._use_inst:
-            self.avg = qm
-        else:
+        # Inlined _admit body, EWMA update first (keep in sync with
+        # _update_avg): the two packet-mode forms, then byte mode.
+        if self._plain_ewma:
             if not q and self._idle_since is not None:
-                if self._idle_pkt_time:
-                    m = (now - self._idle_since) / self._idle_pkt_time
-                    if m > 0:
-                        self.avg *= (1.0 - self._wq) ** m
-                self._idle_since = None
-            self.avg += self._wq * (qm - self.avg)
+                self._decay_idle(now)
+            self.avg += self._wq * (len(q) - self.avg)
+        elif self._inst_packets:
+            self.avg = float(len(q))
+        else:
+            qm = ((st.arrival_bytes - size - st.departure_bytes
+                   - self._dropped_bytes) / self._mean_pktsize)
+            if self._use_inst:
+                self.avg = qm
+            else:
+                if not q and self._idle_since is not None:
+                    self._decay_idle(now)
+                self.avg += self._wq * (qm - self.avg)
         if len(q) >= self.limit_packets:
             st.drops_tail += 1
             verdict = VERDICT_DROPPED
@@ -352,13 +384,13 @@ class RedQueue(QueueDisc):
         if verdict:
             pkt.enqueued_at = now
             q.append(pkt)
-            self._bytes += size
             if len(q) >= self._pressure_th:
                 self._pressure_cb(self, now)
             tr = self.tracer
             if tr is not None and tr.active and tr.wants("enqueue"):
                 tr.emit(now, "enqueue", self.name, pkt)
         else:
+            self._dropped_bytes += size
             if is_ect:
                 st.ect_drops += 1
             if is_ack:
@@ -375,7 +407,6 @@ class RedQueue(QueueDisc):
         st = self.stats
         pkt = q.popleft()
         size = pkt.size
-        self._bytes -= size
         st.departures += 1
         st.departure_bytes += size
         st.queue_delay_sum += now - pkt.enqueued_at

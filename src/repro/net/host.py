@@ -8,7 +8,7 @@ packets raise — a routing bug should never be silently absorbed.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import RoutingError, TcpError
 from repro.net.node import Node
@@ -30,7 +30,10 @@ class Host(Node):
         #: transport endpoints on this host emit their ``tcp.*`` events here.
         self.tracer = None
         self._receivers: Dict[int, Callable[[Packet], None]] = {}
-        self._delivery_hooks: List[Callable[[Packet, float], None]] = []
+        self._delivery_hooks: Tuple[Callable[[Packet, float], None], ...] = ()
+        #: The one callable :meth:`receive` hands each packet to: None, the
+        #: only hook, or a fan-out over several (set by add_delivery_hook).
+        self._on_delivery: Optional[Callable[[Packet, float], None]] = None
         self.rx_packets = 0
         self._next_ephemeral = 49152
 
@@ -57,8 +60,21 @@ class Host(Node):
         return p
 
     def add_delivery_hook(self, hook: Callable[[Packet, float], None]) -> None:
-        """Observe every packet delivered to this host (latency stats)."""
-        self._delivery_hooks.append(hook)
+        """Observe every packet delivered to this host (latency stats).
+
+        Hooks run in registration order. :meth:`receive` calls one bound
+        callable: the hook itself while it is the only one, a fan-out
+        once there are several.
+        """
+        hooks = self._delivery_hooks + (hook,)
+        self._delivery_hooks = hooks
+        if len(hooks) == 1:
+            self._on_delivery = hook
+        else:
+            def fan_out(pkt: Packet, now: float) -> None:
+                for each in hooks:
+                    each(pkt, now)
+            self._on_delivery = fan_out
 
     # -- data path ------------------------------------------------------------
 
@@ -75,9 +91,9 @@ class Host(Node):
             )
         self.rx_packets += 1
         pkt.hops += 1
-        now = self.sim.now
-        for hook in self._delivery_hooks:
-            hook(pkt, now)
+        on_delivery = self._on_delivery
+        if on_delivery is not None:
+            on_delivery(pkt, self.sim.now)
         receiver = self._receivers.get(pkt.dport)
         if receiver is not None:
             receiver(pkt)

@@ -14,11 +14,14 @@ segment. Only the fields the paper's mechanisms read are modelled:
 Packets use ``__slots__`` and plain attributes: in a shuffle-phase run the
 simulator creates hundreds of thousands of them, and attribute access is
 the single hottest operation in the repository. The classification
-predicates (``is_ect``, ``is_pure_ack``, ``has_ece``, …) are therefore
-**plain attributes computed once at construction**, not ``property``
-descriptors: every AQM enqueue reads several of them, and a descriptor
-call per read cost more than the whole set of stores at construction.
-They stay correct because nothing in the stack mutates ``flags``,
+predicates that a hop reads (``is_ect``, ``is_ce``, ``has_ece``,
+``has_cwr``, ``is_syn``, ``is_pure_ack``) are therefore **plain attributes
+computed once at construction**, not ``property`` descriptors: every AQM
+enqueue reads several of them, and a descriptor call per read cost more
+than the whole set of stores at construction. The four flag-derived ones
+come from one lookup in :data:`FLAG_CLASS`, indexed by the flags byte.
+``is_fin`` and ``is_data``, which no hop reads, are properties. The
+attributes stay correct because nothing in the stack mutates ``flags``,
 ``payload`` or ``ecn`` after construction except :meth:`Packet.mark_ce`,
 which refreshes the two ECN-derived attributes itself.
 
@@ -52,6 +55,7 @@ __all__ = [
     "FLAG_ECE",
     "FLAG_CWR",
     "flag_names",
+    "FLAG_CLASS",
     "IP_TCP_HEADER_BYTES",
     "DEFAULT_MSS",
     "PURE_ACK_BYTES",
@@ -99,6 +103,16 @@ def flag_names(flags: int) -> str:
     return "|".join(names) if names else "-"
 
 
+#: ``FLAG_CLASS[flags]`` is ``(has_ece, has_cwr, is_syn, ack_only)`` for
+#: every flags byte, where ``ack_only`` is "ACK set, SYN and FIN clear": a
+#: packet is a pure ACK when that holds and it carries no payload.
+FLAG_CLASS = tuple(
+    (f & FLAG_ECE != 0, f & FLAG_CWR != 0, f & FLAG_SYN != 0,
+     f & FLAG_ACK != 0 and f & (FLAG_SYN | FLAG_FIN) == 0)
+    for f in range(256)
+)
+
+
 #: Combined IPv4 (20 B) + TCP (20 B) header size modelled per packet.
 IP_TCP_HEADER_BYTES = 40
 
@@ -142,9 +156,9 @@ class Packet:
         the id comes from a process-wide fallback counter.
 
     Classification attributes (``is_ect``, ``is_ce``, ``has_ece``,
-    ``has_cwr``, ``is_syn``, ``is_fin``, ``is_pure_ack``, ``is_data``)
-    are plain bools computed at construction — see the module docstring
-    for why they are not properties.
+    ``has_cwr``, ``is_syn``, ``is_pure_ack``) are plain bools computed at
+    construction — see the module docstring for why they are not
+    properties; ``is_fin`` and ``is_data`` are properties.
     """
 
     __slots__ = (
@@ -169,9 +183,7 @@ class Packet:
         "has_ece",
         "has_cwr",
         "is_syn",
-        "is_fin",
         "is_pure_ack",
-        "is_data",
     )
 
     #: Fallback id source for packets built without an explicit ``pkt_id``
@@ -215,22 +227,24 @@ class Packet:
         self.marked_bytes = marked_bytes
         self.pkt_id = next(Packet._fallback_ids) if pkt_id is None else pkt_id
         # Classification (read many times per hop by AQMs and stats;
-        # computed once here).
+        # computed once here, the flag bits by one table lookup).
         self.is_ect = ecn != ECN_NOT_ECT
         self.is_ce = ecn == ECN_CE
-        self.has_ece = flags & FLAG_ECE != 0
-        self.has_cwr = flags & FLAG_CWR != 0
-        is_syn = flags & FLAG_SYN != 0
-        self.is_syn = is_syn
-        is_fin = flags & FLAG_FIN != 0
-        self.is_fin = is_fin
-        self.is_data = payload > 0
+        self.has_ece, self.has_cwr, self.is_syn, ack_only = FLAG_CLASS[flags]
         # The packets the paper finds being disproportionately dropped:
         # they cannot be ECT-capable, so ECN-enabled AQMs early-drop them
         # while merely marking the data packets around them.
-        self.is_pure_ack = (
-            flags & FLAG_ACK != 0 and payload == 0 and not (is_syn or is_fin)
-        )
+        self.is_pure_ack = ack_only and payload == 0
+
+    @property
+    def is_fin(self) -> bool:
+        """FIN flag set."""
+        return self.flags & FLAG_FIN != 0
+
+    @property
+    def is_data(self) -> bool:
+        """Carries TCP payload."""
+        return self.payload > 0
 
     @property
     def flow(self) -> FlowKey:

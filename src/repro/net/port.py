@@ -14,6 +14,12 @@ delay is constant per port, so deliveries complete in append order).
 This gives the loop profiler stable ``Port._tx_done`` /
 ``Port._deliver_head`` categories for free.
 
+Counted when read: the transmit counters ``tx_packets`` / ``tx_bytes``
+are properties over the qdisc's departure counters (every packet the
+transmitter took, minus fluid credits, frames lost to a link failure and
+the frame still being serialized), so a successful transmission bumps no
+counter of its own.
+
 Wired once: everything that is constant for the port's lifetime is
 resolved when the port is built, not per packet. ``__init__`` binds
 ``sim.schedule``, the qdisc's ``enqueue`` / ``dequeue`` and the two
@@ -73,7 +79,7 @@ class Port:
                  "tracer", "_peer", "_busy", "_up", "_pending_tx", "_wire",
                  "_ser_s_per_byte", "_schedule", "_enqueue", "_dequeue",
                  "_on_tx_done", "_on_deliver", "_peer_receive",
-                 "tx_packets", "tx_bytes", "failed_tx_packets")
+                 "failed_tx_packets", "failed_tx_bytes")
 
     def __init__(
         self,
@@ -135,9 +141,9 @@ class Port:
         #: Packets propagating on the wire, FIFO — constant per-port delay
         #: means deliveries complete in append order.
         self._wire: Deque[Packet] = deque()
-        self.tx_packets = 0
-        self.tx_bytes = 0
+        #: Frames lost because the link failed mid-serialization.
         self.failed_tx_packets = 0
+        self.failed_tx_bytes = 0
 
     @property
     def peer(self) -> Optional["Node"]:
@@ -150,6 +156,21 @@ class Port:
             raise TopologyError(f"port {self.name} is already connected")
         self._peer = peer
         self._peer_receive = peer.receive
+
+    @property
+    def tx_packets(self) -> int:
+        """Frames serialized onto an up link (counted when read)."""
+        st = self.qdisc.stats
+        return (st.departures - st.fluid_packets - self.failed_tx_packets
+                - (self._pending_tx is not None))
+
+    @property
+    def tx_bytes(self) -> int:
+        """Bytes of the frames :attr:`tx_packets` counts."""
+        st = self.qdisc.stats
+        pending = self._pending_tx
+        return (st.departure_bytes - st.fluid_bytes - self.failed_tx_bytes
+                - (pending.size if pending is not None else 0))
 
     @property
     def busy(self) -> bool:
@@ -219,13 +240,12 @@ class Port:
             # The link failed mid-serialization: the frame is lost and the
             # transmitter stays idle until set_up() restarts it.
             self.failed_tx_packets += 1
+            self.failed_tx_bytes += pkt.size
             self._busy = False
             tr = self.tracer
             if tr is not None and tr.active:
                 tr.emit(self.sim.now, "link_loss", self.name, pkt)
             return
-        self.tx_packets += 1
-        self.tx_bytes += pkt.size
         tr = self.tracer
         if tr is not None and tr.active:
             tr.emit(self.sim.now, "tx", self.name, pkt)

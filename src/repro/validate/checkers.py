@@ -369,10 +369,13 @@ class QueueAccountingChecker(Checker):
     consistent (``protected ≤ arrivals``, ``marks ≤ ect_arrivals``, class
     drops ≤ class arrivals). RED's ``avg`` must stay finite and
     non-negative. At :meth:`finish`, an exhaustive sweep additionally
-    re-sums queued bytes against ``qlen_bytes`` for every queue, and
-    audits what :meth:`~repro.core.qdisc.QueueDisc.mean_queue_packets`
-    rests on: no queued packet was enqueued in the future, and the mean
-    itself lies in ``[0, limit_packets]``.
+    re-sums queued bytes against ``qlen_bytes`` for every queue (the byte
+    check: ``qlen_bytes`` is counted when read from the arrival,
+    departure and dropped-byte counters), checks the dropped-byte counter
+    against the sizes of the queue's ``drop`` records, and audits what
+    :meth:`~repro.core.qdisc.QueueDisc.mean_queue_packets` rests on: no
+    queued packet was enqueued in the future, and the mean itself lies in
+    ``[0, limit_packets]``.
     """
 
     name = "queues"
@@ -380,14 +383,22 @@ class QueueAccountingChecker(Checker):
     def __init__(self) -> None:
         super().__init__()
         self._queues: Dict[str, object] = {}
+        #: Bytes of the ``drop`` records each queue emitted.
+        self._drop_bytes: Dict[str, int] = {}
         self.events_checked = 0
 
     def attach(self, sim, network, tracer) -> None:
         for port in _iter_ports(network):
             self._queues[port.name] = port.qdisc
+            self._drop_bytes[port.name] = 0
         tracer.subscribe("enqueue", self._on_event)
-        tracer.subscribe("drop", self._on_event)
+        tracer.subscribe("drop", self._on_drop)
         tracer.subscribe("mark", self._on_event)
+
+    def _on_drop(self, rec) -> None:
+        if rec.where in self._drop_bytes:
+            self._drop_bytes[rec.where] += rec.data.size
+        self._on_event(rec)
 
     def _on_event(self, rec) -> None:
         q = self._queues.get(rec.where)
@@ -449,19 +460,18 @@ class QueueAccountingChecker(Checker):
             self._flag(now, q.name, f"RED avg is {avg!r}")
 
     def finish(self, now: float) -> None:
-        for q in self._queues.values():
+        for where, q in self._queues.items():
             self._check_counters(q, now)
             byte_sum = sum(p.size for p in q.packets())
             if byte_sum != q.qlen_bytes:
                 self._flag(now, q.name,
                            f"queued packets sum to {byte_sum} B but "
                            f"qlen_bytes={q.qlen_bytes}")
-            st = q.stats
-            if st.arrival_bytes < st.departure_bytes + q.qlen_bytes:
+            traced = self._drop_bytes[where]
+            if q._dropped_bytes != traced:
                 self._flag(now, q.name,
-                           f"byte conservation broken: arrival_bytes "
-                           f"{st.arrival_bytes} < departure_bytes "
-                           f"{st.departure_bytes} + queued {q.qlen_bytes}")
+                           f"dropped bytes {q._dropped_bytes} != {traced} B "
+                           f"of drop records")
             # What the derived time-averaged occupancy rests on: no
             # residence time is negative, and the mean is a queue length.
             for pkt in q.packets():

@@ -1,25 +1,39 @@
-"""Equivalence tests for the three statistics that are counted when read
+"""Equivalence tests for the statistics that are counted when read
 (DESIGN §3): each deferred form against the eager one it replaced.
 
 * ``QueueDisc.mean_queue_packets(now)`` (Little's identity over residence
   times) against a brute-force step integral of the queue length;
+* ``QueueDisc.qlen_bytes`` (arrival minus departure minus dropped bytes)
+  against a re-sum of the queued packets' sizes;
+* ``Port.tx_packets``/``tx_bytes`` (the qdisc's departures, less fluid
+  credits, failed frames and the frame on the serializer) against the
+  port's ``tx`` trace records, read after every record;
 * the batched ``LatencyCollector`` against the per-packet accumulation it
   replaced, kept here as the reference — equal with ``==``, not approx;
 * ``Simulator.heap_high_water`` against a max-of-lengths model.
+
+``TestAqmConservation`` holds the per-port counters the reports read to
+the trace records of every AQM port, host egress included.
 """
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CodelParams, CodelQueue
+from repro.core import CodelParams, CodelQueue, RedParams, RedQueue
+from repro.experiments import (BulkConfig, ExperimentConfig, QueueSetup,
+                               Scenario, run_cell)
 from repro.net.packet import Packet
 from repro.sim import Simulator
 from repro.stats import LatencyCollector
 from repro.stats.collect import DRAIN_AT
+from repro.tcp import TcpVariant
+from repro.units import us
+from repro.validate.checkers import Checker, ValidationSuite, _iter_ports
 from tests.test_property_qdisc import _kinds, build_queue, make_packet
 
 # -- time-averaged occupancy ----------------------------------------------------
@@ -34,6 +48,11 @@ def _build(qkind, limit):
         # Non-ECN so that the control law's action is a head drop.
         return CodelQueue(limit, CodelParams(target_s=2 * TICK,
                                              interval_s=8 * TICK, ecn=False))
+    if qkind == "red-bytes":
+        # Byte-mode EWMA: the one admission path that reads qlen_bytes.
+        return RedQueue(limit, RedParams(min_th=max(1, limit // 8),
+                                         max_th=max(2, limit // 3),
+                                         byte_mode=True, max_p=0.5))
     return build_queue(qkind, limit)
 
 
@@ -94,6 +113,134 @@ class TestMeanQueuePackets:
         st_ = q.stats
         assert (st_._occ_integral_pkts, st_._occ_integral_bytes,
                 st_._occ_last_t) == (0.0, 0.0, 0.0)
+
+
+# -- byte backlog -------------------------------------------------------------------
+
+class TestQlenBytes:
+    @given(qkind=st.sampled_from(["droptail", "red-default", "red-ece",
+                                  "red-acksyn", "red-bytes", "marking",
+                                  "codel"]),
+           limit=st.integers(1, 24), ops=_ops)
+    @settings(max_examples=120, deadline=None)
+    def test_equals_resum_after_every_operation(self, qkind, limit, ops):
+        q = _build(qkind, limit)
+        for _now, _integral in _replay(q, ops):
+            assert q.qlen_bytes == sum(p.size for p in q._q)
+
+    def test_codel_head_drops_leave_the_backlog(self):
+        q = _build("codel", 64)
+        ops = [("enqueue", "data_nonect", 0)] * 30
+        ops += [("dequeue", "ack", 3)] * 25
+        for _ in _replay(q, ops):
+            assert q.qlen_bytes == sum(p.size for p in q._q)
+        assert q.stats.drops_early > 0 and q.stats.drops_tail == 0
+        assert q._dropped_bytes == 1500 * q.stats.drops_early
+
+    def test_tail_drops_leave_the_backlog(self):
+        q = _build("droptail", 3)
+        for _ in _replay(q, [("enqueue", "ack", 1)] * 5
+                         + [("dequeue", "ack", 1)]):
+            assert q.qlen_bytes == sum(p.size for p in q._q)
+        assert q.stats.drops_tail == 2 and q.qlen_bytes == 2 * 150
+
+
+# -- port transmit counters ------------------------------------------------------------
+
+class _TxLedger(Checker):
+    """Counts each port's ``tx`` records and reads the port's counters at
+    every one of them; ``drop`` and ``mark`` records are tallied for
+    :class:`TestAqmConservation`."""
+
+    name = "tx-ledger"
+
+    def attach(self, sim, network, tracer):
+        self.ports = {p.name: p for p in _iter_ports(network)}
+        self.tx = Counter()
+        self.tx_bytes = Counter()
+        self.records = Counter()
+        self.mismatches = []
+        tracer.subscribe("tx", self._on_tx)
+        tracer.subscribe("drop", self._on_record)
+        tracer.subscribe("mark", self._on_record)
+
+    def _on_tx(self, rec):
+        self.records["tx"] += 1
+        self.tx[rec.where] += 1
+        self.tx_bytes[rec.where] += rec.data.size
+        port = self.ports[rec.where]
+        seen = (self.tx[rec.where], self.tx_bytes[rec.where])
+        if (port.tx_packets, port.tx_bytes) != seen:
+            self.mismatches.append((rec.time, rec.where,
+                                    (port.tx_packets, port.tx_bytes), seen))
+
+    def _on_record(self, rec):
+        self.records[rec.kind] += 1
+
+    def finish(self, now):
+        for name, port in self.ports.items():
+            seen = (self.tx[name], self.tx_bytes[name])
+            if (port.tx_packets, port.tx_bytes) != seen:
+                self.mismatches.append((now, name, (port.tx_packets,
+                                                    port.tx_bytes), seen))
+
+
+def _run_with_ledger(config):
+    ledger = _TxLedger()
+    result = run_cell(config, checks=ValidationSuite([ledger]))
+    return result, ledger
+
+
+#: The 0.01-scale TCP-ECN red-default@50us shallow cell of the paper grid.
+RED_50US = ExperimentConfig(
+    queue=QueueSetup(kind="red", target_delay_s=us(50)),
+    variant=TcpVariant.ECN, seed=42, allow_timeout=True).scaled(0.01)
+
+
+@pytest.fixture(scope="module")
+def red_50us():
+    return _run_with_ledger(RED_50US)
+
+
+class TestPortTxCounters:
+    def test_finished_cell(self, red_50us):
+        _result, ledger = red_50us
+        assert ledger.mismatches == []
+        assert sum(ledger.tx.values()) == ledger.records["tx"] > 1000
+
+    def test_link_down_mid_serialization(self):
+        """The fuzzer's link-flap scenario at seed 1 fails its hot port
+        while a frame is on the serializer: that frame is no tx."""
+        _result, ledger = _run_with_ledger(Scenario(link_flap=True, seed=1))
+        assert ledger.mismatches == []
+        failed = [p for p in ledger.ports.values() if p.failed_tx_packets]
+        assert len(failed) == 1
+        assert failed[0].failed_tx_bytes > 0
+
+    def test_hybrid_bulk_cell(self):
+        """Fluid credits move the qdisc's departures, never a port's tx."""
+        _result, ledger = _run_with_ledger(BulkConfig(fidelity="hybrid"))
+        assert ledger.mismatches == []
+        assert sum(p.qdisc.stats.fluid_packets
+                   for p in ledger.ports.values()) > 0
+
+
+# -- every AQM port ---------------------------------------------------------------------
+
+class TestAqmConservation:
+    def test_drop_and_mark_totals_equal_the_trace(self, red_50us):
+        """Summed over every AQM port, switch and host egress, the queue
+        counters equal the run's ``drop`` and ``mark`` records. The
+        switch-only ``metrics.queue`` block reads 0 and 0 here: at this
+        scale the congestion sits at host NICs."""
+        result, ledger = red_50us
+        ports = ledger.ports.values()
+        drops = sum(p.qdisc.stats.drops for p in ports)
+        marks = sum(p.qdisc.stats.marks for p in ports)
+        assert (drops, marks) == (ledger.records["drop"],
+                                  ledger.records["mark"]) == (632, 626)
+        assert (result.metrics.queue.drops, result.metrics.queue.marks) == (
+            0, 0)
 
 
 # -- latency collector ------------------------------------------------------------

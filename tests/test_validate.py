@@ -122,6 +122,32 @@ class TestQueueOccupancyAudit:
         assert "enqueued_at=2.0 which is in the future" in future.message
         assert "time-averaged occupancy -1.0" in mean.message
 
+    def test_traced_drops_match_dropped_bytes(self):
+        sim = Simulator()
+        tracer = Tracer()
+        spec = rack(sim, tracer)
+        checker = QueueAccountingChecker()
+        checker.attach(sim, spec.network, tracer)
+        port = spec.hot_ports[0]
+        for i in range(port.qdisc.limit_packets + 3):
+            port.send(Packet(src=0, sport=1, dst=1, dport=2, seq=i,
+                             payload=100))
+        assert port.qdisc.stats.drops_tail == 2  # one frame is on the wire
+        checker.finish(sim.now)
+        assert checker.violations == []
+
+    def test_flags_drop_without_a_record(self):
+        # The port emits a dropped packet's "drop" record, not the qdisc,
+        # so a drop made on the qdisc alone is one the trace never saw.
+        q, checker = self._armed()
+        for i in range(q.limit_packets + 2):
+            q.enqueue(Packet(src=0, sport=1, dst=1, dport=2, seq=i,
+                             payload=100), 0.5)
+        checker.finish(1.0)
+        assert [v.where for v in checker.violations] == [q.name]
+        assert "dropped bytes 280 != 0 B of drop records" in (
+            checker.violations[0].message)
+
 
 class TestTcpChecker:
     def mk_records(self):
